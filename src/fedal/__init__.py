@@ -25,11 +25,8 @@ from .nn import LrSchedule, MlpArchitecture, Model, forward, grad, hidden_featur
 from .orchestrator import (
     ALConfig,
     RoundLog,
-    run_fal,
     run_full_budget,
     run_independent_eval,
-    run_random,
-    run_sal,
     run_strategy,
 )
 from .strategies import (
@@ -39,7 +36,6 @@ from .strategies import (
     score_discrepancy,
     score_entropy,
     score_mc_dropout,
-    score_random,
     select_top_b,
     train_discrepancy_heads,
 )

@@ -11,9 +11,12 @@ The blob layout is ``line`` with a strong elongation: thin parallel bands
 whose shared boundaries are long relative to the number of labels.  That
 keeps the learning curve unsaturated at 10-25% labels, which is what gives
 annotation choices something to improve; with isotropic round blobs the
-task saturates near 300 labels and every strategy ties.  Training runs to
-convergence (the entropy map of an undertrained scorer is mostly noise and
-its selections then lose to uniform coverage).
+task saturates near 300 labels and every strategy ties.  Training gets a
+high rate and a 600-iteration cap, because the entropy map of an
+undertrained scorer is mostly noise and its selections then lose to
+uniform coverage.  Training does not converge, though: every run stops at
+that cap before its loss reaches the 0.03 threshold (a traced seed counts
+17 of 17 FedAvg runs and 24 of 24 independent runs stopped by the cap).
 
 Reported directions (means over seeds, accuracy window = rounds 2-4):
 the federated strategy should not lose to the separate one, which should
@@ -99,7 +102,7 @@ def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True,
             cfg = benchmark_config(strategy)
             train, test, pools, arch = build_world(cfg, seed)
             al_cfg = ALConfig(rounds=cfg.rounds, budgets=cfg.budgets, scorer=cfg.scorer,
-                              aux_train=cfg.independent, strategy=strategy,
+                              aux_train=cfg.independent,
                               fresh_init_per_round=cfg.fresh_init_per_round)
             logs = run_strategy(strategy, train, test, pools, arch, al_cfg, cfg.fl, seed)
             report.curves[strategy][seed] = [log.test_accuracy for log in logs]

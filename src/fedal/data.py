@@ -11,6 +11,7 @@ operation ever touches rows outside a single client's shard.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,8 @@ class Dataset:
             raise ShapeError(f"{feats.shape[0]} feature rows but {labels.shape[0]} labels")
         if feats.shape[0] == 0:
             raise EmptyInputError("dataset must contain at least one example")
+        if not np.all(np.isfinite(feats)):
+            raise ShapeError("features must be finite (no NaN or infinity)")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ShapeError("labels must be an integer array")
         if labels.min() < 0 or labels.max() >= self.class_count:
@@ -208,10 +211,14 @@ def _load_csv_labeled(path: Path, split: str) -> Dataset:
                 feats = [float(p) for p in parts[:-1]]
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric feature in {text!r}") from None
+            if not all(math.isfinite(f) for f in feats):
+                raise ParseError(f"line {lineno}: non-finite feature in {text!r}")
             try:
                 label_f = float(parts[-1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric label {parts[-1]!r}") from None
+            if not math.isfinite(label_f):
+                raise ParseError(f"line {lineno}: non-finite label {parts[-1]!r}")
             if label_f != int(label_f):
                 raise ParseError(f"line {lineno}: label {parts[-1]!r} is not an integer")
             rows.append(feats)

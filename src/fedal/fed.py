@@ -5,7 +5,9 @@ global parameters, runs ``local_epochs`` of (mini-batch) SGD at the
 iteration's learning rate, and the server replaces the global parameters
 with the sample-count weighted average of the local results.  Training stops
 early once the sample-weighted mean of the clients' end-of-update training
-losses drops below ``stop_loss_threshold``.
+losses drops below ``stop_loss_threshold``, and otherwise at
+``max_global_iters``.  Independent training runs the same loop on one
+client, with the weighted average left out.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.
@@ -87,31 +89,42 @@ def weighted_average(param_vectors, sample_counts) -> Array:
     return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
 
 
-def _one_epoch(model: Model, features: Array, labels: Array, lr: float, minibatch_size, rng) -> Array:
-    """One pass over the data: full batch in stored order, or shuffled minibatches."""
-    n = features.shape[0]
-    params = model.params
-    if minibatch_size is None or minibatch_size >= n:
-        batches = [np.arange(n)]
-    else:
-        perm = rng.permutation(n)
-        batches = [perm[i:i + minibatch_size] for i in range(0, n, minibatch_size)]
-    for batch in batches:
-        g = nn.grad(Model(model.arch, params), features[batch], labels[batch], rng)
-        params = nn.sgd_step(params, g, lr)
-    return params
-
-
 def local_update(model: Model, features, labels, lr: float, cfg: FedConfig, rng) -> Array:
-    """``cfg.local_epochs`` passes of SGD at a fixed learning rate; returns new params."""
+    """``cfg.local_epochs`` passes of SGD at a fixed learning rate; returns new params.
+
+    Each pass is one full batch in stored order, or shuffled minibatches.
+    """
     feats = np.asarray(features, dtype=np.float64)
     if feats.size == 0:
         raise EmptyInputError("client has no labeled examples")
     y = np.asarray(labels)
     params = model.params
     for _ in range(cfg.local_epochs):
-        params = _one_epoch(Model(model.arch, params), feats, y, lr, cfg.minibatch_size, rng)
+        for batch in nn.minibatches(feats.shape[0], cfg.minibatch_size, rng):
+            g = nn.grad(Model(model.arch, params), feats[batch], y[batch], rng)
+            params = nn.sgd_step(params, g, lr)
     return params
+
+
+def _supervised_update(model: Model, features, labels, lr: float, cfg: FedConfig, rng,
+                       client_id: int) -> Array:
+    return local_update(model, features, labels, lr, cfg, rng)
+
+
+def _train_to_threshold(init_model: Model, cfg: FedConfig, step) -> FedRunReport:
+    """Iterate ``step(t, params) -> (params, loss)`` for t = 1, 2, ...
+
+    Stops once the loss drops below ``cfg.stop_loss_threshold``, and otherwise
+    after ``cfg.max_global_iters`` iterations.
+    """
+    params = init_model.params.copy()
+    trace: list[float] = []
+    for t in range(1, cfg.max_global_iters + 1):
+        params, value = step(t, params)
+        trace.append(value)
+        if value < cfg.stop_loss_threshold:
+            break
+    return FedRunReport(Model(init_model.arch, params), len(trace), tuple(trace))
 
 
 def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig,
@@ -120,71 +133,58 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
 
     ``local_fn(model, features, labels, lr, cfg, rng, client_id) -> params``
     replaces the plain supervised local update when given (used for
-    head-disagreement training of the two-head scoring model).
+    head-disagreement training of the two-head scoring model).  Client
+    ``m`` draws iteration ``t``'s randomness from ``rng_for(seed, "local", m, t)``.
     """
     if all(len(p.labeled) == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
     arch = init_model.arch
-    params = init_model.params.copy()
-    trace: list[float] = []
-    iters_used = 0
-    for t in range(1, cfg.max_global_iters + 1):
+    local_fn = local_fn or _supervised_update
+    # Clients without labels get weight zero: they only receive the global model.
+    clients = [(pool.client_id, *gather(dataset, pool.labeled)) for pool in pools if pool.labeled]
+    counts = [len(labels) for _, _, labels in clients]
+    total = float(sum(counts))
+
+    def step(t, params):
         lr = cfg.schedule.lr(t)
         updated: list[Array] = []
-        counts: list[int] = []
-        losses: list[float] = []
-        for pool in pools:
-            if not pool.labeled:
-                continue  # weight zero this iteration
-            feats, labels = gather(dataset, pool.labeled)
-            rng = rng_for(seed, "local", pool.client_id, t)
-            current = Model(arch, params)
-            if local_fn is None:
-                new_params = local_update(current, feats, labels, lr, cfg, rng)
-            else:
-                new_params = local_fn(current, feats, labels, lr, cfg, rng, pool.client_id)
+        mean_loss = 0.0
+        for (client_id, feats, labels), count in zip(clients, counts):
+            rng = rng_for(seed, "local", client_id, t)
+            new_params = local_fn(Model(arch, params), feats, labels, lr, cfg, rng, client_id)
             updated.append(new_params)
-            counts.append(len(pool.labeled))
             # End-of-update training loss on the client's full labeled set,
             # evaluated deterministically (no dropout).
-            losses.append(nn.loss(Model(arch, new_params), feats, labels))
-        params = weighted_average(updated, counts)
-        total = float(sum(counts))
-        mean_loss = 0.0
-        for count, value in zip(counts, losses):
-            mean_loss += (count / total) * value
-        trace.append(mean_loss)
-        iters_used = t
-        if mean_loss < cfg.stop_loss_threshold:
-            break
-    return FedRunReport(Model(arch, params), iters_used, tuple(trace))
+            mean_loss += (count / total) * nn.loss(Model(arch, new_params), feats, labels)
+        return weighted_average(updated, counts), mean_loss
+
+    return _train_to_threshold(init_model, cfg, step)
 
 
 def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
-                      init_model: Model, cfg: FedConfig, seed) -> FedRunReport:
-    """Train on one client's labeled pool only, decaying the rate per epoch.
+                      init_model: Model, cfg: FedConfig, seed, local_fn=None) -> FedRunReport:
+    """Train on one client's labeled pool only, decaying the rate per iteration.
 
-    Uses the same stopping rule as :func:`fedavg` (training loss below the
-    threshold, here on the single client) and the same iteration cap.
+    Each iteration is one local update, exactly as one client's part of a
+    :func:`fedavg` iteration (``local_fn`` has the same meaning), followed
+    by the same stopping rule on that client's training loss.  Unlike
+    FedAvg, every iteration draws from the single stream
+    ``rng_for(seed, client_id)``.
     """
     pool = pools[client]
     if not pool.labeled:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
     feats, labels = gather(dataset, pool.labeled)
     arch = init_model.arch
-    params = init_model.params.copy()
-    rng = rng_for(seed, "independent", pool.client_id)
-    trace: list[float] = []
-    iters_used = 0
-    for epoch in range(1, cfg.max_global_iters + 1):
-        lr = cfg.schedule.lr(epoch)
-        params = _one_epoch(Model(arch, params), feats, labels, lr, cfg.minibatch_size, rng)
-        value = nn.loss(Model(arch, params), feats, labels)
-        trace.append(value)
-        iters_used = epoch
-        if value < cfg.stop_loss_threshold:
-            break
-    return FedRunReport(Model(arch, params), iters_used, tuple(trace))
+    local_fn = local_fn or _supervised_update
+    rng = rng_for(seed, pool.client_id)
+
+    def step(t, params):
+        new_params = local_fn(Model(arch, params), feats, labels, cfg.schedule.lr(t), cfg, rng,
+                              pool.client_id)
+        return new_params, nn.loss(Model(arch, new_params), feats, labels)
+
+    return _train_to_threshold(init_model, cfg, step)
 
 
 def evaluate(model: Model, test: Dataset) -> float:

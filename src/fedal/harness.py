@@ -105,7 +105,6 @@ def run_once(cfg: ExperimentConfig, run_seed: int) -> tuple[list[RoundLog], Data
         budgets=cfg.budgets,
         scorer=cfg.scorer,
         aux_train=cfg.independent,
-        strategy=cfg.strategy if cfg.strategy != "full_budget" else "random",
         fresh_init_per_round=cfg.fresh_init_per_round,
     )
     logs = run_strategy(cfg.strategy, train, test, pools, arch, al_cfg, cfg.fl, run_seed)

@@ -15,6 +15,8 @@ linear layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,22 @@ from .errors import ConfigError, EmptyInputError, ShapeError
 Array = np.ndarray
 
 ACTIVATIONS = ("relu", "tanh")
+
+
+class LayerBlock(NamedTuple):
+    """One dense layer's weight slice, bias slice and weight shape ``(fan_in, fan_out)``."""
+
+    w: slice
+    b: slice
+    shape: tuple[int, int]
+
+
+class ParamLayout(NamedTuple):
+    """Storage layout of the flat parameter vector: hidden layers, then heads."""
+
+    hidden: tuple[LayerBlock, ...]
+    heads: tuple[LayerBlock, ...]
+    size: int
 
 
 @dataclass(frozen=True)
@@ -55,45 +73,38 @@ class MlpArchitecture:
     def class_count(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def hidden_sizes(self) -> tuple[int, ...]:
-        return self.layer_sizes[1:-1]
+    @cached_property
+    def layout(self) -> ParamLayout:
+        """Where each layer's weights and bias sit in the flat vector (computed once)."""
+        sizes = self.layer_sizes
+        depth = len(sizes) - 2
+        shapes = list(zip(sizes[:depth], sizes[1:depth + 1])) + [sizes[-2:]] * self.head_count
+        blocks, offset = [], 0
+        for fan_in, fan_out in shapes:
+            w = slice(offset, offset + fan_in * fan_out)
+            b = slice(w.stop, w.stop + fan_out)
+            blocks.append(LayerBlock(w, b, (fan_in, fan_out)))
+            offset = b.stop
+        return ParamLayout(tuple(blocks[:depth]), tuple(blocks[depth:]), offset)
 
     def param_blocks(self):
         """Yield ``(name, slice, shape)`` for every weight/bias block in storage order."""
-        sizes = self.layer_sizes
-        offset = 0
-        for i in range(len(sizes) - 2):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            yield f"hidden{i}_w", slice(offset, offset + fan_in * fan_out), (fan_in, fan_out)
-            offset += fan_in * fan_out
-            yield f"hidden{i}_b", slice(offset, offset + fan_out), (fan_out,)
-            offset += fan_out
-        fan_in, classes = sizes[-2], sizes[-1]
-        for h in range(self.head_count):
-            yield f"head{h}_w", slice(offset, offset + fan_in * classes), (fan_in, classes)
-            offset += fan_in * classes
-            yield f"head{h}_b", slice(offset, offset + classes), (classes,)
-            offset += classes
+        layout = self.layout
+        for kind, layers in (("hidden", layout.hidden), ("head", layout.heads)):
+            for i, layer in enumerate(layers):
+                yield f"{kind}{i}_w", layer.w, layer.shape
+                yield f"{kind}{i}_b", layer.b, layer.shape[1:]
 
     @property
     def param_count(self) -> int:
-        total = 0
-        for _, sl, _ in self.param_blocks():
-            total = sl.stop
-        return total
+        return self.layout.size
 
     def head_slice(self, head: int) -> slice:
         """Flat-vector slice holding one head's weight matrix and bias."""
         if not 0 <= head < self.head_count:
             raise ConfigError(f"head index {head} out of range for head_count={self.head_count}")
-        start = None
-        for name, sl, _ in self.param_blocks():
-            if name == f"head{head}_w":
-                start = sl.start
-            if name == f"head{head}_b":
-                return slice(start, sl.stop)
-        raise AssertionError("unreachable")
+        layer = self.layout.heads[head]
+        return slice(layer.w.start, layer.b.stop)
 
 
 @dataclass(frozen=True)
@@ -149,23 +160,9 @@ def _as_batch(x, input_dim: int) -> tuple[Array, bool]:
 
 def _split_params(arch: MlpArchitecture, params: Array):
     """Views of the flat vector as per-layer (W, b) pairs: hidden list + head list."""
-    sizes = arch.layer_sizes
-    hidden, heads = [], []
-    offset = 0
-    for i in range(len(sizes) - 2):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        w = params[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = params[offset:offset + fan_out]
-        offset += fan_out
-        hidden.append((w, b))
-    fan_in, classes = sizes[-2], sizes[-1]
-    for _ in range(arch.head_count):
-        w = params[offset:offset + fan_in * classes].reshape(fan_in, classes)
-        offset += fan_in * classes
-        b = params[offset:offset + classes]
-        offset += classes
-        heads.append((w, b))
+    layout = arch.layout
+    hidden = [(params[block.w].reshape(block.shape), params[block.b]) for block in layout.hidden]
+    heads = [(params[block.w].reshape(block.shape), params[block.b]) for block in layout.heads]
     return hidden, heads
 
 
@@ -306,19 +303,17 @@ def grad(model: Model, features, labels, rng=None) -> Array:
     p = arch.dropout_rate
 
     out = np.zeros(arch.param_count, dtype=np.float64)
-    blocks = {name: (sl, shape) for name, sl, shape in arch.param_blocks()}
+    layout = arch.layout
     last_hidden = inputs[-1]
 
     # dL/dz for each head; CE averaged over batch and heads.
     d_last = np.zeros_like(last_hidden)
-    for h, ((w, _), probs) in enumerate(zip(heads, head_probs)):
+    for block, (w, _), probs in zip(layout.heads, heads, head_probs):
         dz = probs.copy()
         dz[rows, y] -= 1.0
         dz /= n * arch.head_count
-        sl, _ = blocks[f"head{h}_w"]
-        out[sl] = (last_hidden.T @ dz).ravel()
-        sl, _ = blocks[f"head{h}_b"]
-        out[sl] = dz.sum(axis=0)
+        out[block.w] = (last_hidden.T @ dz).ravel()
+        out[block.b] = dz.sum(axis=0)
         d_last = d_last + dz @ w.T
 
     # Walk the hidden stack backwards.
@@ -331,12 +326,23 @@ def grad(model: Model, features, labels, rng=None) -> Array:
             d_z = d_act * (pre_dropout[j] > 0.0)
         else:
             d_z = d_act * (1.0 - pre_dropout[j] ** 2)
-        sl, _ = blocks[f"hidden{j}_w"]
-        out[sl] = (inputs[j].T @ d_z).ravel()
-        sl, _ = blocks[f"hidden{j}_b"]
-        out[sl] = d_z.sum(axis=0)
+        out[layout.hidden[j].w] = (inputs[j].T @ d_z).ravel()
+        out[layout.hidden[j].b] = d_z.sum(axis=0)
         d_act = d_z @ w.T
     return out
+
+
+def minibatches(n: int, size: int | None, rng) -> list[Array]:
+    """Row-index batches for one epoch over ``n`` rows.
+
+    ``size`` of None (or at least ``n``) gives one batch in stored order and
+    draws nothing from ``rng``; otherwise one ``rng.permutation(n)`` is cut
+    into consecutive ``size``-row batches.
+    """
+    if size is None or size >= n:
+        return [np.arange(n)]
+    perm = rng.permutation(n)
+    return [perm[i:i + size] for i in range(0, n, size)]
 
 
 def sgd_step(params: Array, gradient: Array, lr: float) -> Array:
@@ -354,9 +360,8 @@ def init_params(arch: MlpArchitecture, seed) -> Array:
     """Deterministic init: weights uniform in +-1/sqrt(fan_in), biases exactly zero."""
     rng = np.random.default_rng(seed)
     out = np.zeros(arch.param_count, dtype=np.float64)
-    for name, sl, shape in arch.param_blocks():
-        if name.endswith("_w"):
-            bound = 1.0 / np.sqrt(shape[0])
-            out[sl] = rng.uniform(-bound, bound, size=shape).ravel()
+    for block in (*arch.layout.hidden, *arch.layout.heads):
+        bound = 1.0 / np.sqrt(block.shape[0])
+        out[block.w] = rng.uniform(-bound, bound, size=block.shape).ravel()
         # biases stay zero
     return out

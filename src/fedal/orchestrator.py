@@ -1,20 +1,20 @@
-"""Round-based annotation pipelines over federated clients.
+"""Round-based annotation over federated clients: one loop for every strategy.
 
-Three strategies share one round skeleton:
+Each round goes the same way: get each client's scoring model, let every
+client score and annotate its own quota, then retrain the main task model
+from scratch (same seeded init every round) on the post-annotation pools
+and evaluate it on the shared test set; that accuracy is what the round's
+log records.  The strategies differ only in where the scoring model comes
+from:
 
-* ``random``  - every client annotates a uniform random quota.
+* ``random``  - none; every client annotates a uniform random quota.
 * ``s_al``    - every client trains its own auxiliary scoring model on its
-  own labeled pool (independent training) and scores its own unlabeled pool.
-* ``f_al``    - the auxiliary scoring model is trained jointly with FedAvg,
-  then every client scores its own pool against that same shared model.
-
-A round ends with the main task model retrained from scratch (same seeded
-init every round) on the post-annotation pools and evaluated on the shared
-test set; that accuracy is what the round's log records.  For the
-model-based scorers other than the two-head one, the auxiliary model is the
-task model itself: under ``f_al`` the model logged in round k is exactly the
-scoring model of round k+1 (both are the FedAvg model of the current labeled
-sets), so each round trains a single model.
+  own labeled pool (independent training).
+* ``f_al``    - one scoring model trained jointly with FedAvg and shared
+  by every client.  For the model-based scorers other than the two-head
+  one this is the task model itself: the model logged in round k is
+  exactly the scoring model of round k+1 (both are the FedAvg model of the
+  current labeled sets), so each round trains a single model.
 
 Clients only ever score and annotate their own pools; nothing in the
 pipeline materializes a cross-client union of labeled data.
@@ -56,15 +56,12 @@ class ALConfig:
     budgets: tuple[int, ...]
     scorer: ScorerSpec
     aux_train: FedConfig
-    strategy: str
     fresh_init_per_round: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         if not (isinstance(self.rounds, int) and self.rounds >= 1):
             raise ConfigError(f"rounds must be an int >= 1, got {self.rounds}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         for client, budget in enumerate(self.budgets):
             if budget < 0:
                 raise ConfigError(f"client {client}: budget must be >= 0, got {budget}")
@@ -73,8 +70,6 @@ class ALConfig:
                     f"client {client}: budget {budget} is not divisible by rounds={self.rounds}; "
                     "the per-round quota budget/rounds must be an integer"
                 )
-        if self.strategy in ("s_al", "f_al") and self.scorer.kind == "random":
-            raise ConfigError(f"strategy {self.strategy!r} needs a model-based scorer, not 'random'")
 
     @property
     def quotas(self) -> tuple[int, ...]:
@@ -153,182 +148,75 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
     return select_top_b(candidates, quota)
 
 
-def _independent_discrepancy_train(dataset: Dataset, pools: list[ClientPools], client: int,
-                                   init_model: Model, cfg: FedConfig, seed,
-                                   disc_weight: float) -> FedRunReport:
-    """Per-client two-head training: per-epoch decayed rate, same stopping rule."""
-    pool = pools[client]
-    if not pool.labeled:
-        raise InvalidStateError(f"client {pool.client_id} has no labeled data")
-    feats, labels = gather(dataset, pool.labeled)
-    unlab_feats = dataset.features[np.asarray(pool.unlabeled, dtype=np.int64)]
-    model = Model(init_model.arch, init_model.params.copy())
-    rng = rng_for(seed, "independent-twohead", pool.client_id)
-    trace: list[float] = []
-    iters_used = 0
-    for epoch in range(1, cfg.max_global_iters + 1):
-        model = train_discrepancy_heads(
-            model, feats, labels, unlab_feats, cfg.schedule.lr(epoch), 1,
+def _disagreement_update(dataset: Dataset, pools: list[ClientPools], disc_weight: float):
+    """Two-head local update: fit the labels, pull the heads apart on the client's own pool."""
+    unlabeled = [dataset.features[np.asarray(p.unlabeled, dtype=np.int64)] for p in pools]
+
+    def update(model, feats, labels, lr, cfg, rng, client_id):
+        return train_discrepancy_heads(
+            model, feats, labels, unlabeled[client_id], lr, cfg.local_epochs,
             cfg.minibatch_size, rng, disc_weight,
-        )
-        value = nn.loss(model, feats, labels)
-        trace.append(value)
-        iters_used = epoch
-        if value < cfg.stop_loss_threshold:
-            break
-    return FedRunReport(model, iters_used, tuple(trace))
+        ).params
+
+    return update
+
+
+def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
+                    arch: MlpArchitecture, al_cfg: ALConfig, seed: int, task_model: Model | None,
+                    carried: dict) -> tuple[dict[int, Model], dict[int, int]]:
+    """This round's scoring model for each client with a quota, and the
+    iterations of the auxiliary training run that produced it.
+
+    ``carried`` holds the previous round's auxiliary models; with
+    ``fresh_init_per_round=False`` training starts from them.
+    """
+    clients = [client for client, quota in enumerate(al_cfg.quotas) if quota]
+    scorer = al_cfg.scorer
+    if strategy == "random" or not clients:
+        return {}, {}
+    if strategy == "f_al" and not scorer.needs_two_heads:
+        return dict.fromkeys(clients, task_model), {}
+    if scorer.needs_two_heads:
+        aux_arch, fresh = replace(arch, head_count=2), _twohead_init
+        local_fn = _disagreement_update(dataset, pools, scorer.disc_weight)
+    else:
+        aux_arch, fresh, local_fn = arch, _task_init, None
+
+    def init(key) -> Model:
+        if al_cfg.fresh_init_per_round or key not in carried:
+            return fresh(aux_arch, seed)
+        return carried[key]
+
+    if strategy == "f_al":
+        report = fedavg(dataset, pools, init("shared"), al_cfg.aux_train, (seed, "train-twohead"),
+                        local_fn=local_fn)
+        carried["shared"] = report.final_model
+        return (dict.fromkeys(clients, report.final_model),
+                dict.fromkeys(clients, report.global_iters_used))
+    stream = (seed, "independent-twohead") if local_fn else (seed, "train-aux", "independent")
+    models: dict[int, Model] = {}
+    iters: dict[int, int] = {}
+    for client in clients:
+        report = independent_train(dataset, pools, client, init(client), al_cfg.aux_train, stream,
+                                   local_fn=local_fn)
+        carried[client] = models[client] = report.final_model
+        iters[client] = report.global_iters_used
+    return models, iters
 
 
 def _finish_round(dataset: Dataset, test: Dataset, pools: list[ClientPools],
                   arch: MlpArchitecture, fed_cfg: FedConfig, seed: int, round_index: int,
-                  started: float, aux_info: dict) -> tuple[RoundLog, FedRunReport]:
+                  started: float, aux_info: dict) -> tuple[RoundLog, Model]:
     report = _train_task_model(dataset, pools, arch, fed_cfg, seed)
-    aux_info = dict(aux_info)
-    aux_info["task_iters"] = report.global_iters_used
     log = RoundLog(
         round_index=round_index,
         labeled_counts=tuple(len(p.labeled) for p in pools),
         test_accuracy=evaluate(report.final_model, test),
         wall_time_sec=time.perf_counter() - started,
         seed=seed,
-        aux_info=aux_info,
+        aux_info={**aux_info, "task_iters": report.global_iters_used},
     )
-    return log, report
-
-
-def run_random(dataset: Dataset, test: Dataset, pools: list[ClientPools], arch: MlpArchitecture,
-               al_cfg: ALConfig, fed_cfg: FedConfig, seed: int) -> list[RoundLog]:
-    """Baseline: uniform random annotation, then train and evaluate each round."""
-    _validate_run(pools, al_cfg)
-    quotas = al_cfg.quotas
-    logs: list[RoundLog] = []
-    for round_index in range(1, al_cfg.rounds + 1):
-        started = time.perf_counter()
-        selections = {}
-        for client, pool in enumerate(pools):
-            rng = rng_for(seed, "select", round_index, client)
-            selections[client] = _score_pool(
-                pool, dataset, ScorerSpec("random"), None, quotas[client], rng
-            )
-        for client, chosen in selections.items():
-            annotate(pools, client, chosen, round_index, dataset)
-        log, _ = _finish_round(
-            dataset, test, pools, arch, fed_cfg, seed, round_index, started,
-            {"strategy": "random", "scorer": "random"},
-        )
-        logs.append(log)
-    return logs
-
-
-def run_sal(dataset: Dataset, test: Dataset, pools: list[ClientPools], arch: MlpArchitecture,
-            al_cfg: ALConfig, fed_cfg: FedConfig, seed: int) -> list[RoundLog]:
-    """Separate annotation: each client scores with its own locally trained model."""
-    _validate_run(pools, al_cfg)
-    scorer = al_cfg.scorer
-    quotas = al_cfg.quotas
-    two_head = scorer.needs_two_heads
-    aux_arch = replace(arch, head_count=2) if two_head else arch
-    carried: dict[int, Model] = {}
-    logs: list[RoundLog] = []
-    for round_index in range(1, al_cfg.rounds + 1):
-        started = time.perf_counter()
-        selections: dict[int, list[int]] = {}
-        digests: dict[int, str] = {}
-        aux_iters: dict[int, int] = {}
-        for client, pool in enumerate(pools):
-            if quotas[client] == 0:
-                selections[client] = []
-                continue
-            if al_cfg.fresh_init_per_round or client not in carried:
-                init = _twohead_init(aux_arch, seed) if two_head else _task_init(aux_arch, seed)
-            else:
-                init = carried[client]
-            if two_head:
-                report = _independent_discrepancy_train(
-                    dataset, pools, client, init, al_cfg.aux_train, seed, scorer.disc_weight
-                )
-            else:
-                report = independent_train(dataset, pools, client, init, al_cfg.aux_train, (seed, "train-aux"))
-            aux_model = report.final_model
-            carried[client] = aux_model
-            aux_iters[client] = report.global_iters_used
-            digests[client] = _params_digest(aux_model)
-            rng = rng_for(seed, "select", round_index, client)
-            selections[client] = _score_pool(pool, dataset, scorer, aux_model, quotas[client], rng)
-        for client, chosen in selections.items():
-            annotate(pools, client, chosen, round_index, dataset)
-        log, _ = _finish_round(
-            dataset, test, pools, arch, fed_cfg, seed, round_index, started,
-            {"strategy": "s_al", "scorer": scorer.kind, "aux_iters": aux_iters,
-             "score_param_digests": digests},
-        )
-        logs.append(log)
-    return logs
-
-
-def run_fal(dataset: Dataset, test: Dataset, pools: list[ClientPools], arch: MlpArchitecture,
-            al_cfg: ALConfig, fed_cfg: FedConfig, seed: int) -> list[RoundLog]:
-    """Federated annotation: one jointly trained scoring model shared by all clients."""
-    _validate_run(pools, al_cfg)
-    scorer = al_cfg.scorer
-    quotas = al_cfg.quotas
-    two_head = scorer.needs_two_heads
-    logs: list[RoundLog] = []
-
-    score_model: Model | None = None
-    carried_aux: Model | None = None
-    if not two_head:
-        # The scoring model IS the task model trained on the current labeled
-        # sets; round k >= 2 reuses the model logged in round k-1.
-        score_model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
-
-    for round_index in range(1, al_cfg.rounds + 1):
-        started = time.perf_counter()
-        aux_iters: int | None = None
-        if two_head:
-            aux_arch = replace(arch, head_count=2)
-            if al_cfg.fresh_init_per_round or carried_aux is None:
-                init = _twohead_init(aux_arch, seed)
-            else:
-                init = carried_aux
-
-            def disagree_update(model, feats, labels, lr, cfg, rng, client_id):
-                pool_idx = np.asarray(pools[client_id].unlabeled, dtype=np.int64)
-                unlab_feats = dataset.features[pool_idx]
-                trained = train_discrepancy_heads(
-                    model, feats, labels, unlab_feats, lr, cfg.local_epochs,
-                    cfg.minibatch_size, rng, scorer.disc_weight,
-                )
-                return trained.params
-
-            report = fedavg(dataset, pools, init, al_cfg.aux_train, (seed, "train-twohead"),
-                            local_fn=disagree_update)
-            score_model = report.final_model
-            carried_aux = score_model
-            aux_iters = report.global_iters_used
-
-        digest = _params_digest(score_model)
-        selections: dict[int, list[int]] = {}
-        digests: dict[int, str] = {}
-        for client, pool in enumerate(pools):
-            if quotas[client] == 0:
-                selections[client] = []
-                continue
-            digests[client] = _params_digest(score_model)  # same shared parameters for everyone
-            rng = rng_for(seed, "select", round_index, client)
-            selections[client] = _score_pool(pool, dataset, scorer, score_model, quotas[client], rng)
-        assert all(d == digest for d in digests.values())
-        for client, chosen in selections.items():
-            annotate(pools, client, chosen, round_index, dataset)
-        log, report = _finish_round(
-            dataset, test, pools, arch, fed_cfg, seed, round_index, started,
-            {"strategy": "f_al", "scorer": scorer.kind, "aux_iters": aux_iters,
-             "score_param_digests": digests},
-        )
-        logs.append(log)
-        if not two_head:
-            score_model = report.final_model
-    return logs
+    return log, report.final_model
 
 
 def run_full_budget(dataset: Dataset, test: Dataset, pools: list[ClientPools],
@@ -346,16 +234,41 @@ def run_full_budget(dataset: Dataset, test: Dataset, pools: list[ClientPools],
 
 def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[ClientPools],
                  arch: MlpArchitecture, al_cfg: ALConfig, fed_cfg: FedConfig, seed: int) -> list[RoundLog]:
-    """Dispatch one full annotation run by strategy name."""
-    if strategy == "random":
-        return run_random(dataset, test, pools, arch, al_cfg, fed_cfg, seed)
-    if strategy == "s_al":
-        return run_sal(dataset, test, pools, arch, al_cfg, fed_cfg, seed)
-    if strategy == "f_al":
-        return run_fal(dataset, test, pools, arch, al_cfg, fed_cfg, seed)
+    """One full annotation run of ``strategy``; ``full_budget`` is a single round."""
     if strategy == "full_budget":
         return [run_full_budget(dataset, test, pools, arch, fed_cfg, seed)]
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    if strategy == "random":
+        al_cfg = replace(al_cfg, scorer=ScorerSpec("random"))
+    elif al_cfg.scorer.kind == "random":
+        raise ConfigError(f"strategy {strategy!r} needs a model-based scorer, not 'random'")
+    _validate_run(pools, al_cfg)
+    quotas = al_cfg.quotas
+    task_model = None
+    if strategy == "f_al" and not al_cfg.scorer.needs_two_heads:
+        # Round 1 scores with the task model of the initial labels.
+        task_model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
+    carried: dict = {}
+    logs: list[RoundLog] = []
+    for round_index in range(1, al_cfg.rounds + 1):
+        started = time.perf_counter()
+        models, aux_iters = _scoring_models(strategy, dataset, pools, arch, al_cfg, seed,
+                                            task_model, carried)
+        selections = []
+        for client, pool in enumerate(pools):
+            rng = rng_for(seed, "select", round_index, client)
+            selections.append(_score_pool(pool, dataset, al_cfg.scorer, models.get(client),
+                                          quotas[client], rng))
+        for client, chosen in enumerate(selections):
+            annotate(pools, client, chosen, round_index, dataset)
+        log, task_model = _finish_round(
+            dataset, test, pools, arch, fed_cfg, seed, round_index, started,
+            {"strategy": strategy, "scorer": al_cfg.scorer.kind, "aux_iters": aux_iters,
+             "score_param_digests": {c: _params_digest(m) for c, m in models.items()}},
+        )
+        logs.append(log)
+    return logs
 
 
 def pools_through_round(pools: list[ClientPools], round_index: int | None) -> list[ClientPools]:
@@ -393,7 +306,8 @@ def run_independent_eval(dataset: Dataset, test: Dataset, pools: list[ClientPool
     accuracies: list[float] = []
     for client in range(len(eval_pools)):
         init = _task_init(arch, seed)
-        report = independent_train(dataset, eval_pools, client, init, aux_cfg, (seed, "il-eval"))
+        report = independent_train(dataset, eval_pools, client, init, aux_cfg,
+                                   (seed, "il-eval", "independent"))
         accuracies.append(evaluate(report.final_model, test))
     mean = float(np.mean(accuracies))
     return mean, accuracies

@@ -1,11 +1,12 @@
 """Acquisition scorers and selection rules for pool-based annotation.
 
 Scorers map (model, instance) to a real number where larger means "more
-worth labeling": predictive entropy, MC-dropout entropy, the L1 disagreement
-of a two-head classifier, and uniform random scores.  Core-set selection is
-a set objective rather than a per-instance score, so it gets its own greedy
+worth labeling": predictive entropy, MC-dropout entropy and the L1
+disagreement of a two-head classifier.  Core-set selection is a set
+objective rather than a per-instance score, so it gets its own greedy
 routine.  All selection uses a deterministic tie-break on the lowest dataset
-index.
+index.  Random sampling needs no scorer: the orchestrator draws uniform
+scores from the selection stream directly.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ def score_discrepancy(model: Model, x):
     return float(out) if head_a.ndim == 1 else out
 
 
-def score_random(x, rng):
-    """Uniform [0, 1) score per instance; the random-sampling baseline."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim <= 1:
-        return float(rng.random())
-    return rng.random(arr.shape[0])
-
-
 def select_top_b(candidates, b: int) -> list[int]:
     """Indices of the ``b`` highest-scoring candidates.
 
@@ -172,17 +165,6 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     return picked
 
 
-def _head_block(arch, head: int) -> tuple[slice, slice]:
-    """(weight slice, bias slice) of one head inside the flat parameter vector."""
-    w_slice = b_slice = None
-    for name, sl, _ in arch.param_blocks():
-        if name == f"head{head}_w":
-            w_slice = sl
-        elif name == f"head{head}_b":
-            b_slice = sl
-    return w_slice, b_slice
-
-
 def _discrepancy_grad(model: Model, unlabeled: Array) -> Array:
     """Gradient (head parameters only) of -mean L1 disagreement on ``unlabeled``.
 
@@ -197,10 +179,9 @@ def _discrepancy_grad(model: Model, unlabeled: Array) -> Array:
     dz_a = -(probs_a * (sign - (sign * probs_a).sum(axis=1, keepdims=True))) / count
     dz_b = (probs_b * (sign - (sign * probs_b).sum(axis=1, keepdims=True))) / count
     out = np.zeros(arch.param_count, dtype=np.float64)
-    for head, dz in ((0, dz_a), (1, dz_b)):
-        w_slice, b_slice = _head_block(arch, head)
-        out[w_slice] = (hidden_act.T @ dz).ravel()
-        out[b_slice] = dz.sum(axis=0)
+    for block, dz in zip(arch.layout.heads, (dz_a, dz_b)):
+        out[block.w] = (hidden_act.T @ dz).ravel()
+        out[block.b] = dz.sum(axis=0)
     return out
 
 
@@ -228,18 +209,11 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
     if not (isinstance(epochs, int) and epochs >= 0):
         raise ConfigError(f"epochs must be a non-negative int, got {epochs}")
 
-    n = feats.shape[0]
     params = model.params
     for _ in range(epochs):
-        if minibatch_size is None or minibatch_size >= n:
-            batches = [np.arange(n)]
-        else:
-            perm = rng.permutation(n)
-            batches = [perm[i:i + minibatch_size] for i in range(0, n, minibatch_size)]
-        if unlab.size and minibatch_size is not None and minibatch_size < unlab.shape[0]:
-            u_perm = rng.permutation(unlab.shape[0])
-        else:
-            u_perm = np.arange(unlab.shape[0]) if unlab.size else None
+        batches = nn.minibatches(feats.shape[0], minibatch_size, rng)
+        u_shuffled = unlab.size and minibatch_size is not None and minibatch_size < unlab.shape[0]
+        u_perm = rng.permutation(unlab.shape[0]) if u_shuffled else None
         for step, batch in enumerate(batches):
             current = Model(arch, params)
             g = nn.grad(current, feats[batch], labels[batch], rng)

@@ -257,7 +257,6 @@ def test_quota_and_pool_invariants_across_all_combinations(acceptance_note):
             budgets=budgets,
             scorer=ScorerSpec(scorer_kind),
             aux_train=fl,
-            strategy="random" if strategy == "full_budget" else strategy,
         )
         logs = run_strategy(strategy, train, test, pools, arch, al_cfg, fl, seed=21)
 

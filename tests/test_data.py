@@ -44,6 +44,8 @@ def test_dataset_basic_properties():
         (np.zeros((4, 2)), np.array([0, 0, 0, -1]), 2, ShapeError),
         (np.zeros((4, 2)), np.array([0.0, 0.0, 0.0, 1.0]), 2, ShapeError),
         (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2, EmptyInputError),
+        (np.array([[0.0, np.nan], [1.0, 1.0]]), np.array([0, 1]), 2, ShapeError),
+        (np.array([[0.0, 1.0], [-np.inf, 1.0]]), np.array([0, 1]), 2, ShapeError),
     ],
 )
 def test_dataset_validation(features, labels, classes, err):
@@ -166,6 +168,10 @@ def test_csv_loader_skips_blank_lines(tmp_path):
         ("7\n", "line 1"),
         ("", "no data"),
         ("1.0,0\n2.0,2\n", "label"),  # labels {0, 2} leave class 1 unused
+        ("1.0,nan,0\n2.0,1.0,1\n", "line 1: non-finite feature"),
+        ("1.0,2.0,0\n2.0,inf,1\n", "line 2: non-finite feature"),
+        ("1.0,0\n2.0,nan\n", "line 2: non-finite label"),
+        ("1.0,inf\n2.0,1\n", "line 1: non-finite label"),
     ],
 )
 def test_csv_loader_diagnoses_malformed_input(tmp_path, body, fragment):

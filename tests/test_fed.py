@@ -16,6 +16,7 @@ from fedal.fed import (
     weighted_average,
 )
 from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, sgd_step
+from fedal.seeding import rng_for
 
 
 def _dataset(n=12, classes=2, seed=0):
@@ -289,6 +290,25 @@ def test_independent_train_is_reproducible_with_minibatches():
     a = independent_train(ds, pools, 0, init, cfg, seed=3)
     b = independent_train(ds, pools, 0, init, cfg, seed=3)
     assert np.array_equal(a.final_model.params, b.final_model.params)
+
+
+def test_independent_train_runs_local_epochs_per_iteration_on_one_stream():
+    ds = _dataset(16, seed=8)
+    pools = _full_pools(16, clients=1)
+    two = FedConfig(schedule=LrSchedule(0.2, 0.9), local_epochs=2, minibatch_size=4,
+                    stop_loss_threshold=1e-9, max_global_iters=3)
+    one = FedConfig(schedule=LrSchedule(0.2, 0.9), local_epochs=1, minibatch_size=4)
+    arch = MlpArchitecture((2, 4, 2))
+    init = _init(arch)
+    report = independent_train(ds, pools, 0, init, two, seed=(3, "independent"))
+    feats, labels = gather(ds, pools[0].labeled)
+    rng = rng_for(3, "independent", 0)
+    params = init.params
+    for t in range(1, 4):
+        for _ in range(2):
+            params = local_update(Model(arch, params), feats, labels, two.schedule.lr(t), one, rng)
+    assert report.global_iters_used == 3
+    assert np.array_equal(report.final_model.params, params)
 
 
 # -- evaluation ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedal import orchestrator
 from fedal.data import ClientPools, Dataset
 from fedal.errors import BudgetError, ConfigError, InvalidStateError
 from fedal.fed import FedConfig, evaluate
@@ -13,11 +14,8 @@ from fedal.orchestrator import (
     _task_init,
     _train_task_model,
     pools_through_round,
-    run_fal,
     run_full_budget,
     run_independent_eval,
-    run_random,
-    run_sal,
     run_strategy,
 )
 from fedal.strategies import ScorerSpec
@@ -26,15 +24,15 @@ QUICK_FL = FedConfig(schedule=LrSchedule(0.4, 0.99), stop_loss_threshold=0.05,
                      max_global_iters=25)
 
 
-def _al(rounds, budgets, scorer="entropy", strategy="s_al", aux=QUICK_FL, **kw):
+def _al(rounds, budgets, scorer="entropy", aux=QUICK_FL, **kw):
     return ALConfig(rounds=rounds, budgets=budgets, scorer=ScorerSpec(scorer),
-                    aux_train=aux, strategy=strategy, **kw)
+                    aux_train=aux, **kw)
 
 
 # -- configuration -------------------------------------------------------------
 
 def test_al_config_computes_per_round_quotas():
-    cfg = _al(2, (4, 8), strategy="random")
+    cfg = _al(2, (4, 8))
     assert cfg.quotas == (2, 4)
 
 
@@ -44,30 +42,32 @@ def test_al_config_computes_per_round_quotas():
         ({"rounds": 0, "budgets": (4,)}, "rounds"),
         ({"rounds": 2, "budgets": (7,)}, "not divisible"),
         ({"rounds": 2, "budgets": (-2,)}, ">= 0"),
-        ({"rounds": 1, "budgets": (1,), "strategy": "margin_sampling"}, "unknown strategy"),
     ],
 )
 def test_al_config_validation(kwargs, fragment):
-    base = {"scorer": ScorerSpec("entropy"), "aux_train": QUICK_FL, "strategy": "s_al"}
+    base = {"scorer": ScorerSpec("entropy"), "aux_train": QUICK_FL}
     base.update(kwargs)
     with pytest.raises(ConfigError, match=fragment):
         ALConfig(**base)
 
 
-def test_model_based_strategies_reject_the_random_scorer():
-    with pytest.raises(ConfigError, match="model-based"):
-        _al(1, (1,), scorer="random", strategy="s_al")
-    with pytest.raises(ConfigError, match="model-based"):
-        _al(1, (1,), scorer="random", strategy="f_al")
-    _al(1, (1,), scorer="random", strategy="random")  # fine for the baseline
+def test_model_based_strategies_reject_the_random_scorer(world_factory):
+    train, test, pools, arch = world_factory(clients=2, n=40)
+    for strategy in ("s_al", "f_al"):
+        with pytest.raises(ConfigError, match="model-based"):
+            run_strategy(strategy, train, test, pools, arch, _al(1, (1, 1), scorer="random"),
+                         QUICK_FL, 0)
+    assert all(p.history == {} for p in pools)
+    # fine for the baseline
+    run_strategy("random", train, test, pools, arch, _al(1, (1, 1), scorer="random"), QUICK_FL, 0)
 
 
 def test_run_validation_catches_mismatched_budgets_and_oversized_budgets(world_factory):
     train, test, pools, arch = world_factory(clients=2, n=40)
     with pytest.raises(ConfigError, match="budgets"):
-        run_random(train, test, pools, arch, _al(1, (2,), strategy="random"), QUICK_FL, 0)
+        run_strategy("random", train, test, pools, arch, _al(1, (2,)), QUICK_FL, 0)
     with pytest.raises(BudgetError, match="exceeds"):
-        run_random(train, test, pools, arch, _al(1, (2, 1000), strategy="random"), QUICK_FL, 0)
+        run_strategy("random", train, test, pools, arch, _al(1, (2, 1000)), QUICK_FL, 0)
 
 
 # -- quota bookkeeping -----------------------------------------------------------
@@ -75,7 +75,7 @@ def test_run_validation_catches_mismatched_budgets_and_oversized_budgets(world_f
 def test_each_round_labels_exactly_the_per_round_quota(world_factory):
     train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
     initial = [len(p.labeled) for p in pools]
-    logs = run_random(train, test, pools, arch, _al(3, (6, 6), strategy="random"), QUICK_FL, 5)
+    logs = run_strategy("random", train, test, pools, arch, _al(3, (6, 6)), QUICK_FL, 5)
     assert len(logs) == 3
     for k, log in enumerate(logs, start=1):
         assert log.round_index == k
@@ -86,9 +86,21 @@ def test_each_round_labels_exactly_the_per_round_quota(world_factory):
         assert not set(pool.labeled) & set(pool.unlabeled)
 
 
+def test_zero_quotas_train_no_scoring_model(world_factory, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("trained a scoring model although no client has a quota")
+
+    monkeypatch.setattr(orchestrator, "train_discrepancy_heads", forbidden)
+    for strategy in ("s_al", "f_al"):
+        train, test, pools, arch = world_factory(clients=2, n=40)
+        logs = run_strategy(strategy, train, test, pools, arch, _al(2, (0, 0), scorer="discrepancy"),
+                            QUICK_FL, 1)
+        assert all(log.aux_info["aux_iters"] == {} for log in logs)
+
+
 def test_zero_budget_rounds_leave_accuracy_frozen(world_factory):
     train, test, pools, arch = world_factory(clients=2, n=40)
-    logs = run_random(train, test, pools, arch, _al(3, (0, 0), strategy="random"), QUICK_FL, 2)
+    logs = run_strategy("random", train, test, pools, arch, _al(3, (0, 0)), QUICK_FL, 2)
     assert len({log.test_accuracy for log in logs}) == 1
     assert len({log.labeled_counts for log in logs}) == 1
     assert all(p.history == {} for p in pools)
@@ -98,7 +110,7 @@ def test_single_round_random_with_full_quota_equals_full_budget(world_factory):
     train, test, pools_a, arch = world_factory(clients=2, n=60, initial_fraction=0.2, seed=3)
     _, _, pools_b, _ = world_factory(clients=2, n=60, initial_fraction=0.2, seed=3)
     budgets = tuple(len(p.unlabeled) for p in pools_a)
-    logs = run_random(train, test, pools_a, arch, _al(1, budgets, strategy="random"), QUICK_FL, 9)
+    logs = run_strategy("random", train, test, pools_a, arch, _al(1, budgets), QUICK_FL, 9)
     reference = run_full_budget(train, test, pools_b, arch, QUICK_FL, seed=9)
     assert logs[0].test_accuracy == reference.test_accuracy
     assert logs[0].labeled_counts == reference.labeled_counts
@@ -111,7 +123,7 @@ def test_single_client_separate_and_federated_annotation_agree(world_factory):
     results = {}
     for strategy in ("s_al", "f_al"):
         train, test, pools, arch = world_factory(clients=1, n=50, initial_fraction=0.2, seed=8)
-        al_cfg = _al(2, (10,), strategy=strategy)
+        al_cfg = _al(2, (10,))
         logs = run_strategy(strategy, train, test, pools, arch, al_cfg, QUICK_FL, 13)
         results[strategy] = ([log.test_accuracy for log in logs], pools[0].history)
     assert results["s_al"] == results["f_al"]
@@ -143,11 +155,11 @@ def test_federated_annotation_on_mirrored_shards_reduces_to_separate_annotation(
     fl = FedConfig(schedule=LrSchedule(0.4, 0.995), stop_loss_threshold=0.05,
                    max_global_iters=50)
     train, test, sal_pools = _mirrored_world()
-    sal_logs = run_sal(train, test, sal_pools, arch,
-                       _al(2, (4, 4), aux=fl, strategy="s_al"), fl, seed=11)
+    sal_logs = run_strategy("s_al", train, test, sal_pools, arch, _al(2, (4, 4), aux=fl), fl,
+                            seed=11)
     _, _, fal_pools = _mirrored_world()
-    fal_logs = run_fal(train, test, fal_pools, arch,
-                       _al(2, (4, 4), aux=fl, strategy="f_al"), fl, seed=11)
+    fal_logs = run_strategy("f_al", train, test, fal_pools, arch, _al(2, (4, 4), aux=fl), fl,
+                            seed=11)
     for m in range(2):
         assert sal_pools[m].history == fal_pools[m].history
     for k in (1, 2):
@@ -172,7 +184,7 @@ def test_entropy_annotation_prefers_the_boundary_point():
                    max_global_iters=300)
     pools = [ClientPools(client_id=0, unlabeled=[4, 5], labeled=[0, 1, 2, 3],
                          initial_labeled=[0, 1, 2, 3])]
-    run_sal(train, test, pools, arch, _al(1, (1,), aux=fl), fl, seed=3)
+    run_strategy("s_al", train, test, pools, arch, _al(1, (1,), aux=fl), fl, seed=3)
     assert pools[0].history[1] == [5]
 
 
@@ -187,7 +199,7 @@ def test_an_uninformative_model_falls_back_to_low_indices(world_factory):
 
 def test_federated_annotation_scores_every_client_with_identical_parameters(world_factory):
     train, test, pools, arch = world_factory(clients=3, n=90, initial_fraction=0.2)
-    logs = run_fal(train, test, pools, arch, _al(2, (6, 6, 6), strategy="f_al"), QUICK_FL, 4)
+    logs = run_strategy("f_al", train, test, pools, arch, _al(2, (6, 6, 6)), QUICK_FL, 4)
     for log in logs:
         digests = log.aux_info["score_param_digests"]
         assert len(digests) == 3
@@ -224,7 +236,7 @@ def test_no_computation_ever_touches_rows_outside_one_client(world_factory):
         view = train.features.view(Recorder)
         tracked.append(view)
         object.__setattr__(train, "features", view)
-        al_cfg = _al(2, (4, 4, 4), scorer=scorer, strategy=strategy)
+        al_cfg = _al(2, (4, 4, 4), scorer=scorer)
         run_strategy(strategy, train, test, pools, arch, al_cfg, QUICK_FL, 1)
         assert accesses
         for idx_set in accesses:
@@ -236,7 +248,7 @@ def test_carried_initialization_reuses_the_previous_scoring_model(world_factory)
     train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
     initial = [len(p.labeled) for p in pools]
     al_cfg = _al(2, (4, 4), fresh_init_per_round=False)
-    logs = run_sal(train, test, pools, arch, al_cfg, QUICK_FL, 6)
+    logs = run_strategy("s_al", train, test, pools, arch, al_cfg, QUICK_FL, 6)
     assert len(logs) == 2
     assert [len(p.labeled) for p in pools] == [count + 4 for count in initial]
 
@@ -252,8 +264,8 @@ def test_coreset_scoring_requires_labeled_anchors(world_factory):
 def test_mc_dropout_annotation_runs_end_to_end(world_factory):
     train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2,
                                              dropout=0.2)
-    logs = run_sal(train, test, pools, arch,
-                   _al(1, (4, 4), scorer="mc_dropout"), QUICK_FL, 7)
+    logs = run_strategy("s_al", train, test, pools, arch, _al(1, (4, 4), scorer="mc_dropout"),
+                        QUICK_FL, 7)
     assert len(logs) == 1
     assert all(len(p.history[1]) == 4 for p in pools)
 
@@ -263,17 +275,17 @@ def test_mc_dropout_annotation_runs_end_to_end(world_factory):
 def test_run_strategy_dispatches_full_budget_to_a_single_round(world_factory):
     train, test, pools, arch = world_factory(clients=2, n=40)
     logs = run_strategy("full_budget", train, test, pools, arch,
-                        _al(1, (0, 0), strategy="random"), QUICK_FL, 3)
+                        _al(1, (0, 0)), QUICK_FL, 3)
     assert len(logs) == 1
     assert all(p.unlabeled == [] for p in pools)
     with pytest.raises(ConfigError, match="unknown strategy"):
         run_strategy("oracle", train, test, pools, arch,
-                     _al(1, (0, 0), strategy="random"), QUICK_FL, 3)
+                     _al(1, (0, 0)), QUICK_FL, 3)
 
 
 def test_pools_through_round_replays_the_history(world_factory):
     train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
-    run_random(train, test, pools, arch, _al(3, (6, 6), strategy="random"), QUICK_FL, 5)
+    run_strategy("random", train, test, pools, arch, _al(3, (6, 6)), QUICK_FL, 5)
 
     assert pools_through_round(pools, None) is pools
 

@@ -22,7 +22,6 @@ from fedal.strategies import (
     score_discrepancy,
     score_entropy,
     score_mc_dropout,
-    score_random,
     select_top_b,
     train_discrepancy_heads,
 )
@@ -156,25 +155,6 @@ def test_discrepancy_lies_in_the_l1_ball(seed):
     assert np.all(scores >= 0.0)
     assert np.all(scores <= 2.0 + 1e-12)
 
-
-# -- random scores ------------------------------------------------------------------------
-
-def test_score_random_is_reproducible_and_shaped():
-    x = np.zeros((5, 3))
-    a = score_random(x, np.random.default_rng(2))
-    b = score_random(x, np.random.default_rng(2))
-    assert np.array_equal(a, b)
-    assert a.shape == (5,)
-    assert isinstance(score_random(np.zeros(3), np.random.default_rng(0)), float)
-
-
-def test_score_random_is_roughly_uniform():
-    values = score_random(np.zeros((10_000, 1)), np.random.default_rng(8))
-    assert np.all(values >= 0.0) and np.all(values < 1.0)
-    assert abs(values.mean() - 0.5) < 0.02
-
-
-# -- top-b selection ----------------------------------------------------------------------
 
 def _cands(scores, indices=None):
     indices = range(len(scores)) if indices is None else indices
