@@ -20,7 +20,7 @@ from .data import (
     synth_blobs,
 )
 from .fed import FedConfig, FedRunReport, evaluate, fedavg, independent_train, local_update, weighted_average
-from .harness import ResultRow, ResultTable, SummaryRow, emit_csv, load_csv, run_experiment
+from .harness import ResultRow, ResultTable, emit_csv, load_csv, run_experiment
 from .nn import LrSchedule, MlpArchitecture, Model, forward, grad, hidden_features, init_params, loss, sgd_step
 from .orchestrator import (
     ALConfig,

@@ -37,10 +37,9 @@ from .data import PartitionSpec
 from .fed import FedConfig
 from .harness import build_world
 from .nn import LrSchedule
+from .orchestrator import STRATEGIES as AL_STRATEGIES
 from .orchestrator import ALConfig, run_full_budget, run_independent_eval, run_strategy
 from .strategies import ScorerSpec
-
-AL_STRATEGIES = ("random", "s_al", "f_al")
 
 
 def benchmark_config(strategy: str, *, rounds: int = 5, budget: int = 450,
@@ -74,11 +73,11 @@ class TrendReport:
 
     seeds: tuple[int, ...]
     window: tuple[int, ...]
+    full_budget_mean: float
     # strategy -> seed -> per-round accuracies
     curves: dict[str, dict[int, list[float]]] = field(default_factory=dict)
     window_mean: dict[str, float] = field(default_factory=dict)
     round1_mean: dict[str, float] = field(default_factory=dict)
-    full_budget_mean: float | None = None  # None until measured
     # strategy -> mean per-client independent-training accuracy (final pools)
     il_mean: dict[str, float] = field(default_factory=dict)
 
@@ -86,16 +85,12 @@ class TrendReport:
         return self.window_mean[better] - self.window_mean[worse]
 
 
-def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True,
-                        include_full_budget: bool = True) -> TrendReport:
+def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True) -> TrendReport:
     """Run all strategies over paired ``seeds`` and aggregate the trends."""
     seeds = tuple(int(s) for s in seeds)
-    report = TrendReport(seeds=seeds, window=tuple(window))
+    curves: dict[str, dict[int, list[float]]] = {s: {} for s in AL_STRATEGIES}
     il_scores: dict[str, list[float]] = {s: [] for s in AL_STRATEGIES}
     full_scores: list[float] = []
-
-    for strategy in AL_STRATEGIES:
-        report.curves[strategy] = {}
 
     for seed in seeds:
         for strategy in AL_STRATEGIES:
@@ -105,16 +100,17 @@ def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True,
                               aux_train=cfg.independent,
                               fresh_init_per_round=cfg.fresh_init_per_round)
             logs = run_strategy(strategy, train, test, pools, arch, al_cfg, cfg.fl, seed)
-            report.curves[strategy][seed] = [log.test_accuracy for log in logs]
+            curves[strategy][seed] = [log.test_accuracy for log in logs]
             if include_il:
                 mean_acc, _ = run_independent_eval(train, test, pools, arch, cfg.independent, seed)
                 il_scores[strategy].append(mean_acc)
-        if include_full_budget:
-            cfg = benchmark_config("random")
-            train, test, pools, arch = build_world(cfg, seed)
-            log = run_full_budget(train, test, pools, arch, cfg.fl, seed)
-            full_scores.append(log.test_accuracy)
+        cfg = benchmark_config("random")
+        train, test, pools, arch = build_world(cfg, seed)
+        log = run_full_budget(train, test, pools, arch, cfg.fl, seed)
+        full_scores.append(log.test_accuracy)
 
+    report = TrendReport(seeds=seeds, window=tuple(window),
+                         full_budget_mean=float(np.mean(full_scores)), curves=curves)
     for strategy in AL_STRATEGIES:
         per_seed = report.curves[strategy]
         window_vals = [np.mean([accs[k - 1] for k in report.window]) for accs in per_seed.values()]
@@ -122,8 +118,6 @@ def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True,
         report.round1_mean[strategy] = float(np.mean([accs[0] for accs in per_seed.values()]))
         if include_il and il_scores[strategy]:
             report.il_mean[strategy] = float(np.mean(il_scores[strategy]))
-    if full_scores:
-        report.full_budget_mean = float(np.mean(full_scores))
     return report
 
 
@@ -140,8 +134,7 @@ def format_report(report: TrendReport) -> str:
             f"{report.window_mean[strategy]:>12.4f} "
             f"{'-' if il is None else f'{il:.4f}':>10}"
         )
-    if report.full_budget_mean is not None:
-        lines.append(f"{'full':<10} {'-':>12} {report.full_budget_mean:>12.4f} {'-':>10}")
+    lines.append(f"{'full':<10} {'-':>12} {report.full_budget_mean:>12.4f} {'-':>10}")
     lines.append("")
     lines.append(f"f_al - s_al   (global): {report.margin('f_al', 's_al'):+.4f}")
     lines.append(f"s_al - random (global): {report.margin('s_al', 'random'):+.4f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import HARNESS_STRATEGIES, parse_config_file
 from .errors import ConfigError
@@ -62,6 +63,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out = Path(cfg.out_path)
+    if out.is_dir() or not out.parent.is_dir():
+        # Fail before the run rather than after it, when the CSV is written.
+        print(f"error: run.out {cfg.out_path!r} is a directory or lies in a missing one",
+              file=sys.stderr)
+        return 1
     if cfg.preset in PAPER_SCALE_PRESETS:
         print(PROVENANCE_NOTE)
     try:

@@ -16,10 +16,11 @@ from .data import BLOB_LAYOUTS, EXTERNAL_FORMATS, PARTITION_MODES, PartitionSpec
 from .errors import ConfigError
 from .fed import FedConfig
 from .nn import ACTIVATIONS, LrSchedule
+from .orchestrator import STRATEGIES
 from .presets import PRESETS
 from .strategies import SCORER_KINDS, ScorerSpec
 
-HARNESS_STRATEGIES = ("random", "s_al", "f_al", "full_budget")
+HARNESS_STRATEGIES = (*STRATEGIES, "full_budget")
 DATASET_KINDS = ("blobs",) + EXTERNAL_FORMATS
 
 

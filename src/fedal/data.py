@@ -117,10 +117,6 @@ class ClientPools:
         if not self.shard:
             self.shard = tuple(sorted(self.unlabeled + self.labeled))
 
-    @property
-    def labeled_count(self) -> int:
-        return len(self.labeled)
-
 
 BLOB_LAYOUTS = ("circle", "line")
 

@@ -31,28 +31,20 @@ CSV_HEADER = "strategy,scorer,round,repeat,labeled_fraction,test_accuracy"
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV row: a repeat's round (``repeat`` an int) or a summary (``"mean"``/``"std"``)."""
+
     strategy: str
     scorer: str
     round_index: int
-    repeat: int
-    labeled_fraction: float
-    test_accuracy: float
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    strategy: str
-    scorer: str
-    round_index: int
-    stat: str  # "mean" | "std"
+    repeat: int | str
     labeled_fraction: float
     test_accuracy: float
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    rows: tuple[ResultRow, ...]
-    summary: tuple[SummaryRow, ...]
+    rows: tuple[ResultRow, ...]      # per-repeat rows
+    summary: tuple[ResultRow, ...]   # mean/std rows
 
 
 def scorer_label(cfg: ExperimentConfig) -> str:
@@ -131,7 +123,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
         if progress is not None:
             progress(repeat, logs)
 
-    summaries: list[SummaryRow] = []
+    summaries: list[ResultRow] = []
     by_round: dict[int, list[ResultRow]] = {}
     for row in rows:
         by_round.setdefault(row.round_index, []).append(row)
@@ -140,32 +132,29 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
         acc = np.array([r.test_accuracy for r in group])
         frac = np.array([r.labeled_fraction for r in group])
         for stat, value in (("mean", float(acc.mean())), ("std", float(acc.std()))):
-            summaries.append(SummaryRow(
+            summaries.append(ResultRow(
                 strategy=strategy,
                 scorer=scorer,
                 round_index=round_index,
-                stat=stat,
+                repeat=stat,
                 labeled_fraction=float(frac.mean()),
                 test_accuracy=value,
             ))
     return ResultTable(rows=tuple(rows), summary=tuple(summaries))
 
 
-def _sort_key(record):
-    if isinstance(record, ResultRow):
-        return (record.strategy, record.scorer, record.round_index, 0, record.repeat, "")
-    order = 0 if record.stat == "mean" else 1
-    return (record.strategy, record.scorer, record.round_index, 1, order, record.stat)
+def _sort_key(row: ResultRow):
+    # Per-repeat rows (int repeat) before the mean/std rows of the same round.
+    return (row.strategy, row.scorer, row.round_index, isinstance(row.repeat, str), row.repeat)
 
 
 def emit_csv(table: ResultTable, path) -> None:
     """Write the table with the fixed header, 6-decimal floats, sorted rows."""
-    records = sorted(list(table.rows) + list(table.summary), key=_sort_key)
+    records = sorted((*table.rows, *table.summary), key=_sort_key)
     lines = [CSV_HEADER]
     for rec in records:
-        repeat = rec.repeat if isinstance(rec, ResultRow) else rec.stat
         lines.append(
-            f"{rec.strategy},{rec.scorer},{rec.round_index},{repeat},"
+            f"{rec.strategy},{rec.scorer},{rec.round_index},{rec.repeat},"
             f"{rec.labeled_fraction:.6f},{rec.test_accuracy:.6f}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -179,7 +168,7 @@ def load_csv(path) -> ResultTable:
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"{path}: missing or malformed header")
     rows: list[ResultRow] = []
-    summary: list[SummaryRow] = []
+    summary: list[ResultRow] = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 6:
@@ -192,7 +181,7 @@ def load_csv(path) -> ResultTable:
         except ValueError:
             raise ParseError(f"{path} line {lineno}: non-numeric field") from None
         if repeat_s in ("mean", "std"):
-            summary.append(SummaryRow(strategy, scorer, round_index, repeat_s, frac, acc))
+            summary.append(ResultRow(strategy, scorer, round_index, repeat_s, frac, acc))
         else:
             try:
                 repeat = int(repeat_s)

@@ -3,7 +3,8 @@
 All arithmetic is float64 and accumulated in a fixed order so that identical
 inputs produce bit-identical outputs.  Models are plain values; every
 operation is a pure function of its arguments, with randomness (dropout
-masks) supplied through an explicit Generator.
+masks) supplied through an explicit Generator.  Features always arrive as a
+2-D batch of rows; a 1-D vector is rejected with a ``ShapeError``.
 
 Parameters live in a single flat float64 vector.  Storage order: for each
 hidden layer a weight matrix (fan_in x fan_out, row-major) followed by its
@@ -87,24 +88,9 @@ class MlpArchitecture:
             offset = b.stop
         return ParamLayout(tuple(blocks[:depth]), tuple(blocks[depth:]), offset)
 
-    def param_blocks(self):
-        """Yield ``(name, slice, shape)`` for every weight/bias block in storage order."""
-        layout = self.layout
-        for kind, layers in (("hidden", layout.hidden), ("head", layout.heads)):
-            for i, layer in enumerate(layers):
-                yield f"{kind}{i}_w", layer.w, layer.shape
-                yield f"{kind}{i}_b", layer.b, layer.shape[1:]
-
     @property
     def param_count(self) -> int:
         return self.layout.size
-
-    def head_slice(self, head: int) -> slice:
-        """Flat-vector slice holding one head's weight matrix and bias."""
-        if not 0 <= head < self.head_count:
-            raise ConfigError(f"head index {head} out of range for head_count={self.head_count}")
-        layer = self.layout.heads[head]
-        return slice(layer.w.start, layer.b.stop)
 
 
 @dataclass(frozen=True)
@@ -144,18 +130,13 @@ class LrSchedule:
         return self.initial_lr * self.decay ** (t - 1)
 
 
-def _as_batch(x, input_dim: int) -> tuple[Array, bool]:
+def _as_batch(x, input_dim: int) -> Array:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-        single = True
-    elif arr.ndim == 2:
-        single = False
-    else:
-        raise ShapeError(f"features must be 1-D or 2-D, got ndim={arr.ndim}")
+    if arr.ndim != 2:
+        raise ShapeError(f"features must be a 2-D batch (rows x input_dim), got ndim={arr.ndim}")
     if arr.shape[1] != input_dim:
         raise ShapeError(f"feature dimension {arr.shape[1]} does not match input_dim={input_dim}")
-    return arr, single
+    return arr
 
 
 def _split_params(arch: MlpArchitecture, params: Array):
@@ -213,29 +194,24 @@ def _forward_cache(model: Model, x: Array, rng):
 
 
 def forward(model: Model, x, rng=None) -> list[Array]:
-    """Class probabilities per output head.
+    """Class probabilities per output head, one ``(rows, classes)`` array each.
 
-    ``x`` may be a single feature vector or a batch; the output arrays are
-    shaped accordingly.  Pass ``rng`` only to sample dropout masks (training
-    mode); with ``dropout_rate == 0`` the rng is ignored entirely.
+    ``x`` is a 2-D batch of feature rows.  Pass ``rng`` only to sample
+    dropout masks (training mode); with ``dropout_rate == 0`` the rng is
+    ignored entirely.
     """
-    batch, single = _as_batch(x, model.arch.input_dim)
-    *_, head_probs = _forward_cache(model, batch, rng)
-    if single:
-        return [p[0] for p in head_probs]
+    *_, head_probs = _forward_cache(model, _as_batch(x, model.arch.input_dim), rng)
     return head_probs
 
 
 def hidden_features(model: Model, x) -> Array:
-    """Deterministic activations of the last hidden layer (the head input).
+    """Deterministic activations of the last hidden layer (the head input) for a 2-D batch.
 
     For an architecture without hidden layers this is the raw input, which is
     what the final linear layer consumes.
     """
-    batch, single = _as_batch(x, model.arch.input_dim)
-    inputs, *_ = _forward_cache(model, batch, None)
-    out = inputs[-1]
-    return out[0] if single else out
+    inputs, *_ = _forward_cache(model, _as_batch(x, model.arch.input_dim), None)
+    return inputs[-1]
 
 
 def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
@@ -244,8 +220,7 @@ def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
     Hook for callers that build custom objectives on top of the heads
     (e.g. head-disagreement training) without re-deriving the trunk.
     """
-    batch, _ = _as_batch(x, model.arch.input_dim)
-    inputs, _, _, _, head_probs = _forward_cache(model, batch, rng)
+    inputs, _, _, _, head_probs = _forward_cache(model, _as_batch(x, model.arch.input_dim), rng)
     return inputs[-1], head_probs
 
 
@@ -266,7 +241,7 @@ def _check_labels(labels, class_count: int) -> Array:
 
 def loss(model: Model, features, labels, rng=None) -> float:
     """Mean cross-entropy over the batch, averaged over heads."""
-    batch, _ = _as_batch(features, model.arch.input_dim)
+    batch = _as_batch(features, model.arch.input_dim)
     if batch.shape[0] == 0:
         raise EmptyInputError("empty batch")
     y = _check_labels(labels, model.arch.class_count)
@@ -289,7 +264,7 @@ def grad(model: Model, features, labels, rng=None) -> Array:
     backward pass, exactly as a single stochastic training step requires.
     """
     arch = model.arch
-    batch, _ = _as_batch(features, arch.input_dim)
+    batch = _as_batch(features, arch.input_dim)
     if batch.shape[0] == 0:
         raise EmptyInputError("empty batch")
     y = _check_labels(labels, arch.class_count)

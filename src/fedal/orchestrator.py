@@ -22,8 +22,6 @@ pipeline materializes a cross-client union of labeled data.
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,9 +81,6 @@ class RoundLog:
     round_index: int
     labeled_counts: tuple[int, ...]
     test_accuracy: float
-    wall_time_sec: float
-    seed: int
-    aux_info: dict
 
 
 def _validate_run(pools: list[ClientPools], al_cfg: ALConfig) -> None:
@@ -109,10 +104,6 @@ def _twohead_init(arch: MlpArchitecture, seed) -> Model:
 def _train_task_model(dataset: Dataset, pools: list[ClientPools], arch: MlpArchitecture,
                       fed_cfg: FedConfig, seed) -> FedRunReport:
     return fedavg(dataset, pools, _task_init(arch, seed), fed_cfg, (seed, "train-task"))
-
-
-def _params_digest(model: Model) -> str:
-    return hashlib.sha256(model.params.tobytes()).hexdigest()[:16]
 
 
 def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: Model | None,
@@ -143,7 +134,6 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
         scores = score_discrepancy(model, feats)
     else:  # pragma: no cover - ScorerSpec already validates
         raise ConfigError(f"unknown scorer {scorer.kind!r}")
-    scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     candidates = [ScoredCandidate(int(i), float(s)) for i, s in zip(idx, scores)]
     return select_top_b(candidates, quota)
 
@@ -163,9 +153,8 @@ def _disagreement_update(dataset: Dataset, pools: list[ClientPools], disc_weight
 
 def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
                     arch: MlpArchitecture, al_cfg: ALConfig, seed: int, task_model: Model | None,
-                    carried: dict) -> tuple[dict[int, Model], dict[int, int]]:
-    """This round's scoring model for each client with a quota, and the
-    iterations of the auxiliary training run that produced it.
+                    carried: dict) -> dict[int, Model]:
+    """This round's scoring model for each client with a quota.
 
     ``carried`` holds the previous round's auxiliary models; with
     ``fresh_init_per_round=False`` training starts from them.
@@ -173,9 +162,9 @@ def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
     clients = [client for client, quota in enumerate(al_cfg.quotas) if quota]
     scorer = al_cfg.scorer
     if strategy == "random" or not clients:
-        return {}, {}
+        return {}
     if strategy == "f_al" and not scorer.needs_two_heads:
-        return dict.fromkeys(clients, task_model), {}
+        return dict.fromkeys(clients, task_model)
     if scorer.needs_two_heads:
         aux_arch, fresh = replace(arch, head_count=2), _twohead_init
         local_fn = _disagreement_update(dataset, pools, scorer.disc_weight)
@@ -191,45 +180,34 @@ def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
         report = fedavg(dataset, pools, init("shared"), al_cfg.aux_train, (seed, "train-twohead"),
                         local_fn=local_fn)
         carried["shared"] = report.final_model
-        return (dict.fromkeys(clients, report.final_model),
-                dict.fromkeys(clients, report.global_iters_used))
+        return dict.fromkeys(clients, report.final_model)
     stream = (seed, "independent-twohead") if local_fn else (seed, "train-aux", "independent")
     models: dict[int, Model] = {}
-    iters: dict[int, int] = {}
     for client in clients:
         report = independent_train(dataset, pools, client, init(client), al_cfg.aux_train, stream,
                                    local_fn=local_fn)
         carried[client] = models[client] = report.final_model
-        iters[client] = report.global_iters_used
-    return models, iters
+    return models
 
 
 def _finish_round(dataset: Dataset, test: Dataset, pools: list[ClientPools],
-                  arch: MlpArchitecture, fed_cfg: FedConfig, seed: int, round_index: int,
-                  started: float, aux_info: dict) -> tuple[RoundLog, Model]:
-    report = _train_task_model(dataset, pools, arch, fed_cfg, seed)
+                  arch: MlpArchitecture, fed_cfg: FedConfig, seed: int,
+                  round_index: int) -> tuple[RoundLog, Model]:
+    model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
     log = RoundLog(
         round_index=round_index,
         labeled_counts=tuple(len(p.labeled) for p in pools),
-        test_accuracy=evaluate(report.final_model, test),
-        wall_time_sec=time.perf_counter() - started,
-        seed=seed,
-        aux_info={**aux_info, "task_iters": report.global_iters_used},
+        test_accuracy=evaluate(model, test),
     )
-    return log, report.final_model
+    return log, model
 
 
 def run_full_budget(dataset: Dataset, test: Dataset, pools: list[ClientPools],
                     arch: MlpArchitecture, fed_cfg: FedConfig, seed: int) -> RoundLog:
     """Upper-bound reference: label every pool entirely, train once, evaluate."""
-    started = time.perf_counter()
     for client, pool in enumerate(pools):
         annotate(pools, client, list(pool.unlabeled), 1, dataset)
-    log, _ = _finish_round(
-        dataset, test, pools, arch, fed_cfg, seed, 1, started,
-        {"strategy": "full_budget", "scorer": "none"},
-    )
-    return log
+    return _finish_round(dataset, test, pools, arch, fed_cfg, seed, 1)[0]
 
 
 def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[ClientPools],
@@ -252,9 +230,7 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
     carried: dict = {}
     logs: list[RoundLog] = []
     for round_index in range(1, al_cfg.rounds + 1):
-        started = time.perf_counter()
-        models, aux_iters = _scoring_models(strategy, dataset, pools, arch, al_cfg, seed,
-                                            task_model, carried)
+        models = _scoring_models(strategy, dataset, pools, arch, al_cfg, seed, task_model, carried)
         selections = []
         for client, pool in enumerate(pools):
             rng = rng_for(seed, "select", round_index, client)
@@ -262,51 +238,18 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
                                           quotas[client], rng))
         for client, chosen in enumerate(selections):
             annotate(pools, client, chosen, round_index, dataset)
-        log, task_model = _finish_round(
-            dataset, test, pools, arch, fed_cfg, seed, round_index, started,
-            {"strategy": strategy, "scorer": al_cfg.scorer.kind, "aux_iters": aux_iters,
-             "score_param_digests": {c: _params_digest(m) for c, m in models.items()}},
-        )
+        log, task_model = _finish_round(dataset, test, pools, arch, fed_cfg, seed, round_index)
         logs.append(log)
     return logs
 
 
-def pools_through_round(pools: list[ClientPools], round_index: int | None) -> list[ClientPools]:
-    """Reconstruct pool state as of the end of ``round_index`` from the history."""
-    if round_index is None:
-        return pools
-    out = []
-    for pool in pools:
-        labeled = list(pool.initial_labeled)
-        for k in sorted(pool.history):
-            if k <= round_index:
-                labeled.extend(pool.history[k])
-        labeled = sorted(labeled)
-        labeled_set = set(labeled)
-        out.append(ClientPools(
-            client_id=pool.client_id,
-            unlabeled=[i for i in pool.shard if i not in labeled_set],
-            labeled=labeled,
-            initial_labeled=list(pool.initial_labeled),
-            history={k: list(v) for k, v in pool.history.items() if k <= round_index},
-            shard=pool.shard,
-        ))
-    return out
-
-
 def run_independent_eval(dataset: Dataset, test: Dataset, pools: list[ClientPools],
-                         arch: MlpArchitecture, aux_cfg: FedConfig, seed: int,
-                         through_round: int | None = None) -> tuple[float, list[float]]:
-    """Per-client independent training + evaluation on the shared test set.
-
-    ``through_round`` evaluates against the labeled sets as they stood at the
-    end of that annotation round (reconstructed from pool history).
-    """
-    eval_pools = pools_through_round(pools, through_round)
+                         arch: MlpArchitecture, aux_cfg: FedConfig, seed: int) -> tuple[float, list[float]]:
+    """Per-client independent training + evaluation on the shared test set."""
     accuracies: list[float] = []
-    for client in range(len(eval_pools)):
+    for client in range(len(pools)):
         init = _task_init(arch, seed)
-        report = independent_train(dataset, eval_pools, client, init, aux_cfg,
+        report = independent_train(dataset, pools, client, init, aux_cfg,
                                    (seed, "il-eval", "independent"))
         accuracies.append(evaluate(report.final_model, test))
     mean = float(np.mean(accuracies))

@@ -1,10 +1,10 @@
 """Acquisition scorers and selection rules for pool-based annotation.
 
-Scorers map (model, instance) to a real number where larger means "more
-worth labeling": predictive entropy, MC-dropout entropy and the L1
-disagreement of a two-head classifier.  Core-set selection is a set
-objective rather than a per-instance score, so it gets its own greedy
-routine.  All selection uses a deterministic tie-break on the lowest dataset
+Scorers map a model and a 2-D batch of feature rows to one real number per
+row, where larger means "more worth labeling": predictive entropy,
+MC-dropout entropy and the L1 disagreement of a two-head classifier.
+Core-set selection is a set objective rather than a per-instance score, so
+it gets its own greedy routine.  All selection uses a deterministic tie-break on the lowest dataset
 index.  Random sampling needs no scorer: the orchestrator draws uniform
 scores from the selection stream directly.
 """
@@ -73,14 +73,11 @@ def _entropy_of(probs: Array):
 
 
 def score_entropy(model: Model, x):
-    """Predictive entropy of the deterministic head-0 distribution.
+    """Predictive entropy of the deterministic head-0 distribution, per row of ``x``.
 
-    0 for a one-hot prediction, ln(C) for a uniform one.  Accepts a single
-    feature vector (returns a float) or a batch (returns a vector).
+    0 for a one-hot prediction, ln(C) for a uniform one.
     """
-    probs = nn.forward(model, x)[0]
-    out = _entropy_of(probs)
-    return float(out) if probs.ndim == 1 else out
+    return _entropy_of(nn.forward(model, x)[0])
 
 
 def score_mc_dropout(model: Model, x, passes: int, rng):
@@ -98,18 +95,15 @@ def score_mc_dropout(model: Model, x, passes: int, rng):
     for _ in range(passes):
         probs = nn.forward(model, x, rng)[0]
         acc = probs if acc is None else acc + probs
-    mean = acc / passes
-    out = _entropy_of(mean)
-    return float(out) if mean.ndim == 1 else out
+    return _entropy_of(acc / passes)
 
 
 def score_discrepancy(model: Model, x):
-    """L1 distance between the two heads' predictive distributions (range [0, 2])."""
+    """L1 distance between the two heads' predictive distributions per row of ``x`` (range [0, 2])."""
     if model.arch.head_count != 2:
         raise InvalidModelError(f"discrepancy scoring needs exactly 2 heads, got {model.arch.head_count}")
     head_a, head_b = nn.forward(model, x)
-    out = np.abs(head_a - head_b).sum(axis=-1)
-    return float(out) if head_a.ndim == 1 else out
+    return np.abs(head_a - head_b).sum(axis=-1)
 
 
 def select_top_b(candidates, b: int) -> list[int]:

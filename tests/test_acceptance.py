@@ -228,7 +228,8 @@ def test_scorer_identities_and_bounds():
         assert np.all(disagreement >= 0.0)
         assert np.all(disagreement <= 2.0 + 1e-12)
         tied = params.copy()
-        tied[arch2.head_slice(1)] = tied[arch2.head_slice(0)]
+        head0, head1 = arch2.layout.heads
+        tied[head1.w], tied[head1.b] = tied[head0.w], tied[head0.b]
         assert np.all(score_discrepancy(Model(arch2, tied), x) == 0.0)
 
 

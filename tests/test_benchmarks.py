@@ -1,12 +1,16 @@
 """Formatting and plumbing of the trend-benchmark report (no training here)."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 
+from fedal import orchestrator
 from fedal.benchmarks import AL_STRATEGIES, TrendReport, benchmark_config, format_report
 
 
 def _report(**extra):
-    report = TrendReport(seeds=(1, 2), window=(2, 3, 4))
+    report = TrendReport(seeds=(1, 2), window=(2, 3, 4), full_budget_mean=0.95)
     report.curves = {s: {1: [0.5, 0.6, 0.7, 0.8, 0.9]} for s in AL_STRATEGIES}
     report.window_mean = {"random": 0.70, "s_al": 0.71, "f_al": 0.72}
     report.round1_mean = {"random": 0.50, "s_al": 0.51, "f_al": 0.52}
@@ -22,8 +26,7 @@ def test_margin_is_a_window_mean_difference():
 
 
 def test_format_report_with_all_sections():
-    report = _report(full_budget_mean=0.95,
-                     il_mean={"random": 0.6, "s_al": 0.62, "f_al": 0.58})
+    report = _report(il_mean={"random": 0.6, "s_al": 0.62, "f_al": 0.58})
     text = format_report(report)
     assert "f_al - s_al   (global): +0.0100" in text
     assert "s_al - f_al   (local IL): +0.0400" in text
@@ -31,9 +34,9 @@ def test_format_report_with_all_sections():
 
 
 def test_format_report_without_optional_measurements():
-    # il and full-budget passes are optional; the table prints '-' for them
+    # the il pass is optional; the table prints '-' for it
     text = format_report(_report())
-    assert "full" not in text
+    assert "s_al - f_al   (local IL)" not in text
     table_rows = [line for line in text.splitlines()
                   if line.startswith(("random", "s_al", "f_al")) and "(" not in line]
     assert len(table_rows) == 3
@@ -47,3 +50,15 @@ def test_benchmark_config_splits_the_budget_evenly():
     assert cfg.budgets == (150, 150, 150)
     assert sum(cfg.budgets) == 450
     assert cfg.fl == cfg.independent
+
+
+def test_perfbench_tracer_bindings_resolve(monkeypatch):
+    # perfbench/tracing.py wraps fedal functions at the module attributes
+    # their callers bind; entering the tracer fails if a rename or a moved
+    # import leaves one of those bindings pointing elsewhere.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    original = orchestrator.fedavg
+    with tracing.Tracer(traced=True):
+        assert orchestrator.fedavg is not original
+    assert orchestrator.fedavg is original

@@ -268,7 +268,11 @@ def test_cli_reports_runtime_failures_with_exit_code_one(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY_RUN)
     code = cli_main(["run", str(cfg), "--out", str(tmp_path / "no_dir" / "x.csv")])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "run.out" in captured.err
+    assert "repeat 1:" not in captured.out
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 1  # a directory, not a file
+    assert "repeat 1:" not in capsys.readouterr().out
 
 
 def test_cli_prints_the_provenance_note_for_paper_presets(tmp_path, capsys):

@@ -405,7 +405,7 @@ def test_pools_sort_their_index_lists():
     _, pools = _one_client_world()
     assert pools.unlabeled == [1, 2, 3]
     assert tuple(pools.shard) == (0, 1, 2, 3)
-    assert pools.labeled_count == 1
+    assert pools.labeled == [0]
 
 
 def test_annotate_moves_rows_and_reveals_true_labels():

@@ -9,7 +9,6 @@ from fedal.harness import (
     CSV_HEADER,
     ResultRow,
     ResultTable,
-    SummaryRow,
     build_world,
     emit_csv,
     load_csv,
@@ -120,9 +119,9 @@ def test_run_experiment_summary_is_the_arithmetic_mean_and_population_std():
     for round_index in (1, 2):
         group = [r.test_accuracy for r in table.rows if r.round_index == round_index]
         mean = next(s for s in table.summary
-                    if s.round_index == round_index and s.stat == "mean")
+                    if s.round_index == round_index and s.repeat == "mean")
         std = next(s for s in table.summary
-                   if s.round_index == round_index and s.stat == "std")
+                   if s.round_index == round_index and s.repeat == "std")
         assert mean.test_accuracy == pytest.approx(float(np.mean(group)), abs=1e-15)
         assert std.test_accuracy == pytest.approx(float(np.std(group)), abs=1e-15)
 
@@ -162,8 +161,8 @@ def test_emit_csv_writes_sorted_rows_regardless_of_input_order(tmp_path):
         ResultRow("random", "random", 1, 1, 0.25, 0.7),
         ResultRow("s_al", "entropy", 1, 2, 0.25, 0.85),
     )
-    summary = (SummaryRow("s_al", "entropy", 1, "std", 0.25, 0.025),
-               SummaryRow("s_al", "entropy", 1, "mean", 0.25, 0.825))
+    summary = (ResultRow("s_al", "entropy", 1, "std", 0.25, 0.025),
+               ResultRow("s_al", "entropy", 1, "mean", 0.25, 0.825))
     path = tmp_path / "sorted.csv"
     emit_csv(ResultTable(rows=rows, summary=summary), path)
     lines = path.read_text().splitlines()
@@ -225,4 +224,5 @@ def test_load_csv_separates_result_and_summary_rows(tmp_path):
     table = load_csv(path)
     assert len(table.rows) == 1
     assert len(table.summary) == 2
-    assert table.summary[0].stat == "mean"
+    assert table.rows[0].repeat == 1
+    assert [row.repeat for row in table.summary] == ["mean", "std"]

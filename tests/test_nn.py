@@ -52,21 +52,16 @@ def test_param_count_is_a_pure_function_of_the_architecture():
 
 def test_param_blocks_tile_the_flat_vector():
     arch = MlpArchitecture((4, 6, 3), head_count=2)
+    layout = arch.layout
+    assert [block.shape for block in layout.hidden] == [(4, 6)]
+    assert [block.shape for block in layout.heads] == [(6, 3), (6, 3)]
     offset = 0
-    for _name, sl, shape in arch.param_blocks():
-        assert sl.start == offset
-        assert sl.stop - sl.start == int(np.prod(shape))
-        offset = sl.stop
-    assert offset == arch.param_count
-
-
-def test_head_slice_bounds():
-    arch = MlpArchitecture((3, 4, 2), head_count=2)
-    first, second = arch.head_slice(0), arch.head_slice(1)
-    assert second.start == first.stop
-    assert second.stop == arch.param_count
-    with pytest.raises(ConfigError):
-        arch.head_slice(2)
+    for block in (*layout.hidden, *layout.heads):
+        assert block.w.start == offset
+        assert block.w.stop - block.w.start == int(np.prod(block.shape))
+        assert block.b == slice(block.w.stop, block.w.stop + block.shape[1])
+        offset = block.b.stop
+    assert offset == layout.size == arch.param_count
 
 
 @pytest.mark.parametrize(
@@ -97,9 +92,10 @@ def test_model_rejects_wrong_parameter_shapes():
 def test_zero_weight_model_predicts_uniformly():
     arch = MlpArchitecture((2, 4, 5), head_count=2)
     model = Model(arch, np.zeros(arch.param_count))
-    for probs in forward(model, np.array([0.7, -1.2])):
+    for probs in forward(model, np.array([[0.7, -1.2]])):
+        assert probs.shape == (1, 5)
         assert np.allclose(probs, 1 / 5, atol=1e-15)
-        assert len(set(probs)) == 1
+        assert len(set(probs[0])) == 1
 
 
 @given(seed=st.integers(0, 2_000))
@@ -112,12 +108,13 @@ def test_probabilities_are_normalized(seed):
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
-def test_forward_single_vector_matches_batch_row():
+def test_forward_one_row_batch_matches_batch_row():
     model = _random_model(3)
     x = np.random.default_rng(5).normal(size=(4, 3))
     batch = forward(model, x)[0]
-    single = forward(model, x[2])[0]
-    assert np.allclose(single, batch[2], rtol=1e-12, atol=1e-15)
+    single = forward(model, x[2:3])[0]
+    assert single.shape == (1, 4)
+    assert np.allclose(single[0], batch[2], rtol=1e-12, atol=1e-15)
 
 
 def test_forward_is_deterministic_and_ignores_rng_without_dropout():
@@ -146,13 +143,16 @@ def test_forward_rejects_bad_input_shapes():
         forward(model, np.zeros(4))
     with pytest.raises(ShapeError):
         forward(model, np.zeros((2, 2, 3)))
+    for one_d in (forward, hidden_features):  # a single vector is not a batch
+        with pytest.raises(ShapeError, match="2-D"):
+            one_d(model, np.zeros(3))
 
 
 def test_hidden_features_are_the_head_inputs():
     # without hidden layers the heads consume the raw features
     arch = MlpArchitecture((3, 2))
     model = Model(arch, np.arange(arch.param_count, dtype=np.float64))
-    x = np.array([0.5, -1.0, 2.0])
+    x = np.array([[0.5, -1.0, 2.0]])
     assert np.array_equal(hidden_features(model, x), x)
 
     arch2 = MlpArchitecture((2, 3, 2))
@@ -167,7 +167,8 @@ def test_hidden_features_are_the_head_inputs():
 def test_two_heads_share_the_trunk_and_fork_at_the_output():
     arch = MlpArchitecture((3, 5, 2), head_count=2)
     params = np.random.default_rng(8).normal(size=arch.param_count)
-    params[arch.head_slice(1)] = params[arch.head_slice(0)]
+    head0, head1 = arch.layout.heads
+    params[head1.w], params[head1.b] = params[head0.w], params[head0.b]
     head_a, head_b = forward(Model(arch, params), np.random.default_rng(9).normal(size=(6, 3)))
     assert np.array_equal(head_a, head_b)
 
@@ -330,9 +331,6 @@ def test_init_params_reproducible_scaled_and_zero_biased():
     a = init_params(arch, 123)
     assert np.array_equal(a, init_params(arch, 123))
     assert not np.array_equal(a, init_params(arch, 124))
-    for name, sl, shape in arch.param_blocks():
-        block = a[sl]
-        if name.endswith("_b"):
-            assert np.all(block == 0.0)
-        else:
-            assert np.max(np.abs(block)) <= 1.0 / np.sqrt(shape[0])
+    for block in (*arch.layout.hidden, *arch.layout.heads):
+        assert np.all(a[block.b] == 0.0)
+        assert np.max(np.abs(a[block.w])) <= 1.0 / np.sqrt(block.shape[0])

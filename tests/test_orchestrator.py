@@ -6,14 +6,13 @@ import pytest
 from fedal import orchestrator
 from fedal.data import ClientPools, Dataset
 from fedal.errors import BudgetError, ConfigError, InvalidStateError
-from fedal.fed import FedConfig, evaluate
+from fedal.fed import FedConfig, evaluate, fedavg
 from fedal.nn import LrSchedule, MlpArchitecture, Model
 from fedal.orchestrator import (
     ALConfig,
     _score_pool,
     _task_init,
     _train_task_model,
-    pools_through_round,
     run_full_budget,
     run_independent_eval,
     run_strategy,
@@ -87,15 +86,26 @@ def test_each_round_labels_exactly_the_per_round_quota(world_factory):
 
 
 def test_zero_quotas_train_no_scoring_model(world_factory, monkeypatch):
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("trained a scoring model although no client has a quota")
 
+    fedavg_calls = []
+
+    def task_fedavg_only(dataset, pools, init, cfg, seed, local_fn=None):
+        if local_fn is not None:
+            forbidden()
+        fedavg_calls.append(seed)
+        return fedavg(dataset, pools, init, cfg, seed)
+
     monkeypatch.setattr(orchestrator, "train_discrepancy_heads", forbidden)
+    monkeypatch.setattr(orchestrator, "independent_train", forbidden)
+    monkeypatch.setattr(orchestrator, "fedavg", task_fedavg_only)
     for strategy in ("s_al", "f_al"):
+        fedavg_calls.clear()
         train, test, pools, arch = world_factory(clients=2, n=40)
-        logs = run_strategy(strategy, train, test, pools, arch, _al(2, (0, 0), scorer="discrepancy"),
-                            QUICK_FL, 1)
-        assert all(log.aux_info["aux_iters"] == {} for log in logs)
+        run_strategy(strategy, train, test, pools, arch, _al(2, (0, 0), scorer="discrepancy"),
+                     QUICK_FL, 1)
+        assert fedavg_calls == [(1, "train-task")] * 2  # one task model per round, nothing else
 
 
 def test_zero_budget_rounds_leave_accuracy_frozen(world_factory):
@@ -197,15 +207,29 @@ def test_an_uninformative_model_falls_back_to_low_indices(world_factory):
 
 # -- federated annotation internals ---------------------------------------------------
 
-def test_federated_annotation_scores_every_client_with_identical_parameters(world_factory):
+def test_federated_annotation_scores_every_client_with_identical_parameters(world_factory,
+                                                                           monkeypatch):
+    scored, iters = [], []
+
+    def spy_score_pool(pool, dataset, scorer, model, quota, rng):
+        scored.append((pool.client_id, model.params.copy()))
+        return _score_pool(pool, dataset, scorer, model, quota, rng)
+
+    def spy_fedavg(*args, **kwargs):
+        report = fedavg(*args, **kwargs)
+        iters.append(report.global_iters_used)
+        return report
+
+    monkeypatch.setattr(orchestrator, "_score_pool", spy_score_pool)
+    monkeypatch.setattr(orchestrator, "fedavg", spy_fedavg)
     train, test, pools, arch = world_factory(clients=3, n=90, initial_fraction=0.2)
-    logs = run_strategy("f_al", train, test, pools, arch, _al(2, (6, 6, 6)), QUICK_FL, 4)
-    for log in logs:
-        digests = log.aux_info["score_param_digests"]
-        assert len(digests) == 3
-        assert len(set(digests.values())) == 1
-        assert log.aux_info["strategy"] == "f_al"
-        assert log.aux_info["task_iters"] >= 1
+    run_strategy("f_al", train, test, pools, arch, _al(2, (6, 6, 6)), QUICK_FL, 4)
+    assert len(scored) == 2 * 3
+    for first in range(0, len(scored), 3):
+        round_calls = scored[first:first + 3]
+        assert [client for client, _ in round_calls] == [0, 1, 2]
+        assert all(np.array_equal(params, round_calls[0][1]) for _, params in round_calls)
+    assert iters and all(n >= 1 for n in iters)
 
 
 def test_no_computation_ever_touches_rows_outside_one_client(world_factory):
@@ -281,25 +305,6 @@ def test_run_strategy_dispatches_full_budget_to_a_single_round(world_factory):
     with pytest.raises(ConfigError, match="unknown strategy"):
         run_strategy("oracle", train, test, pools, arch,
                      _al(1, (0, 0)), QUICK_FL, 3)
-
-
-def test_pools_through_round_replays_the_history(world_factory):
-    train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
-    run_strategy("random", train, test, pools, arch, _al(3, (6, 6)), QUICK_FL, 5)
-
-    assert pools_through_round(pools, None) is pools
-
-    at_start = pools_through_round(pools, 0)
-    for old, new in zip(pools, at_start):
-        assert new.labeled == sorted(old.initial_labeled)
-        assert new.history == {}
-        assert sorted(new.labeled + new.unlabeled) == list(old.shard)
-
-    mid = pools_through_round(pools, 2)
-    for old, new in zip(pools, mid):
-        expected = sorted(list(old.initial_labeled) + old.history[1] + old.history[2])
-        assert new.labeled == expected
-        assert set(new.history) == {1, 2}
 
 
 def test_independent_eval_with_one_client_matches_global_evaluation(world_factory):

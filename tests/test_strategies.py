@@ -36,7 +36,8 @@ def _model(seed=0, sizes=(2, 6, 3), dropout=0.0, heads=1, scale=1.0):
 def _tied_two_head_model(seed=0, sizes=(2, 5, 3)):
     arch = MlpArchitecture(sizes, head_count=2)
     params = np.random.default_rng(seed).normal(size=arch.param_count)
-    params[arch.head_slice(1)] = params[arch.head_slice(0)]
+    head0, head1 = arch.layout.heads
+    params[head1.w], params[head1.b] = params[head0.w], params[head0.b]
     return Model(arch, params)
 
 
@@ -45,9 +46,9 @@ def _bias_only_two_head(bias_a, bias_b):
     classes = len(bias_a)
     arch = MlpArchitecture((1, classes), head_count=2)
     params = np.zeros(arch.param_count)
-    blocks = {name: sl for name, sl, _ in arch.param_blocks()}
-    params[blocks["head0_b"]] = bias_a
-    params[blocks["head1_b"]] = bias_b
+    head0, head1 = arch.layout.heads
+    params[head0.b] = bias_a
+    params[head1.b] = bias_b
     return Model(arch, params)
 
 
@@ -69,9 +70,9 @@ def test_entropy_of_a_saturated_prediction_is_zero():
 def test_entropy_half_half_is_log_two():
     arch = MlpArchitecture((1, 2))
     model = Model(arch, np.zeros(arch.param_count))
-    value = score_entropy(model, np.array([2.0]))
-    assert isinstance(value, float)  # single example in, scalar out
-    assert value == pytest.approx(np.log(2), abs=1e-12)
+    value = score_entropy(model, np.array([[2.0]]))
+    assert value.shape == (1,)  # one score per row
+    assert value[0] == pytest.approx(np.log(2), abs=1e-12)
 
 
 @given(seed=st.integers(0, 2_000))
@@ -325,11 +326,11 @@ def test_disagreement_term_touches_only_the_heads():
     # must leave the shared trunk untouched.
     arch = MlpArchitecture((1, 3, 2), head_count=2)
     params = np.zeros(arch.param_count)
-    blocks = {name: sl for name, sl, _ in arch.param_blocks()}
-    params[blocks["hidden0_w"]] = np.array([5.0, -5.0, 0.0])
-    params[blocks["hidden0_b"]] = np.array([0.0, 0.0, 1.0])
-    params[blocks["head0_w"]] = np.array([[1000.0, 0.0], [0.0, 1000.0], [0.0, 0.0]]).ravel()
-    params[blocks["head1_w"]] = np.array([[1000.0, 0.0], [0.0, 1000.0], [3.0, -3.0]]).ravel()
+    (hidden0,), (head0, head1) = arch.layout.hidden, arch.layout.heads
+    params[hidden0.w] = np.array([5.0, -5.0, 0.0])
+    params[hidden0.b] = np.array([0.0, 0.0, 1.0])
+    params[head0.w] = np.array([[1000.0, 0.0], [0.0, 1000.0], [0.0, 0.0]]).ravel()
+    params[head1.w] = np.array([[1000.0, 0.0], [0.0, 1000.0], [3.0, -3.0]]).ravel()
     model = Model(arch, params)
     labeled = np.array([[1.0], [-1.0]])
     labels = np.array([0, 1])
@@ -338,7 +339,7 @@ def test_disagreement_term_touches_only_the_heads():
     trained = train_discrepancy_heads(
         model, labeled, labels, np.array([[0.0]]), 0.1, 3, None, np.random.default_rng(0)
     )
-    trunk = slice(0, blocks["head0_w"].start)
+    trunk = slice(0, head0.w.start)
     assert np.array_equal(trained.params[trunk], params[trunk])
     assert not np.array_equal(trained.params, params)
 
