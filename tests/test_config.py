@@ -257,6 +257,19 @@ def test_cli_flag_overrides_are_applied(tmp_path):
     assert sorted({row.repeat for row in table.rows}) == [1, 2]
 
 
+def test_cli_strategy_and_scorer_flags_override_the_file(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TINY_RUN)
+    out = tmp_path / "sal.csv"
+    code = cli_main(["run", str(cfg), "--out", str(out), "--strategy", "s_al", "--scorer", "coreset"])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.startswith("s_al,coreset,") for row in rows)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", str(cfg), "--scorer", "bogus"])
+    assert exc.value.code == 2
+    assert "--scorer" in capsys.readouterr().err
+
+
 def test_cli_rejects_bad_configs_with_exit_code_two(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY_RUN + "al:\n  budget: 7\n")
     assert cli_main(["run", str(cfg)]) == 2
