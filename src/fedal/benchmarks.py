@@ -35,16 +35,15 @@ import numpy as np
 from .config import DatasetSpec, ExperimentConfig, ModelSpec
 from .data import PartitionSpec
 from .fed import FedConfig
-from .harness import build_world
+from .harness import al_config, build_world
 from .nn import LrSchedule
 from .orchestrator import STRATEGIES as AL_STRATEGIES
-from .orchestrator import ALConfig, run_full_budget, run_independent_eval, run_strategy
+from .orchestrator import run_full_budget, run_independent_eval, run_strategy
 from .strategies import ScorerSpec
 
 
-def benchmark_config(strategy: str, *, rounds: int = 5, budget: int = 450,
-                     repeats: int = 1, base_seed: int = 0) -> ExperimentConfig:
-    """The fixed benchmark setting, parameterized only by strategy and seed."""
+def benchmark_config(strategy: str) -> ExperimentConfig:
+    """The fixed benchmark setting, parameterized only by strategy."""
     train = FedConfig(schedule=LrSchedule(1.0, 0.997), minibatch_size=None,
                       stop_loss_threshold=0.03, max_global_iters=600)
     return ExperimentConfig(
@@ -55,14 +54,14 @@ def benchmark_config(strategy: str, *, rounds: int = 5, budget: int = 450,
         model=ModelSpec(hidden=(32,), activation="relu", dropout=0.0),
         strategy=strategy,
         scorer=ScorerSpec("entropy"),
-        rounds=rounds,
-        budgets=(budget // 3,) * 3,
+        rounds=5,
+        budgets=(150,) * 3,
         initial_label_fraction=0.1,
         fresh_init_per_round=True,
         fl=train,
         independent=train,
-        repeats=repeats,
-        base_seed=base_seed,
+        repeats=1,
+        base_seed=0,
         out_path="benchmark.csv",
     )
 
@@ -85,7 +84,7 @@ class TrendReport:
         return self.window_mean[better] - self.window_mean[worse]
 
 
-def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True) -> TrendReport:
+def run_trend_benchmark(seeds, include_il: bool = True) -> TrendReport:
     """Run all strategies over paired ``seeds`` and aggregate the trends."""
     seeds = tuple(int(s) for s in seeds)
     curves: dict[str, dict[int, list[float]]] = {s: {} for s in AL_STRATEGIES}
@@ -96,10 +95,7 @@ def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True) -> Tre
         for strategy in AL_STRATEGIES:
             cfg = benchmark_config(strategy)
             train, test, pools, arch = build_world(cfg, seed)
-            al_cfg = ALConfig(rounds=cfg.rounds, budgets=cfg.budgets, scorer=cfg.scorer,
-                              aux_train=cfg.independent,
-                              fresh_init_per_round=cfg.fresh_init_per_round)
-            logs = run_strategy(strategy, train, test, pools, arch, al_cfg, cfg.fl, seed)
+            logs = run_strategy(strategy, train, test, pools, arch, al_config(cfg), cfg.fl, seed)
             curves[strategy][seed] = [log.test_accuracy for log in logs]
             if include_il:
                 mean_acc, _ = run_independent_eval(train, test, pools, arch, cfg.independent, seed)
@@ -109,7 +105,7 @@ def run_trend_benchmark(seeds, window=(2, 3, 4), include_il: bool = True) -> Tre
         log = run_full_budget(train, test, pools, arch, cfg.fl, seed)
         full_scores.append(log.test_accuracy)
 
-    report = TrendReport(seeds=seeds, window=tuple(window),
+    report = TrendReport(seeds=seeds, window=(2, 3, 4),
                          full_budget_mean=float(np.mean(full_scores)), curves=curves)
     for strategy in AL_STRATEGIES:
         per_seed = report.curves[strategy]

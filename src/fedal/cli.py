@@ -27,32 +27,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run the experiment described by a config file")
     run_p.add_argument("config", help="path to a YAML config file")
-    run_p.add_argument("--out", help="override run.out (CSV output path)")
-    run_p.add_argument("--repeats", type=int, help="override run.repeats")
-    run_p.add_argument("--seed", type=int, help="override run.seed")
-    run_p.add_argument("--strategy", choices=HARNESS_STRATEGIES, help="override al.strategy")
-    run_p.add_argument("--scorer", choices=SCORER_KINDS, help="override al.scorer")
+    run_p.add_argument("--out", dest="run.out", metavar="OUT", help="override run.out (CSV output path)")
+    run_p.add_argument("--repeats", dest="run.repeats", metavar="REPEATS", type=int,
+                       help="override run.repeats")
+    run_p.add_argument("--seed", dest="run.seed", metavar="SEED", type=int, help="override run.seed")
+    run_p.add_argument("--strategy", dest="al.strategy", choices=HARNESS_STRATEGIES,
+                       help="override al.strategy")
+    run_p.add_argument("--scorer", dest="al.scorer", choices=SCORER_KINDS, help="override al.scorer")
     return parser
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
+    """``{"run": {"seed": 5}, ...}`` from the flags given; each flag's dest is its config key."""
     overrides: dict = {}
-    run_over = {}
-    if args.out is not None:
-        run_over["out"] = args.out
-    if args.repeats is not None:
-        run_over["repeats"] = args.repeats
-    if args.seed is not None:
-        run_over["seed"] = args.seed
-    if run_over:
-        overrides["run"] = run_over
-    al_over = {}
-    if args.strategy is not None:
-        al_over["strategy"] = args.strategy
-    if args.scorer is not None:
-        al_over["scorer"] = args.scorer
-    if al_over:
-        overrides["al"] = al_over
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = value
     return overrides
 
 

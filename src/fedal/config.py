@@ -29,13 +29,13 @@ class DatasetSpec:
     """Where the data comes from: synthetic blobs or an external file pair."""
 
     kind: str
-    train_size: int = 3000
-    test_size: int = 1000
-    classes: int = 8
-    dim: int = 2
-    spread: float = 1.0
-    layout: str = "circle"
-    elongation: float = 1.0
+    train_size: int
+    test_size: int
+    classes: int
+    dim: int
+    spread: float
+    layout: str
+    elongation: float
     path: str | None = None
     labels_path: str | None = None
     test_path: str | None = None
@@ -44,9 +44,9 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    hidden: tuple[int, ...] = (32,)
-    activation: str = "relu"
-    dropout: float = 0.0
+    hidden: tuple[int, ...]
+    activation: str
+    dropout: float
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ class Dataset:
     features: Array
     labels: Array
     class_count: int
-    split: str = "train"
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -54,8 +53,6 @@ class Dataset:
             raise ShapeError(
                 f"labels must lie in [0, {self.class_count}), got range [{labels.min()}, {labels.max()}]"
             )
-        if self.split not in ("train", "test"):
-            raise ConfigError(f"split must be 'train' or 'test', got {self.split!r}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
 
@@ -98,8 +95,8 @@ class PartitionSpec:
 class ClientPools:
     """One client's dataset indices: unlabeled pool, labeled pool, history.
 
-    ``initial_labeled`` records the seed labels; ``history[k]`` records the
-    indices annotated during round k.  Both pools stay sorted so batch
+    ``history[k]`` records the indices annotated during round k; the other
+    labeled indices are the seed labels.  Both pools stay sorted so batch
     assembly order (and hence floating-point accumulation order) is
     canonical.
     """
@@ -107,7 +104,6 @@ class ClientPools:
     client_id: int
     unlabeled: list[int]
     labeled: list[int] = field(default_factory=list)
-    initial_labeled: list[int] = field(default_factory=list)
     history: dict[int, list[int]] = field(default_factory=dict)
     shard: tuple[int, ...] = ()
 
@@ -121,8 +117,8 @@ class ClientPools:
 BLOB_LAYOUTS = ("circle", "line")
 
 
-def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, split: str = "train",
-                *, layout: str = "circle", elongation: float = 1.0) -> Dataset:
+def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, *,
+                layout: str = "circle", elongation: float = 1.0) -> Dataset:
     """Gaussian class clusters with near-balanced labels (counts differ by <= 1).
 
     Two center layouts in the first two feature dimensions:
@@ -146,12 +142,12 @@ def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, split: str 
         raise ConfigError(f"n={n} is smaller than the class count {classes}")
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
-    if spread < 0:
-        raise ConfigError(f"spread must be >= 0, got {spread}")
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ConfigError(f"spread must be finite and >= 0, got {spread}")
     if layout not in BLOB_LAYOUTS:
         raise ConfigError(f"layout must be one of {BLOB_LAYOUTS}, got {layout!r}")
-    if elongation <= 0:
-        raise ConfigError(f"elongation must be > 0, got {elongation}")
+    if not (math.isfinite(elongation) and elongation > 0):
+        raise ConfigError(f"elongation must be finite and > 0, got {elongation}")
     rng = np.random.default_rng(seed)
     centers = np.zeros((classes, dim))
     scale = np.full(dim, spread)
@@ -166,7 +162,7 @@ def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, split: str 
     labels = np.arange(n, dtype=np.int64) % classes
     points = centers[labels] + scale * rng.standard_normal((n, dim))
     order = rng.permutation(n)
-    return Dataset(points[order], labels[order], class_count=classes, split=split)
+    return Dataset(points[order], labels[order], class_count=classes)
 
 
 def _check_contiguous_labels(labels: list[int], lines: list[int], what: str) -> int:
@@ -186,7 +182,7 @@ def _check_contiguous_labels(labels: list[int], lines: list[int], what: str) -> 
     return class_count
 
 
-def _load_csv_labeled(path: Path, split: str) -> Dataset:
+def _load_csv_labeled(path: Path) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     lines: list[int] = []
@@ -228,7 +224,7 @@ def _load_csv_labeled(path: Path, split: str) -> Dataset:
     lo = feats.min(axis=0)
     span = feats.max(axis=0) - lo
     scaled = np.where(span > 0, (feats - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return Dataset(scaled, np.asarray(labels, dtype=np.int64), class_count=class_count, split=split)
+    return Dataset(scaled, np.asarray(labels, dtype=np.int64), class_count=class_count)
 
 
 def _read_idx(path: Path, expect_dims: int) -> Array:
@@ -246,14 +242,14 @@ def _read_idx(path: Path, expect_dims: int) -> Array:
     if len(raw) < header_end:
         raise ParseError(f"{path}: truncated IDX dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)
     body = np.frombuffer(raw, dtype=np.uint8, offset=header_end)
     if body.size != expected:
         raise ParseError(f"{path}: expected {expected} data bytes, found {body.size}")
     return body.reshape(dims)
 
 
-def _load_idx_images(path: Path, labels_path: Path | None, split: str) -> Dataset:
+def _load_idx_images(path: Path, labels_path: Path | None) -> Dataset:
     if labels_path is None:
         guess = Path(str(path).replace("images", "labels").replace("idx3", "idx1"))
         if guess == path or not guess.exists():
@@ -267,13 +263,15 @@ def _load_idx_images(path: Path, labels_path: Path | None, split: str) -> Datase
         raise ParseError(
             f"{path}: {images.shape[0]} images but {labels.shape[0]} labels in {labels_path}"
         )
+    if images.shape[0] == 0:
+        raise ParseError(f"{path}: no data records")
     label_list = [int(v) for v in labels]
     class_count = _check_contiguous_labels(label_list, list(range(len(label_list))), "record")
     feats = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(feats, np.asarray(label_list, dtype=np.int64), class_count=class_count, split=split)
+    return Dataset(feats, np.asarray(label_list, dtype=np.int64), class_count=class_count)
 
 
-def load_external(path, fmt: str, labels_path=None, split: str = "train") -> Dataset:
+def load_external(path, fmt: str, labels_path=None) -> Dataset:
     """Load a dataset from disk; ``fmt`` is one of ``csv_labeled`` / ``idx_images``."""
     if fmt not in EXTERNAL_FORMATS:
         raise ConfigError(f"unknown external format {fmt!r}; expected one of {EXTERNAL_FORMATS}")
@@ -281,8 +279,8 @@ def load_external(path, fmt: str, labels_path=None, split: str = "train") -> Dat
     if not p.exists():
         raise ParseError(f"{p}: file not found")
     if fmt == "csv_labeled":
-        return _load_csv_labeled(p, split)
-    return _load_idx_images(p, Path(labels_path) if labels_path else None, split)
+        return _load_csv_labeled(p)
+    return _load_idx_images(p, Path(labels_path) if labels_path else None)
 
 
 def partition(dataset: Dataset, spec: PartitionSpec, seed) -> list[ClientPools]:
@@ -334,7 +332,7 @@ def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list
         raise ConfigError(f"initial label fraction must lie in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     for pool in pools:
-        if pool.labeled or pool.initial_labeled:
+        if pool.labeled:
             raise PoolIntegrityError(f"client {pool.client_id} already has labels")
         size = len(pool.unlabeled)
         count = int(round(fraction * size))
@@ -346,7 +344,6 @@ def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list
         chosen_set = set(chosen)
         pool.unlabeled = [i for i in pool.unlabeled if i not in chosen_set]
         pool.labeled = chosen
-        pool.initial_labeled = list(chosen)
     return pools
 
 

@@ -45,8 +45,8 @@ class FedConfig:
             isinstance(self.minibatch_size, int) and self.minibatch_size >= 1
         ):
             raise ConfigError(f"minibatch_size must be 'full' (None) or an int >= 1, got {self.minibatch_size}")
-        if np.isnan(self.stop_loss_threshold) or self.stop_loss_threshold <= 0:
-            raise ConfigError(f"stop_loss_threshold must be positive, got {self.stop_loss_threshold}")
+        if not (np.isfinite(self.stop_loss_threshold) and self.stop_loss_threshold > 0):
+            raise ConfigError(f"stop_loss_threshold must be finite and > 0, got {self.stop_loss_threshold}")
         if not (isinstance(self.max_global_iters, int) and self.max_global_iters >= 1):
             raise ConfigError(f"max_global_iters must be an int >= 1, got {self.max_global_iters}")
 

@@ -61,14 +61,14 @@ def build_world(cfg: ExperimentConfig, run_seed: int):
     ds = cfg.dataset
     if ds.kind == "blobs":
         train = synth_blobs(ds.train_size, ds.classes, ds.dim, ds.spread,
-                            rng_for(run_seed, "data-train"), split="train",
+                            rng_for(run_seed, "data-train"),
                             layout=ds.layout, elongation=ds.elongation)
         test = synth_blobs(ds.test_size, ds.classes, ds.dim, ds.spread,
-                           rng_for(run_seed, "data-test"), split="test",
+                           rng_for(run_seed, "data-test"),
                            layout=ds.layout, elongation=ds.elongation)
     else:
-        train = load_external(ds.path, ds.kind, labels_path=ds.labels_path, split="train")
-        test = load_external(ds.test_path, ds.kind, labels_path=ds.test_labels_path, split="test")
+        train = load_external(ds.path, ds.kind, labels_path=ds.labels_path)
+        test = load_external(ds.test_path, ds.kind, labels_path=ds.test_labels_path)
         if train.dim != test.dim:
             raise ConfigError(f"train dim {train.dim} != test dim {test.dim}")
         if train.class_count != test.class_count:
@@ -89,17 +89,16 @@ def build_world(cfg: ExperimentConfig, run_seed: int):
     return train, test, pools, arch
 
 
+def al_config(cfg: ExperimentConfig) -> ALConfig:
+    """The annotation-loop settings of an experiment; auxiliary models train like ``independent``."""
+    return ALConfig(rounds=cfg.rounds, budgets=cfg.budgets, scorer=cfg.scorer,
+                    aux_train=cfg.independent, fresh_init_per_round=cfg.fresh_init_per_round)
+
+
 def run_once(cfg: ExperimentConfig, run_seed: int) -> tuple[list[RoundLog], Dataset]:
     """One full strategy run at one seed; returns the round logs and train set."""
     train, test, pools, arch = build_world(cfg, run_seed)
-    al_cfg = ALConfig(
-        rounds=cfg.rounds,
-        budgets=cfg.budgets,
-        scorer=cfg.scorer,
-        aux_train=cfg.independent,
-        fresh_init_per_round=cfg.fresh_init_per_round,
-    )
-    logs = run_strategy(cfg.strategy, train, test, pools, arch, al_cfg, cfg.fl, run_seed)
+    logs = run_strategy(cfg.strategy, train, test, pools, arch, al_config(cfg), cfg.fl, run_seed)
     return logs, train
 
 

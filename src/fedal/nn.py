@@ -224,29 +224,30 @@ def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
     return inputs[-1], head_probs
 
 
-def _check_labels(labels, class_count: int) -> Array:
+def _labeled_batch(model: Model, features, labels) -> tuple[Array, Array]:
+    """The checked (batch, int64 labels) pair that :func:`loss` and :func:`grad` share."""
+    batch = _as_batch(features, model.arch.input_dim)
+    if batch.shape[0] == 0:
+        raise EmptyInputError("empty batch")
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got ndim={y.ndim}")
     if y.size == 0:
         raise EmptyInputError("empty batch")
-    if not np.issubdtype(y.dtype, np.integer):
-        if np.any(y != np.floor(y)):
-            raise ShapeError("labels must be integers")
-        y = y.astype(np.int64)
+    if not np.issubdtype(y.dtype, np.integer) and np.any(y != np.floor(y)):
+        raise ShapeError("labels must be integers")
+    y = y.astype(np.int64)
+    class_count = model.arch.class_count
     if y.min() < 0 or y.max() >= class_count:
         raise ShapeError(f"labels must lie in [0, {class_count}), got range [{y.min()}, {y.max()}]")
-    return y.astype(np.int64)
+    if y.shape[0] != batch.shape[0]:
+        raise ShapeError(f"{batch.shape[0]} feature rows but {y.shape[0]} labels")
+    return batch, y
 
 
 def loss(model: Model, features, labels, rng=None) -> float:
     """Mean cross-entropy over the batch, averaged over heads."""
-    batch = _as_batch(features, model.arch.input_dim)
-    if batch.shape[0] == 0:
-        raise EmptyInputError("empty batch")
-    y = _check_labels(labels, model.arch.class_count)
-    if y.shape[0] != batch.shape[0]:
-        raise ShapeError(f"{batch.shape[0]} feature rows but {y.shape[0]} labels")
+    batch, y = _labeled_batch(model, features, labels)
     *_, head_logits, _ = _forward_cache(model, batch, rng)
     rows = np.arange(batch.shape[0])
     total = 0.0
@@ -264,13 +265,7 @@ def grad(model: Model, features, labels, rng=None) -> Array:
     backward pass, exactly as a single stochastic training step requires.
     """
     arch = model.arch
-    batch = _as_batch(features, arch.input_dim)
-    if batch.shape[0] == 0:
-        raise EmptyInputError("empty batch")
-    y = _check_labels(labels, arch.class_count)
-    if y.shape[0] != batch.shape[0]:
-        raise ShapeError(f"{batch.shape[0]} feature rows but {y.shape[0]} labels")
-
+    batch, y = _labeled_batch(model, features, labels)
     hidden, heads = _split_params(arch, model.params)
     inputs, pre_dropout, masks, _, head_probs = _forward_cache(model, batch, rng)
     n = batch.shape[0]

@@ -111,10 +111,6 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
     """Select ``quota`` indices from one client's unlabeled pool."""
     if quota == 0:
         return []
-    if quota > len(pool.unlabeled):
-        raise BudgetError(
-            f"client {pool.client_id}: quota {quota} exceeds remaining pool {len(pool.unlabeled)}"
-        )
     idx = np.asarray(pool.unlabeled, dtype=np.int64)
     feats = dataset.features[idx]
     if scorer.kind == "coreset":
@@ -130,10 +126,8 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
         scores = score_entropy(model, feats)
     elif scorer.kind == "mc_dropout":
         scores = score_mc_dropout(model, feats, scorer.mc_passes, rng)
-    elif scorer.kind == "discrepancy":
+    else:
         scores = score_discrepancy(model, feats)
-    else:  # pragma: no cover - ScorerSpec already validates
-        raise ConfigError(f"unknown scorer {scorer.kind!r}")
     candidates = [ScoredCandidate(int(i), float(s)) for i, s in zip(idx, scores)]
     return select_top_b(candidates, quota)
 
@@ -190,24 +184,12 @@ def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
     return models
 
 
-def _finish_round(dataset: Dataset, test: Dataset, pools: list[ClientPools],
-                  arch: MlpArchitecture, fed_cfg: FedConfig, seed: int,
-                  round_index: int) -> tuple[RoundLog, Model]:
-    model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
-    log = RoundLog(
-        round_index=round_index,
-        labeled_counts=tuple(len(p.labeled) for p in pools),
-        test_accuracy=evaluate(model, test),
-    )
-    return log, model
-
-
 def run_full_budget(dataset: Dataset, test: Dataset, pools: list[ClientPools],
                     arch: MlpArchitecture, fed_cfg: FedConfig, seed: int) -> RoundLog:
-    """Upper-bound reference: label every pool entirely, train once, evaluate."""
-    for client, pool in enumerate(pools):
-        annotate(pools, client, list(pool.unlabeled), 1, dataset)
-    return _finish_round(dataset, test, pools, arch, fed_cfg, seed, 1)[0]
+    """Upper-bound reference: one random round that labels every pool entirely."""
+    al_cfg = ALConfig(rounds=1, budgets=tuple(len(p.unlabeled) for p in pools),
+                      scorer=ScorerSpec("random"), aux_train=fed_cfg)
+    return run_strategy("random", dataset, test, pools, arch, al_cfg, fed_cfg, seed)[0]
 
 
 def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[ClientPools],
@@ -238,8 +220,9 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
                                           quotas[client], rng))
         for client, chosen in enumerate(selections):
             annotate(pools, client, chosen, round_index, dataset)
-        log, task_model = _finish_round(dataset, test, pools, arch, fed_cfg, seed, round_index)
-        logs.append(log)
+        task_model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
+        logs.append(RoundLog(round_index, tuple(len(p.labeled) for p in pools),
+                             evaluate(task_model, test)))
     return logs
 
 

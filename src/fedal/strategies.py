@@ -212,7 +212,7 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
             current = Model(arch, params)
             g = nn.grad(current, feats[batch], labels[batch], rng)
             if unlab.size and disc_weight != 0.0:
-                if minibatch_size is None or minibatch_size >= unlab.shape[0]:
+                if u_perm is None:
                     u_batch = unlab
                 else:
                     start = (step * minibatch_size) % unlab.shape[0]

@@ -93,9 +93,9 @@ def make_world(*, n=150, test_n=60, classes=3, dim=2, spread=0.5, clients=2,
                seed=0, initial_fraction=0.2, hidden=(8,), dropout=0.0,
                layout="circle", elongation=1.0):
     """A small ready-to-run setup: (train, test, pools, arch)."""
-    train = synth_blobs(n, classes, dim, spread, seed, split="train",
+    train = synth_blobs(n, classes, dim, spread, seed,
                         layout=layout, elongation=elongation)
-    test = synth_blobs(test_n, classes, dim, spread, seed + 1000, split="test",
+    test = synth_blobs(test_n, classes, dim, spread, seed + 1000,
                        layout=layout, elongation=elongation)
     pools = partition(train, PartitionSpec(client_count=clients), seed + 1)
     seed_initial_labels(pools, initial_fraction, seed + 2)

@@ -114,6 +114,7 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("fl:\n  lr: oops\n", "fl.lr"),
         ("run:\n  repeats: 0\n", "run.repeats"),
         ("run:\n  seed: -1\n", "run.seed"),
+        ("fl:\n  stop_loss_threshold: .inf\n", "fl: stop_loss_threshold"),
     ],
 )
 def test_bad_values_are_rejected_with_dotted_paths(extra, fragment):
@@ -275,6 +276,10 @@ def test_cli_rejects_bad_configs_with_exit_code_two(tmp_path, capsys):
     assert cli_main(["run", str(cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.yaml")]) == 2
+    nan_spread = _write_cfg(tmp_path, TINY_RUN.replace("spread: 0.6", "spread: .nan"), "nan.yaml")
+    assert cli_main(["run", str(nan_spread), "--out", str(tmp_path / "r.csv")]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("config error:") and "spread" in last
 
 
 def test_cli_reports_runtime_failures_with_exit_code_one(tmp_path, capsys):

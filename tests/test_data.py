@@ -53,11 +53,6 @@ def test_dataset_validation(features, labels, classes, err):
         Dataset(features, labels, classes)
 
 
-def test_dataset_rejects_unknown_split():
-    with pytest.raises(ConfigError):
-        Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, split="holdout")
-
-
 def test_gather_returns_selected_rows():
     ds = Dataset(np.arange(12, dtype=np.float64).reshape(6, 2), np.arange(6) % 3, 3)
     feats, labels = gather(ds, [4, 1])
@@ -122,6 +117,10 @@ def test_line_layout_places_centers_on_the_first_axis():
         {"n": 20, "classes": 3, "spread": -0.1},
         {"n": 20, "classes": 3, "layout": "spiral"},
         {"n": 20, "classes": 3, "layout": "line", "elongation": 0.0},
+        {"n": 20, "classes": 3, "spread": float("nan")},
+        {"n": 20, "classes": 3, "spread": float("inf")},
+        {"n": 20, "classes": 3, "layout": "line", "elongation": float("nan")},
+        {"n": 20, "classes": 3, "layout": "line", "elongation": float("inf")},
     ],
 )
 def test_blobs_validation(kwargs):
@@ -147,10 +146,6 @@ def test_csv_loader_scales_features_and_infers_classes(tmp_path):
     # constant columns scale to zero rather than dividing by zero
     assert np.all(ds_train.features[:, 1] == 0.0)
     assert np.array_equal(ds_train.labels, [0, 1, 1])
-    assert ds_train.split == "train"
-    ds_test = load_external(str(_write(tmp_path, "test.csv", "1.5,0\n2.0,1\n")),
-                            "csv_labeled", split="test")
-    assert ds_test.split == "test"
 
 
 def test_csv_loader_skips_blank_lines(tmp_path):
@@ -244,6 +239,11 @@ def test_idx_loader_rejects_bad_headers(tmp_path):
     with pytest.raises(ParseError, match="expected"):
         load_external(str(img), "idx_images")
 
+    # The byte count of huge dims is exact, not wrapped around in int64.
+    img.write_bytes(struct.pack(">BBBBIII", 0, 0, 0x08, 3, *(2**32 - 1,) * 3))
+    with pytest.raises(ParseError, match=f"expected {(2**32 - 1) ** 3} data bytes, found 0"):
+        load_external(str(img), "idx_images")
+
 
 def test_idx_loader_rejects_count_mismatch(tmp_path):
     imgs = np.zeros((3, 2, 2), dtype=np.uint8)
@@ -251,6 +251,12 @@ def test_idx_loader_rejects_count_mismatch(tmp_path):
     path = _write_idx_pair(tmp_path, "train", imgs, labels)
     with pytest.raises(ParseError, match="labels"):
         load_external(str(path), "idx_images")
+
+    empty = _write_idx_pair(tmp_path, "empty", np.zeros((0, 2, 2), dtype=np.uint8),
+                            np.zeros(0, dtype=np.uint8))
+    with pytest.raises(ParseError, match="no data records") as exc:
+        load_external(str(empty), "idx_images", labels_path=str(tmp_path / "empty-labels.idx1-ubyte"))
+    assert str(empty) in str(exc.value)
 
 
 def test_load_external_validation(tmp_path):
@@ -354,7 +360,6 @@ def test_seed_initial_labels_rounds_per_shard():
     for p in pools:
         assert len(p.labeled) == 1  # round(0.1 * 10)
         assert len(p.unlabeled) == 9
-        assert p.initial_labeled == p.labeled
 
 
 def test_seed_initial_labels_full_fraction_empties_the_pool():
@@ -397,7 +402,7 @@ def test_seed_initial_labels_rejects_fractions_that_round_to_zero():
 
 def _one_client_world():
     ds = _labeled_dataset([0, 1, 0, 1], classes=2, seed=3)
-    pools = ClientPools(client_id=0, unlabeled=[3, 1, 2], labeled=[0], initial_labeled=[0])
+    pools = ClientPools(client_id=0, unlabeled=[3, 1, 2], labeled=[0])
     return ds, pools
 
 

@@ -147,12 +147,10 @@ def _mirrored_world():
     ])
     half_labels = np.array([0] * 15 + [1] * 15)
     train = Dataset(np.vstack([half, half]), np.tile(half_labels, 2), 2)
-    test = Dataset(half[:10], half_labels[:10], 2, split="test")
+    test = Dataset(half[:10], half_labels[:10], 2)
     pools = [
-        ClientPools(client_id=0, unlabeled=list(range(4, 30)), labeled=[0, 1, 2, 3],
-                    initial_labeled=[0, 1, 2, 3]),
-        ClientPools(client_id=1, unlabeled=list(range(34, 60)), labeled=[30, 31, 32, 33],
-                    initial_labeled=[30, 31, 32, 33]),
+        ClientPools(client_id=0, unlabeled=list(range(4, 30)), labeled=[0, 1, 2, 3]),
+        ClientPools(client_id=1, unlabeled=list(range(34, 60)), labeled=[30, 31, 32, 33]),
     ]
     return train, test, pools
 
@@ -188,12 +186,11 @@ def test_entropy_annotation_prefers_the_boundary_point():
     ])
     labels = np.array([0, 1, 0, 1, 0, 0])
     train = Dataset(feats, labels, 2)
-    test = Dataset(feats[:4], labels[:4], 2, split="test")
+    test = Dataset(feats[:4], labels[:4], 2)
     arch = MlpArchitecture((2, 8, 2))
     fl = FedConfig(schedule=LrSchedule(0.5, 0.999), stop_loss_threshold=0.05,
                    max_global_iters=300)
-    pools = [ClientPools(client_id=0, unlabeled=[4, 5], labeled=[0, 1, 2, 3],
-                         initial_labeled=[0, 1, 2, 3])]
+    pools = [ClientPools(client_id=0, unlabeled=[4, 5], labeled=[0, 1, 2, 3])]
     run_strategy("s_al", train, test, pools, arch, _al(1, (1,), aux=fl), fl, seed=3)
     assert pools[0].history[1] == [5]
 

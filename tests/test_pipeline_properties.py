@@ -89,7 +89,7 @@ def test_pipeline_keeps_pools_quotas_and_bytes(strategy, scorer, data):
         for pool in pools:
             assert not set(pool.labeled) & set(pool.unlabeled)
             assert sorted(pool.labeled + pool.unlabeled) == list(pool.shard)
-        counts = [len(p.initial_labeled) for p in pools]
+        counts = [len(p.labeled) - sum(len(v) for v in p.history.values()) for p in pools]
         if strategy == "full_budget":
             assert [log.labeled_counts for log in logs] == [tuple(len(p.shard) for p in pools)]
             continue
