@@ -255,7 +255,7 @@ def test_idx_loader_rejects_count_mismatch(tmp_path):
     empty = _write_idx_pair(tmp_path, "empty", np.zeros((0, 2, 2), dtype=np.uint8),
                             np.zeros(0, dtype=np.uint8))
     with pytest.raises(ParseError, match="no data records") as exc:
-        load_external(str(empty), "idx_images", labels_path=str(tmp_path / "empty-labels.idx1-ubyte"))
+        load_external(str(empty), "idx_images")
     assert str(empty) in str(exc.value)
 
 
