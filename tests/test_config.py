@@ -1,5 +1,6 @@
 """Tests for config parsing, defaults, presets, and the CLI wrapper."""
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,10 @@ from fedal.cli import main as cli_main
 from fedal.config import parse_config, parse_config_file
 from fedal.errors import ConfigError
 from fedal.harness import load_csv
-from fedal.presets import PAPER_SCALE_PRESETS, PROVENANCE_NOTE
+from fedal.presets import PAPER_SCALE_PRESETS, PRESETS, PROVENANCE_NOTE
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 MINIMAL = """
 dataset:
@@ -214,11 +216,23 @@ def test_file_keys_override_the_preset_and_flags_override_the_file():
     assert cfg.strategy == "s_al"
 
 
-def test_shipped_config_files_parse_cleanly():
+def test_shipped_config_files_parse_cleanly(monkeypatch):
     desk = parse_config_file(CONFIG_DIR / "desk_blobs.yaml")
     assert desk.dataset.layout == "line"
     paper = parse_config_file(CONFIG_DIR / "paper_scale_cifar10.yaml")
     assert paper.preset in PAPER_SCALE_PRESETS
+    for name in PRESETS:
+        cfg = _parse(f"preset: {name}\n"
+                     "dataset:\n  kind: csv_labeled\n  path: /x/train.csv\n  test_path: /x/test.csv\n")
+        assert cfg.preset == name
+    # the benchmark's configs, under every (strategy, scorer) pair it runs them with
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for path in sorted((REPO / "perfbench" / "configs").glob("*.yaml")):
+        workload = workloads.make(path.stem)
+        for strategy, scorer in workload.pairs:
+            cfg = _parse(workload.text, {"al": {"strategy": strategy, "scorer": scorer}})
+            assert (cfg.strategy, cfg.scorer.kind) == (strategy, scorer)
 
 
 def test_parse_config_file_reports_missing_files(tmp_path):
@@ -280,6 +294,10 @@ def test_cli_rejects_bad_configs_with_exit_code_two(tmp_path, capsys):
     assert cli_main(["run", str(nan_spread), "--out", str(tmp_path / "r.csv")]) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("config error:") and "spread" in last
+    # 30 labels per client, but each 30-point shard keeps 27 unlabeled after seeding
+    oversized = _write_cfg(tmp_path, TINY_RUN.replace("budget: 8", "budget: 60"), "big.yaml")
+    assert cli_main(["run", str(oversized), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("config error:")
 
 
 def test_cli_reports_runtime_failures_with_exit_code_one(tmp_path, capsys):

@@ -53,6 +53,7 @@ CASES = {
     **{f"{s}-skew": [_al(s), SKEW] for s in ("random", "s_al", "f_al")},
     **{f"{s}-discrepancy-carried": [_al(s, "discrepancy"), CARRIED] for s in ("s_al", "f_al")},
     **{f"{s}-entropy-minibatch-carried": [_al(s), MINIBATCH, CARRIED] for s in ("s_al", "f_al")},
+    **{f"{s}-entropy-minibatch": [_al(s), MINIBATCH] for s in ("s_al", "f_al")},
 }
 
 # case -> (sha256 of the emitted CSV, sha256 of every client's history)
@@ -67,6 +68,8 @@ GOLDEN = {
         "843ead13a0f1d4e2cb71feddf71d47117b57b1ce4e2795a0476c4cab2564b210"),
     "f_al-entropy": ("2c33ba766b133e1b41346debcdc58efd5245c76c539c4b6e17f20252b84dc19d",
         "d3f9277c6018f9769c188f31dc7fe30377ba3635dd578c7183a07334b2077998"),
+    "f_al-entropy-minibatch": ("edae5713061cbfe8679fa562fdf3392ad95b97154e73a5c5ddcc669f17d1c0b0",
+        "709410f6b6ba1bf454e89e318e26d6b896d407be9862dda715eb91481f28a1fc"),
     "f_al-entropy-minibatch-carried": ("edae5713061cbfe8679fa562fdf3392ad95b97154e73a5c5ddcc669f17d1c0b0",
         "709410f6b6ba1bf454e89e318e26d6b896d407be9862dda715eb91481f28a1fc"),
     "f_al-mc_dropout": ("695223cabd2ec8515b233ff84ce2fe02909dd68beacc16413c53b406f8f47625",
@@ -91,6 +94,8 @@ GOLDEN = {
         "19560eb8e2ce870d32ac0fb6f0f9ccd7d13ff44f0bf857d500219a072032193f"),
     "s_al-entropy": ("ccdf97188737f95e51272b52d35977df4fb646ebee61a471a7436ab42369a630",
         "6ee8857c0c3527b0885fee14211d56e4f7391adf4b8d11c9cc9b962acaa871fd"),
+    "s_al-entropy-minibatch": ("9d5a839671eb7a576769a25f3a149e9651a91f3b9b550f79352bd14483b3cd0b",
+        "0f0845f351619b919845c4f10c8caa39913be904ac4b623d5502fdc3ce5c63ec"),
     "s_al-entropy-minibatch-carried": ("9d5a839671eb7a576769a25f3a149e9651a91f3b9b550f79352bd14483b3cd0b",
         "5475b6002e1ca562a8931fb08317446a6a76108f4d7d91536e61ec0572a11088"),
     "s_al-mc_dropout": ("1eaf3d93e457f21e1eb5188f59908224bc3d5bd3ddc22d3f14661aa40c3f2d50",
