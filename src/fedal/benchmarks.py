@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DatasetSpec, ExperimentConfig, ModelSpec
+from .config import DatasetSpec, ExperimentConfig, ModelSpec, al_config
 from .data import PartitionSpec
 from .fed import FedConfig
-from .harness import al_config, build_world
+from .harness import build_world
 from .nn import LrSchedule
 from .orchestrator import STRATEGIES as AL_STRATEGIES
 from .orchestrator import run_full_budget, run_independent_eval, run_strategy
@@ -57,7 +57,6 @@ def benchmark_config(strategy: str) -> ExperimentConfig:
         rounds=5,
         budgets=(150,) * 3,
         initial_label_fraction=0.1,
-        fresh_init_per_round=True,
         fl=train,
         independent=train,
         repeats=1,

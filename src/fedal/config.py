@@ -12,11 +12,17 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from .data import BLOB_LAYOUTS, EXTERNAL_FORMATS, PARTITION_MODES, PartitionSpec
+from .data import (
+    EXTERNAL_FORMATS,
+    PARTITION_MODES,
+    PartitionSpec,
+    check_blob_params,
+    check_label_fraction,
+)
 from .errors import ConfigError
 from .fed import FedConfig
 from .nn import ACTIVATIONS, LrSchedule
-from .orchestrator import STRATEGIES
+from .orchestrator import STRATEGIES, ALConfig, check_scorer
 from .presets import PRESETS
 from .strategies import SCORER_KINDS, ScorerSpec
 
@@ -59,13 +65,23 @@ class ExperimentConfig:
     rounds: int
     budgets: tuple[int, ...]
     initial_label_fraction: float
-    fresh_init_per_round: bool
     fl: FedConfig
     independent: FedConfig
     repeats: int
     base_seed: int
     out_path: str
     preset: str | None = None
+
+
+def al_config(cfg: ExperimentConfig) -> ALConfig:
+    """The annotation-loop settings of an experiment; auxiliary models train like ``independent``."""
+    return ALConfig(rounds=cfg.rounds, budgets=cfg.budgets, scorer=cfg.scorer,
+                    aux_train=cfg.independent)
+
+
+# ``fl`` keys a config leaves unset; ``independent`` copies ``fl`` with a slower rate.
+_FL_DEFAULTS = FedConfig(LrSchedule(0.05, 0.997), stop_loss_threshold=0.02, max_global_iters=200)
+_INDEPENDENT_SCHEDULE = LrSchedule(0.01, 0.997)
 
 
 class _Section:
@@ -122,24 +138,22 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _parse_fed_section(sec: _Section, default_threshold: float) -> FedConfig:
-    lr = sec.get("lr", float, default=0.05)
-    decay = sec.get("lr_decay", float, default=0.997)
-    minibatch = sec.get("minibatch_size", (int, str), default="full")
+def _parse_fed_section(sec: _Section, base: FedConfig) -> FedConfig:
+    """``base`` with the keys the section sets."""
+    lr = sec.get("lr", float, default=base.schedule.initial_lr)
+    decay = sec.get("lr_decay", float, default=base.schedule.decay)
+    minibatch = sec.get("minibatch_size", (int, str), default=base.minibatch_size)
     if isinstance(minibatch, str):
         if minibatch != "full":
             raise ConfigError(f"{sec.path}.minibatch_size: expected an int or 'full', got {minibatch!r}")
         minibatch = None
-    cfg_kwargs = dict(
-        schedule=LrSchedule(lr, decay),
-        local_epochs=sec.get("local_epochs", int, default=1),
-        minibatch_size=minibatch,
-        stop_loss_threshold=sec.get("stop_loss_threshold", float, default=default_threshold),
-        max_global_iters=sec.get("max_global_iters", int, default=200),
-    )
+    local_epochs = sec.get("local_epochs", int, default=base.local_epochs)
+    threshold = sec.get("stop_loss_threshold", float, default=base.stop_loss_threshold)
+    max_iters = sec.get("max_global_iters", int, default=base.max_global_iters)
     sec.reject_unknown()
     try:
-        return FedConfig(**cfg_kwargs)
+        return FedConfig(LrSchedule(lr, decay), local_epochs=local_epochs, minibatch_size=minibatch,
+                         stop_loss_threshold=threshold, max_global_iters=max_iters)
     except ConfigError as exc:
         raise ConfigError(f"{sec.path}: {exc}") from None
 
@@ -183,7 +197,7 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         classes=ds.get("classes", int, default=8),
         dim=ds.get("dim", int, default=2),
         spread=ds.get("spread", float, default=1.0),
-        layout=ds.get("layout", str, default="circle", allowed=BLOB_LAYOUTS),
+        layout=ds.get("layout", str, default="circle"),
         elongation=ds.get("elongation", float, default=1.0),
         path=ds.get("path", str, default=None),
         labels_path=ds.get("labels_path", str, default=None),
@@ -192,8 +206,12 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     )
     ds.reject_unknown()
     if kind == "blobs":
-        if dataset.train_size < 1 or dataset.test_size < 1:
-            raise ConfigError("dataset.train_size/test_size must be >= 1")
+        for size_key in ("train_size", "test_size"):
+            try:
+                check_blob_params(getattr(dataset, size_key), dataset.classes, dataset.dim,
+                                  dataset.spread, dataset.layout, dataset.elongation, n_key=size_key)
+            except ConfigError as exc:
+                raise ConfigError(f"dataset.{exc}") from None
     else:
         if dataset.path is None:
             raise ConfigError("dataset.path: required for external datasets")
@@ -228,8 +246,6 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     strategy = al.get("strategy", str, allowed=HARNESS_STRATEGIES)
     scorer_kind = al.get("scorer", str, default="entropy", allowed=SCORER_KINDS)
     rounds = al.get("rounds", int, default=10)
-    if rounds < 1:
-        raise ConfigError(f"al.rounds: must be >= 1, got {rounds}")
     budget_total = al.get("budget", int, default=None)
     budgets_raw = al.get("budgets", list, default=None)
     clients = partition_spec.client_count
@@ -240,49 +256,26 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("al.budget and al.budgets are mutually exclusive")
         if len(budgets_raw) != clients:
             raise ConfigError(f"al.budgets: expected {clients} entries, got {len(budgets_raw)}")
-        if not all(isinstance(b, int) and not isinstance(b, bool) and b >= 0 for b in budgets_raw):
-            raise ConfigError("al.budgets: entries must be ints >= 0")
+        for client, budget in enumerate(budgets_raw):
+            if not isinstance(budget, int) or isinstance(budget, bool):
+                raise ConfigError(f"al.budgets[{client}]: expected int, got {type(budget).__name__}")
         budgets = tuple(budgets_raw)
     else:
         if budget_total is None:
             raise ConfigError("al.budget: required key is missing")
-        if budget_total < 0:
-            raise ConfigError(f"al.budget: must be >= 0, got {budget_total}")
         if budget_total % clients != 0:
             raise ConfigError(
                 f"al.budget: total budget {budget_total} does not split evenly across {clients} clients; "
                 "use al.budgets for uneven splits"
             )
         budgets = tuple([budget_total // clients] * clients)
-    for client, budget in enumerate(budgets):
-        if budget % rounds != 0:
-            raise ConfigError(
-                f"al.budgets[{client}]: budget {budget} is not divisible by al.rounds={rounds}; "
-                "the per-round quota must be an integer"
-            )
-    try:
-        scorer = ScorerSpec(
-            kind=scorer_kind,
-            mc_passes=al.get("mc_passes", int, default=10),
-            disc_weight=al.get("disc_weight", float, default=1.0),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"al: {exc}") from None
-    if strategy in ("s_al", "f_al") and scorer.kind == "random":
-        raise ConfigError(f"al.scorer: strategy {strategy!r} needs a model-based scorer, not 'random'")
+    mc_passes = al.get("mc_passes", int, default=10)
     initial_fraction = al.get("initial_label_fraction", float, default=0.1)
-    if not 0.0 < initial_fraction <= 1.0:
-        raise ConfigError(f"al.initial_label_fraction: must lie in (0, 1], got {initial_fraction}")
-    fresh = al.get("fresh_init_per_round", bool, default=True)
     al.reject_unknown()
 
-    fl_cfg = _parse_fed_section(root.section("fl"), default_threshold=0.02)
-    il_section = root.section("independent")
-    if not il_section.mapping:
-        il_cfg = replace(fl_cfg, schedule=LrSchedule(0.01, 0.997))
-        il_section.reject_unknown()
-    else:
-        il_cfg = _parse_fed_section(il_section, default_threshold=fl_cfg.stop_loss_threshold)
+    fl_cfg = _parse_fed_section(root.section("fl"), _FL_DEFAULTS)
+    il_cfg = _parse_fed_section(root.section("independent"),
+                                replace(fl_cfg, schedule=_INDEPENDENT_SCHEDULE))
 
     run = root.section("run")
     repeats = run.get("repeats", int, default=1)
@@ -295,23 +288,30 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     run.reject_unknown()
     root.reject_unknown()
 
-    return ExperimentConfig(
-        dataset=dataset,
-        partition=partition_spec,
-        model=model_spec,
-        strategy=strategy,
-        scorer=scorer,
-        rounds=rounds,
-        budgets=budgets,
-        initial_label_fraction=initial_fraction,
-        fresh_init_per_round=fresh,
-        fl=fl_cfg,
-        independent=il_cfg,
-        repeats=repeats,
-        base_seed=base_seed,
-        out_path=out_path,
-        preset=preset_name,
-    )
+    try:
+        cfg = ExperimentConfig(
+            dataset=dataset,
+            partition=partition_spec,
+            model=model_spec,
+            strategy=strategy,
+            scorer=ScorerSpec(scorer_kind, mc_passes=mc_passes),
+            rounds=rounds,
+            budgets=budgets,
+            initial_label_fraction=initial_fraction,
+            fl=fl_cfg,
+            independent=il_cfg,
+            repeats=repeats,
+            base_seed=base_seed,
+            out_path=out_path,
+            preset=preset_name,
+        )
+        al_config(cfg)
+        check_scorer(cfg.strategy, cfg.scorer)
+        check_label_fraction(cfg.initial_label_fraction)
+    except ConfigError as exc:
+        # Each owner names its field; the section completes the dotted key.
+        raise ConfigError(f"al.{exc}") from None
+    return cfg
 
 
 def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:

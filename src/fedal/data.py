@@ -117,6 +117,26 @@ class ClientPools:
 BLOB_LAYOUTS = ("circle", "line")
 
 
+def check_blob_params(n: int, classes: int, dim: int, spread: float, layout: str,
+                      elongation: float, n_key: str = "n") -> None:
+    """The rules on :func:`synth_blobs`'s arguments; each error starts with the argument's name.
+
+    ``n_key`` is the name to report for ``n``.
+    """
+    if classes < 2:
+        raise ConfigError(f"classes: need at least 2, got {classes}")
+    if n < classes:
+        raise ConfigError(f"{n_key}: {n} is smaller than the class count {classes}")
+    if dim < 2:
+        raise ConfigError(f"dim: must be >= 2, got {dim}")
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ConfigError(f"spread: must be finite and >= 0, got {spread}")
+    if layout not in BLOB_LAYOUTS:
+        raise ConfigError(f"layout: {layout!r} is not one of {list(BLOB_LAYOUTS)}")
+    if not (math.isfinite(elongation) and elongation > 0):
+        raise ConfigError(f"elongation: must be finite and > 0, got {elongation}")
+
+
 def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, *,
                 layout: str = "circle", elongation: float = 1.0) -> Dataset:
     """Gaussian class clusters with near-balanced labels (counts differ by <= 1).
@@ -136,18 +156,7 @@ def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, *,
 
     ``spread=0`` collapses every class onto its center under either layout.
     """
-    if classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes}")
-    if n < classes:
-        raise ConfigError(f"n={n} is smaller than the class count {classes}")
-    if dim < 2:
-        raise ConfigError(f"dim must be >= 2, got {dim}")
-    if not (math.isfinite(spread) and spread >= 0):
-        raise ConfigError(f"spread must be finite and >= 0, got {spread}")
-    if layout not in BLOB_LAYOUTS:
-        raise ConfigError(f"layout must be one of {BLOB_LAYOUTS}, got {layout!r}")
-    if not (math.isfinite(elongation) and elongation > 0):
-        raise ConfigError(f"elongation must be finite and > 0, got {elongation}")
+    check_blob_params(n, classes, dim, spread, layout, elongation)
     rng = np.random.default_rng(seed)
     centers = np.zeros((classes, dim))
     scale = np.full(dim, spread)
@@ -322,14 +331,19 @@ def partition(dataset: Dataset, spec: PartitionSpec, seed) -> list[ClientPools]:
     ]
 
 
+def check_label_fraction(fraction: float) -> None:
+    """The share of each shard labeled before the first round lies in (0, 1]."""
+    if not (0.0 < fraction <= 1.0):
+        raise ConfigError(f"initial_label_fraction: must lie in (0, 1], got {fraction}")
+
+
 def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list[ClientPools]:
     """Reveal a uniform random ``fraction`` of each shard as the starting labels.
 
     Per-client counts use round-half-even of ``fraction * shard_size`` and
     must come out >= 1.
     """
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"initial label fraction must lie in (0, 1], got {fraction}")
+    check_label_fraction(fraction)
     rng = np.random.default_rng(seed)
     for pool in pools:
         if pool.labeled:

@@ -25,7 +25,7 @@ class PoolIntegrityError(ValueError):
     """An index-pool mutation would violate disjointness or ownership."""
 
 
-class BudgetError(ValueError):
+class BudgetError(ConfigError):
     """A selection request exceeds what the pool can supply."""
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, al_config
 from .data import Dataset, load_external, partition, seed_initial_labels, synth_blobs
 from .errors import ConfigError, ParseError
 from .nn import MlpArchitecture
-from .orchestrator import ALConfig, RoundLog, run_strategy
+from .orchestrator import RoundLog, run_strategy
 from .seeding import rng_for
 
 CSV_HEADER = "strategy,scorer,round,repeat,labeled_fraction,test_accuracy"
@@ -75,24 +75,12 @@ def build_world(cfg: ExperimentConfig, run_seed: int):
             raise ConfigError(f"train classes {train.class_count} != test classes {test.class_count}")
     pools = partition(train, cfg.partition, rng_for(run_seed, "partition"))
     seed_initial_labels(pools, cfg.initial_label_fraction, rng_for(run_seed, "init-labels"))
-    for pool, budget in zip(pools, cfg.budgets):
-        if budget > len(pool.unlabeled):
-            raise ConfigError(
-                f"client {pool.client_id}: budget {budget} exceeds the unlabeled pool "
-                f"({len(pool.unlabeled)} after initial labeling)"
-            )
     arch = MlpArchitecture(
         layer_sizes=(train.dim, *cfg.model.hidden, train.class_count),
         activation=cfg.model.activation,
         dropout_rate=cfg.model.dropout,
     )
     return train, test, pools, arch
-
-
-def al_config(cfg: ExperimentConfig) -> ALConfig:
-    """The annotation-loop settings of an experiment; auxiliary models train like ``independent``."""
-    return ALConfig(rounds=cfg.rounds, budgets=cfg.budgets, scorer=cfg.scorer,
-                    aux_train=cfg.independent, fresh_init_per_round=cfg.fresh_init_per_round)
 
 
 def run_once(cfg: ExperimentConfig, run_seed: int) -> tuple[list[RoundLog], Dataset]:

@@ -48,24 +48,26 @@ STRATEGIES = ("random", "s_al", "f_al")
 
 @dataclass(frozen=True)
 class ALConfig:
-    """Annotation-loop settings: rounds, per-client budgets, scorer, aux training."""
+    """Annotation-loop settings: rounds, per-client budgets, scorer, aux training.
+
+    Every error names the offending field (``rounds``, ``budgets[i]``).
+    """
 
     rounds: int
     budgets: tuple[int, ...]
     scorer: ScorerSpec
     aux_train: FedConfig
-    fresh_init_per_round: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         if not (isinstance(self.rounds, int) and self.rounds >= 1):
-            raise ConfigError(f"rounds must be an int >= 1, got {self.rounds}")
+            raise ConfigError(f"rounds: must be an int >= 1, got {self.rounds}")
         for client, budget in enumerate(self.budgets):
             if budget < 0:
-                raise ConfigError(f"client {client}: budget must be >= 0, got {budget}")
+                raise ConfigError(f"budgets[{client}]: must be >= 0, got {budget}")
             if budget % self.rounds != 0:
                 raise ConfigError(
-                    f"client {client}: budget {budget} is not divisible by rounds={self.rounds}; "
+                    f"budgets[{client}]: budget {budget} is not divisible by rounds={self.rounds}; "
                     "the per-round quota budget/rounds must be an integer"
                 )
 
@@ -83,6 +85,12 @@ class RoundLog:
     test_accuracy: float
 
 
+def check_scorer(strategy: str, scorer: ScorerSpec) -> None:
+    """s_al and f_al pick by a model's scores; only random sampling takes the random scorer."""
+    if strategy in ("s_al", "f_al") and scorer.kind == "random":
+        raise ConfigError(f"scorer: strategy {strategy!r} needs a model-based scorer, not 'random'")
+
+
 def _validate_run(pools: list[ClientPools], al_cfg: ALConfig) -> None:
     if len(al_cfg.budgets) != len(pools):
         raise ConfigError(f"{len(al_cfg.budgets)} budgets for {len(pools)} clients")
@@ -93,17 +101,14 @@ def _validate_run(pools: list[ClientPools], al_cfg: ALConfig) -> None:
             )
 
 
-def _task_init(arch: MlpArchitecture, seed) -> Model:
-    return Model(arch, nn.init_params(arch, rng_for(seed, "init", "task")))
-
-
-def _twohead_init(arch: MlpArchitecture, seed) -> Model:
-    return Model(arch, nn.init_params(arch, rng_for(seed, "init", "twohead")))
+def _init(arch: MlpArchitecture, seed, tag: str) -> Model:
+    """The seeded starting model of every training run tagged ``tag`` ("task", "twohead")."""
+    return Model(arch, nn.init_params(arch, rng_for(seed, "init", tag)))
 
 
 def _train_task_model(dataset: Dataset, pools: list[ClientPools], arch: MlpArchitecture,
                       fed_cfg: FedConfig, seed) -> FedRunReport:
-    return fedavg(dataset, pools, _task_init(arch, seed), fed_cfg, (seed, "train-task"))
+    return fedavg(dataset, pools, _init(arch, seed, "task"), fed_cfg, (seed, "train-task"))
 
 
 def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: Model | None,
@@ -132,27 +137,23 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
     return select_top_b(candidates, quota)
 
 
-def _disagreement_update(dataset: Dataset, pools: list[ClientPools], disc_weight: float):
+def _disagreement_update(dataset: Dataset, pools: list[ClientPools]):
     """Two-head local update: fit the labels, pull the heads apart on the client's own pool."""
     unlabeled = [dataset.features[np.asarray(p.unlabeled, dtype=np.int64)] for p in pools]
 
     def update(model, feats, labels, lr, cfg, rng, client_id):
         return train_discrepancy_heads(
             model, feats, labels, unlabeled[client_id], lr, cfg.local_epochs,
-            cfg.minibatch_size, rng, disc_weight,
+            cfg.minibatch_size, rng,
         ).params
 
     return update
 
 
 def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
-                    arch: MlpArchitecture, al_cfg: ALConfig, seed: int, task_model: Model | None,
-                    carried: dict) -> dict[int, Model]:
-    """This round's scoring model for each client with a quota.
-
-    ``carried`` holds the previous round's auxiliary models; with
-    ``fresh_init_per_round=False`` training starts from them.
-    """
+                    arch: MlpArchitecture, al_cfg: ALConfig, seed: int,
+                    task_model: Model | None) -> dict[int, Model]:
+    """This round's scoring model for each client with a quota; auxiliary models start fresh."""
     clients = [client for client, quota in enumerate(al_cfg.quotas) if quota]
     scorer = al_cfg.scorer
     if strategy == "random" or not clients:
@@ -160,28 +161,18 @@ def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
     if strategy == "f_al" and not scorer.needs_two_heads:
         return dict.fromkeys(clients, task_model)
     if scorer.needs_two_heads:
-        aux_arch, fresh = replace(arch, head_count=2), _twohead_init
-        local_fn = _disagreement_update(dataset, pools, scorer.disc_weight)
+        init = _init(replace(arch, head_count=2), seed, "twohead")
+        local_fn = _disagreement_update(dataset, pools)
     else:
-        aux_arch, fresh, local_fn = arch, _task_init, None
-
-    def init(key) -> Model:
-        if al_cfg.fresh_init_per_round or key not in carried:
-            return fresh(aux_arch, seed)
-        return carried[key]
-
+        init, local_fn = _init(arch, seed, "task"), None
     if strategy == "f_al":
-        report = fedavg(dataset, pools, init("shared"), al_cfg.aux_train, (seed, "train-twohead"),
+        report = fedavg(dataset, pools, init, al_cfg.aux_train, (seed, "train-twohead"),
                         local_fn=local_fn)
-        carried["shared"] = report.final_model
         return dict.fromkeys(clients, report.final_model)
     stream = (seed, "independent-twohead") if local_fn else (seed, "train-aux", "independent")
-    models: dict[int, Model] = {}
-    for client in clients:
-        report = independent_train(dataset, pools, client, init(client), al_cfg.aux_train, stream,
-                                   local_fn=local_fn)
-        carried[client] = models[client] = report.final_model
-    return models
+    return {client: independent_train(dataset, pools, client, init, al_cfg.aux_train, stream,
+                                      local_fn=local_fn).final_model
+            for client in clients}
 
 
 def run_full_budget(dataset: Dataset, test: Dataset, pools: list[ClientPools],
@@ -199,20 +190,18 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
         return [run_full_budget(dataset, test, pools, arch, fed_cfg, seed)]
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    check_scorer(strategy, al_cfg.scorer)
     if strategy == "random":
         al_cfg = replace(al_cfg, scorer=ScorerSpec("random"))
-    elif al_cfg.scorer.kind == "random":
-        raise ConfigError(f"strategy {strategy!r} needs a model-based scorer, not 'random'")
     _validate_run(pools, al_cfg)
     quotas = al_cfg.quotas
     task_model = None
     if strategy == "f_al" and not al_cfg.scorer.needs_two_heads:
         # Round 1 scores with the task model of the initial labels.
         task_model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
-    carried: dict = {}
     logs: list[RoundLog] = []
     for round_index in range(1, al_cfg.rounds + 1):
-        models = _scoring_models(strategy, dataset, pools, arch, al_cfg, seed, task_model, carried)
+        models = _scoring_models(strategy, dataset, pools, arch, al_cfg, seed, task_model)
         selections = []
         for client, pool in enumerate(pools):
             rng = rng_for(seed, "select", round_index, client)
@@ -230,8 +219,8 @@ def run_independent_eval(dataset: Dataset, test: Dataset, pools: list[ClientPool
                          arch: MlpArchitecture, aux_cfg: FedConfig, seed: int) -> tuple[float, list[float]]:
     """Per-client independent training + evaluation on the shared test set."""
     accuracies: list[float] = []
+    init = _init(arch, seed, "task")
     for client in range(len(pools)):
-        init = _task_init(arch, seed)
         report = independent_train(dataset, pools, client, init, aux_cfg,
                                    (seed, "il-eval", "independent"))
         accuracies.append(evaluate(report.final_model, test))

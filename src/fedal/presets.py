@@ -42,7 +42,6 @@ _PAPER_SCALE_BASE = {
         "rounds": 10,
         "budget": 10000,
         "initial_label_fraction": 0.1,
-        "fresh_init_per_round": True,
     },
     "fl": {
         "local_epochs": 1,

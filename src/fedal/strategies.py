@@ -40,15 +40,12 @@ class ScorerSpec:
 
     kind: str
     mc_passes: int = 10
-    disc_weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in SCORER_KINDS:
             raise ConfigError(f"unknown scorer {self.kind!r}; expected one of {SCORER_KINDS}")
         if not (isinstance(self.mc_passes, int) and self.mc_passes >= 1):
-            raise ConfigError(f"mc_passes must be an int >= 1, got {self.mc_passes}")
-        if not np.isfinite(self.disc_weight) or self.disc_weight < 0:
-            raise ConfigError(f"disc_weight must be a finite non-negative real, got {self.disc_weight}")
+            raise ConfigError(f"mc_passes: must be an int >= 1, got {self.mc_passes}")
 
     @property
     def needs_two_heads(self) -> bool:
@@ -180,15 +177,14 @@ def _discrepancy_grad(model: Model, unlabeled: Array) -> Array:
 
 
 def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabeled_feats,
-                            lr: float, epochs: int, minibatch_size, rng,
-                            disc_weight: float = 1.0) -> Model:
+                            lr: float, epochs: int, minibatch_size, rng) -> Model:
     """Train a two-head classifier to agree on labels and disagree off them.
 
     Per step the loss is mean cross-entropy through both heads on the labeled
-    batch minus ``disc_weight`` times the mean L1 head disagreement on an
-    unlabeled batch; the disagreement term updates head parameters only.
-    With no unlabeled data the term is skipped (with a warning) and this is
-    plain supervised training.  ``epochs=0`` returns the model unchanged.
+    batch minus the mean L1 head disagreement on an unlabeled batch; the
+    disagreement term updates head parameters only.  With no unlabeled data
+    the term is skipped (with a warning) and this is plain supervised
+    training.  ``epochs=0`` returns the model unchanged.
     """
     arch = model.arch
     if arch.head_count != 2:
@@ -211,13 +207,13 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
         for step, batch in enumerate(batches):
             current = Model(arch, params)
             g = nn.grad(current, feats[batch], labels[batch], rng)
-            if unlab.size and disc_weight != 0.0:
+            if unlab.size:
                 if u_perm is None:
                     u_batch = unlab
                 else:
                     start = (step * minibatch_size) % unlab.shape[0]
                     take = np.arange(start, start + minibatch_size) % unlab.shape[0]
                     u_batch = unlab[u_perm[take]]
-                g = g + disc_weight * _discrepancy_grad(current, u_batch)
+                g = g + _discrepancy_grad(current, u_batch)
             params = nn.sgd_step(params, g, lr)
     return Model(arch, params)

@@ -59,10 +59,8 @@ def test_minimal_config_fills_documented_defaults():
     cfg = _parse(MINIMAL)
     assert cfg.rounds == 10
     assert cfg.budgets == (20, 20)
-    assert cfg.fresh_init_per_round is True
     assert cfg.scorer.kind == "entropy"
     assert cfg.scorer.mc_passes == 10
-    assert cfg.scorer.disc_weight == 1.0
     assert cfg.initial_label_fraction == 0.1
     assert cfg.model.hidden == (32,)
     assert cfg.model.activation == "relu"
@@ -94,6 +92,14 @@ def test_independent_section_defaults_to_a_slower_rate():
     assert cfg.independent.stop_loss_threshold == 0.5  # inherited
     cfg = _parse(MINIMAL + "independent:\n  lr: 0.2\n")
     assert cfg.independent.schedule.initial_lr == 0.2
+    # one rule whether the section is absent, empty or partial: fl with lr 0.01 and
+    # lr_decay 0.997, overridden by the keys the section sets
+    fl = "fl:\n  lr_decay: 0.99\n  minibatch_size: 16\n  local_epochs: 2\n"
+    for section in ("", "independent: {}\n", "independent:\n  max_global_iters: 400\n"):
+        il = _parse(MINIMAL + fl + section).independent
+        assert (il.schedule.initial_lr, il.schedule.decay) == (0.01, 0.997)
+        assert (il.minibatch_size, il.local_epochs) == (16, 2)
+        assert il.max_global_iters == (400 if "400" in section else 200)
 
 
 # -- validation ----------------------------------------------------------------
@@ -101,15 +107,19 @@ def test_independent_section_defaults_to_a_slower_rate():
 @pytest.mark.parametrize(
     "extra,fragment",
     [
-        ("al:\n  strategy: random\n  budget: 40\n  rounds: 0\n", "rounds"),
+        ("al:\n  strategy: random\n  budget: 40\n  rounds: 0\n", r"^al\.rounds: "),
         ("al:\n  strategy: random\n  budget: 15\n", "does not split evenly"),
-        ("al:\n  strategy: random\n  budget: 30\n  rounds: 4\n", "not divisible"),
+        ("al:\n  strategy: random\n  budget: 30\n  rounds: 4\n", r"^al\.budgets\[0\]: .*not divisible"),
         ("al:\n  strategy: random\n  budget: 40\n  budgets: [20, 20]\n", "mutually exclusive"),
         ("al:\n  strategy: random\n  budgets: [10, 10, 10]\n", "expected 2 entries"),
-        ("al:\n  strategy: random\n  budgets: [10, -10]\n", "ints >= 0"),
-        ("al:\n  strategy: s_al\n  scorer: random\n  budget: 40\n", "model-based"),
-        ("al:\n  strategy: random\n  budget: 40\n  initial_label_fraction: 0.0\n", "initial_label_fraction"),
-        ("al:\n  strategy: random\n  budget: 40\n  initial_label_fraction: 1.5\n", "initial_label_fraction"),
+        ("al:\n  strategy: random\n  budgets: [10, -10]\n", r"^al\.budgets\[1\]: must be >= 0"),
+        ("al:\n  strategy: random\n  budgets: [10, 1.5]\n", r"^al\.budgets\[1\]: expected int"),
+        ("al:\n  strategy: s_al\n  scorer: random\n  budget: 40\n", r"^al\.scorer: .*model-based"),
+        ("al:\n  strategy: random\n  budget: 40\n  initial_label_fraction: 0.0\n",
+         r"^al\.initial_label_fraction: "),
+        ("al:\n  strategy: random\n  budget: 40\n  initial_label_fraction: 1.5\n",
+         r"^al\.initial_label_fraction: "),
+        ("al:\n  strategy: random\n  budget: 40\n  mc_passes: 0\n", r"^al\.mc_passes: "),
         ("al:\n  strategy: random\n  budget: 40\n  banana: 1\n", "al.banana: unknown key"),
         ("model:\n  hidden: [0]\n", "model.hidden"),
         ("model:\n  dropout: 1.0\n", "model.dropout"),
@@ -117,6 +127,12 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("run:\n  repeats: 0\n", "run.repeats"),
         ("run:\n  seed: -1\n", "run.seed"),
         ("fl:\n  stop_loss_threshold: .inf\n", "fl: stop_loss_threshold"),
+        ("dataset:\n  kind: blobs\n  classes: 1\n", r"^dataset\.classes: "),
+        ("dataset:\n  kind: blobs\n  dim: 1\n", r"^dataset\.dim: "),
+        ("dataset:\n  kind: blobs\n  classes: 40\n  test_size: 30\n", r"^dataset\.test_size: "),
+        ("dataset:\n  kind: blobs\n  train_size: 5\n", r"^dataset\.train_size: "),
+        ("dataset:\n  kind: blobs\n  spread: -1.0\n", r"^dataset\.spread: "),
+        ("dataset:\n  kind: blobs\n  elongation: 0.0\n", r"^dataset\.elongation: "),
     ],
 )
 def test_bad_values_are_rejected_with_dotted_paths(extra, fragment):

@@ -36,7 +36,6 @@ NOISY = {"model": {"activation": "tanh", "dropout": 0.2},
          "fl": {"minibatch_size": 8}, "independent": {"minibatch_size": 8}}
 MINIBATCH = {"fl": {"minibatch_size": 8}, "independent": {"minibatch_size": 8}}
 SKEW = {"partition": {"mode": "label_skew", "classes_per_client": 2}}
-CARRIED = {"al": {"fresh_init_per_round": False}}
 
 
 def _al(strategy, scorer="entropy"):
@@ -51,8 +50,6 @@ CASES = {
     **{f"{s}-{k}-noisy": [_al(s, k), NOISY] for s in ("s_al", "f_al")
        for k in ("mc_dropout", "discrepancy")},
     **{f"{s}-skew": [_al(s), SKEW] for s in ("random", "s_al", "f_al")},
-    **{f"{s}-discrepancy-carried": [_al(s, "discrepancy"), CARRIED] for s in ("s_al", "f_al")},
-    **{f"{s}-entropy-minibatch-carried": [_al(s), MINIBATCH, CARRIED] for s in ("s_al", "f_al")},
     **{f"{s}-entropy-minibatch": [_al(s), MINIBATCH] for s in ("s_al", "f_al")},
 }
 
@@ -62,15 +59,11 @@ GOLDEN = {
         "68f518213b91dc382b3b5b9a68e2d93e983ae2e52554df96eac9664ffb9c1e47"),
     "f_al-discrepancy": ("fb2b3b226d3bbba9a3ef7581fc78199c3c0d2b17d58a1e547f24d7e2ad6fc1ed",
         "c2c15282103259effb54bf099c6065bbbd9ed7b58cb59317d2363021e3cf8a26"),
-    "f_al-discrepancy-carried": ("b33d4cb09a49a9d4876f8e063c950b7c75fa940b58349eebe14d3a7f9ed80403",
-        "b77ae348314a59ca92e6baf70d50fa1b232c07d4173e03d2a810819a9f6eef04"),
     "f_al-discrepancy-noisy": ("3df548cda44e8ec4d85854dae4ad61eaacfcae975dbc822d56d82d1904cf6520",
         "843ead13a0f1d4e2cb71feddf71d47117b57b1ce4e2795a0476c4cab2564b210"),
     "f_al-entropy": ("2c33ba766b133e1b41346debcdc58efd5245c76c539c4b6e17f20252b84dc19d",
         "d3f9277c6018f9769c188f31dc7fe30377ba3635dd578c7183a07334b2077998"),
     "f_al-entropy-minibatch": ("edae5713061cbfe8679fa562fdf3392ad95b97154e73a5c5ddcc669f17d1c0b0",
-        "709410f6b6ba1bf454e89e318e26d6b896d407be9862dda715eb91481f28a1fc"),
-    "f_al-entropy-minibatch-carried": ("edae5713061cbfe8679fa562fdf3392ad95b97154e73a5c5ddcc669f17d1c0b0",
         "709410f6b6ba1bf454e89e318e26d6b896d407be9862dda715eb91481f28a1fc"),
     "f_al-mc_dropout": ("695223cabd2ec8515b233ff84ce2fe02909dd68beacc16413c53b406f8f47625",
         "d3f9277c6018f9769c188f31dc7fe30377ba3635dd578c7183a07334b2077998"),
@@ -88,16 +81,12 @@ GOLDEN = {
         "3a6437eeda805ff4e11108e3f038f1f3de22638b9a3dc1745a1bede327a24edb"),
     "s_al-discrepancy": ("e53362bc9374500ed9e9affb2006bad88a5071e7ce579022253d8ccdc3e3ab32",
         "c2aa146fb6b27b742f739c9161b0e4c291d44599baac4c225f7b97e701bf67f5"),
-    "s_al-discrepancy-carried": ("e53362bc9374500ed9e9affb2006bad88a5071e7ce579022253d8ccdc3e3ab32",
-        "ced0dd80183cce557102563a40457cb47983fdf8373c9112979ce78225527989"),
     "s_al-discrepancy-noisy": ("b6a5dc1b0d200d4dbddf491ae7856e5e430198cabc987a41757f4a6f01db21e3",
         "19560eb8e2ce870d32ac0fb6f0f9ccd7d13ff44f0bf857d500219a072032193f"),
     "s_al-entropy": ("ccdf97188737f95e51272b52d35977df4fb646ebee61a471a7436ab42369a630",
         "6ee8857c0c3527b0885fee14211d56e4f7391adf4b8d11c9cc9b962acaa871fd"),
     "s_al-entropy-minibatch": ("9d5a839671eb7a576769a25f3a149e9651a91f3b9b550f79352bd14483b3cd0b",
         "0f0845f351619b919845c4f10c8caa39913be904ac4b623d5502fdc3ce5c63ec"),
-    "s_al-entropy-minibatch-carried": ("9d5a839671eb7a576769a25f3a149e9651a91f3b9b550f79352bd14483b3cd0b",
-        "5475b6002e1ca562a8931fb08317446a6a76108f4d7d91536e61ec0572a11088"),
     "s_al-mc_dropout": ("1eaf3d93e457f21e1eb5188f59908224bc3d5bd3ddc22d3f14661aa40c3f2d50",
         "6ee8857c0c3527b0885fee14211d56e4f7391adf4b8d11c9cc9b962acaa871fd"),
     "s_al-mc_dropout-noisy": ("b3615fa9969a354441667ec7b3802c4a8c236d82c54bdfd31a381c57d3f58f46",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedal import harness
 from fedal.config import parse_config
 from fedal.errors import ConfigError, ParseError
 from fedal.harness import (
@@ -80,10 +81,19 @@ def test_build_world_arch_follows_data_and_model_spec():
     assert arch.activation == "tanh"
 
 
-def test_build_world_fails_fast_on_oversized_budgets():
+def test_run_once_fails_fast_on_oversized_budgets(monkeypatch):
+    worlds = []
+
+    def recording_build_world(cfg, run_seed):
+        worlds.append(build_world(cfg, run_seed))
+        return worlds[-1]
+
+    monkeypatch.setattr(harness, "build_world", recording_build_world)
     cfg = _cfg(extra="al:\n  strategy: random\n  budget: 200\n  rounds: 2\n")
-    with pytest.raises(ConfigError, match="exceeds the unlabeled pool"):
-        build_world(cfg, 0)
+    with pytest.raises(ConfigError, match="exceeds"):
+        run_once(cfg, 0)
+    (_, _, pools, _), = worlds
+    assert all(p.history == {} for p in pools)  # raised before any pool was annotated
 
 
 def test_run_once_produces_one_log_per_round():

@@ -10,8 +10,8 @@ from fedal.fed import FedConfig, evaluate, fedavg
 from fedal.nn import LrSchedule, MlpArchitecture, Model
 from fedal.orchestrator import (
     ALConfig,
+    _init,
     _score_pool,
-    _task_init,
     _train_task_model,
     run_full_budget,
     run_independent_eval,
@@ -23,9 +23,8 @@ QUICK_FL = FedConfig(schedule=LrSchedule(0.4, 0.99), stop_loss_threshold=0.05,
                      max_global_iters=25)
 
 
-def _al(rounds, budgets, scorer="entropy", aux=QUICK_FL, **kw):
-    return ALConfig(rounds=rounds, budgets=budgets, scorer=ScorerSpec(scorer),
-                    aux_train=aux, **kw)
+def _al(rounds, budgets, scorer="entropy", aux=QUICK_FL):
+    return ALConfig(rounds=rounds, budgets=budgets, scorer=ScorerSpec(scorer), aux_train=aux)
 
 
 # -- configuration -------------------------------------------------------------
@@ -265,15 +264,6 @@ def test_no_computation_ever_touches_rows_outside_one_client(world_factory):
         accesses.clear()
 
 
-def test_carried_initialization_reuses_the_previous_scoring_model(world_factory):
-    train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
-    initial = [len(p.labeled) for p in pools]
-    al_cfg = _al(2, (4, 4), fresh_init_per_round=False)
-    logs = run_strategy("s_al", train, test, pools, arch, al_cfg, QUICK_FL, 6)
-    assert len(logs) == 2
-    assert [len(p.labeled) for p in pools] == [count + 4 for count in initial]
-
-
 def test_coreset_scoring_requires_labeled_anchors(world_factory):
     train, _, pools, arch = world_factory(clients=1, n=40)
     bare = ClientPools(client_id=0, unlabeled=list(pools[0].shard), labeled=[])
@@ -324,5 +314,6 @@ def test_independent_eval_reports_one_accuracy_per_client(world_factory):
 
 def test_task_init_is_deterministic(world_factory):
     _, _, _, arch = world_factory()
-    assert np.array_equal(_task_init(arch, 5).params, _task_init(arch, 5).params)
-    assert not np.array_equal(_task_init(arch, 5).params, _task_init(arch, 6).params)
+    assert np.array_equal(_init(arch, 5, "task").params, _init(arch, 5, "task").params)
+    assert not np.array_equal(_init(arch, 5, "task").params, _init(arch, 6, "task").params)
+    assert not np.array_equal(_init(arch, 5, "task").params, _init(arch, 5, "twohead").params)

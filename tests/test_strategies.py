@@ -385,5 +385,3 @@ def test_scorer_spec_validation():
         ScorerSpec("margin")
     with pytest.raises(ConfigError):
         ScorerSpec("mc_dropout", mc_passes=0)
-    with pytest.raises(ConfigError):
-        ScorerSpec("discrepancy", disc_weight=-1.0)
