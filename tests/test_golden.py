@@ -14,10 +14,14 @@ say why in CHANGES.md and update the pin.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fedal import harness
 from fedal.config import parse_config
+from fedal.data import PartitionSpec, partition, seed_initial_labels, synth_blobs
+from fedal.fed import FedConfig, fedavg, independent_train
+from fedal.nn import LrSchedule, MlpArchitecture, Model, init_params
 
 BASE = {
     "dataset": {"kind": "blobs", "train_size": 240, "test_size": 120, "classes": 6,
@@ -126,3 +130,42 @@ def _run(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(case, tmp_path, monkeypatch):
     assert _run(case, tmp_path, monkeypatch) == GOLDEN[case]
+
+
+# Training runs that stop at the loss threshold before the cap, on label-skewed
+# shards (2 of 6 classes per client, half of each shard labeled).
+# case -> (minibatch size, threshold)
+STOP_CASES = {
+    "independent-full": (None, 0.1),
+    "independent-minibatch": (8, 0.1),
+    "fedavg-minibatch": (8, 0.2),
+}
+
+# case -> (iterations used, sha256 of the final parameters and the loss trace)
+STOP_GOLDEN = {
+    "fedavg-minibatch": (76,
+        "9de668836973cefa55a765fa9a359392e8ab30f1f95b82ccb24abf2614ea5d1f"),
+    "independent-full": (113,
+        "c15f71360ae1649a9303fc363c98ee14e4a8ec6e9e2f0c7385c459f21422aba6"),
+    "independent-minibatch": (29,
+        "7c7514c0f07ee99f21486c5ea9efe14a52e868bd7ab0aed286adfaf12740b320"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_threshold_stop_digests(case):
+    ds = synth_blobs(240, 6, 2, 0.3, seed=5, layout="line", elongation=8.0)
+    pools = seed_initial_labels(partition(ds, PartitionSpec(3, "label_skew", 2), 7), 0.5, 8)
+    arch = MlpArchitecture((2, 16, 6))
+    init = Model(arch, init_params(arch, 11))
+    minibatch, threshold = STOP_CASES[case]
+    cfg = FedConfig(LrSchedule(0.5, 0.99), minibatch_size=minibatch,
+                    stop_loss_threshold=threshold, max_global_iters=200)
+    if case.startswith("fedavg"):
+        report = fedavg(ds, pools, init, cfg, seed=3)
+    else:
+        report = independent_train(ds, pools, 0, init, cfg, seed=4)
+    assert report.global_iters_used < cfg.max_global_iters  # the threshold stopped it
+    digest = hashlib.sha256(report.final_model.params.tobytes()
+                            + np.array(report.loss_trace).tobytes()).hexdigest()
+    assert (report.global_iters_used, digest) == STOP_GOLDEN[case]
