@@ -128,6 +128,17 @@ class _Section:
             raise ConfigError(f"{self._label(unknown[0])}: unknown key")
 
 
+# Owner fields whose config key has another name.  Owners start each error
+# with the field it concerns ("initial_lr: must be positive, ...").
+_KEY_OF_FIELD = {"initial_lr": "lr", "decay": "lr_decay", "client_count": "clients"}
+
+
+def _owner_error(path: str, exc: ConfigError) -> ConfigError:
+    """An owner's error, reworded to name the dotted config key under ``path``."""
+    field, _, message = str(exc).partition(": ")
+    return ConfigError(f"{path}.{_KEY_OF_FIELD.get(field, field)}: {message}")
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -155,7 +166,7 @@ def _parse_fed_section(sec: _Section, base: FedConfig) -> FedConfig:
         return FedConfig(LrSchedule(lr, decay), local_epochs=local_epochs, minibatch_size=minibatch,
                          stop_loss_threshold=threshold, max_global_iters=max_iters)
     except ConfigError as exc:
-        raise ConfigError(f"{sec.path}: {exc}") from None
+        raise _owner_error(sec.path, exc) from None
 
 
 def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
@@ -226,7 +237,7 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
             classes_per_client=part.get("classes_per_client", int, default=None),
         )
     except ConfigError as exc:
-        raise ConfigError(f"partition: {exc}") from None
+        raise _owner_error("partition", exc) from None
     part.reject_unknown()
 
     mdl = root.section("model")
@@ -309,8 +320,7 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         check_scorer(cfg.strategy, cfg.scorer)
         check_label_fraction(cfg.initial_label_fraction)
     except ConfigError as exc:
-        # Each owner names its field; the section completes the dotted key.
-        raise ConfigError(f"al.{exc}") from None
+        raise _owner_error("al", exc) from None
     return cfg
 
 

@@ -75,7 +75,7 @@ def gather(dataset: Dataset, indices) -> tuple[Array, Array]:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How the training set is split across clients."""
+    """How the training set is split across clients; every error names the offending field."""
 
     client_count: int
     mode: str = "iid_disjoint"
@@ -83,12 +83,12 @@ class PartitionSpec:
 
     def __post_init__(self):
         if not (isinstance(self.client_count, int) and self.client_count >= 1):
-            raise ConfigError(f"client_count must be an int >= 1, got {self.client_count}")
+            raise ConfigError(f"client_count: must be an int >= 1, got {self.client_count}")
         if self.mode not in PARTITION_MODES:
-            raise ConfigError(f"unknown partition mode {self.mode!r}; expected one of {PARTITION_MODES}")
+            raise ConfigError(f"mode: unknown partition mode {self.mode!r}; expected one of {PARTITION_MODES}")
         if self.mode == "label_skew":
             if not (isinstance(self.classes_per_client, int) and self.classes_per_client >= 1):
-                raise ConfigError("label_skew requires classes_per_client >= 1")
+                raise ConfigError(f"classes_per_client: label_skew needs an int >= 1, got {self.classes_per_client}")
 
 
 @dataclass

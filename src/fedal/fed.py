@@ -4,10 +4,18 @@ One global iteration: every client with labeled data starts from the current
 global parameters, runs ``local_epochs`` of (mini-batch) SGD at the
 iteration's learning rate, and the server replaces the global parameters
 with the sample-count weighted average of the local results.  Training stops
-early once the sample-weighted mean of the clients' end-of-update training
-losses drops below ``stop_loss_threshold``, and otherwise at
-``max_global_iters``.  Independent training runs the same loop on one
-client, with the weighted average left out.
+on the model it returns: early, once the global model's training loss (the
+sample-weighted mean over clients of the loss at the global parameters)
+drops below ``stop_loss_threshold`` after at least one iteration, and
+otherwise at ``max_global_iters``.  Independent training runs the same loop
+on one client, with the weighted average left out, and stops on that
+client's training loss.
+
+With full batches and no dropout the loss costs no extra work: the next
+iteration's first gradient runs the forward pass at those parameters, and
+only a run that reaches the cap needs one more forward pass.  Minibatches,
+dropout or a custom ``local_fn`` take one deterministic loss pass per
+client and iteration.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.
@@ -30,7 +38,11 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class FedConfig:
-    """Knobs for one federated (or independent) training run."""
+    """Knobs for one federated (or independent) training run.
+
+    Every error names the offending field (``local_epochs``, ...), as do
+    the :class:`LrSchedule` errors.
+    """
 
     schedule: LrSchedule
     local_epochs: int = 1
@@ -40,15 +52,15 @@ class FedConfig:
 
     def __post_init__(self):
         if not (isinstance(self.local_epochs, int) and self.local_epochs >= 1):
-            raise ConfigError(f"local_epochs must be an int >= 1, got {self.local_epochs}")
+            raise ConfigError(f"local_epochs: must be an int >= 1, got {self.local_epochs}")
         if self.minibatch_size is not None and not (
             isinstance(self.minibatch_size, int) and self.minibatch_size >= 1
         ):
-            raise ConfigError(f"minibatch_size must be 'full' (None) or an int >= 1, got {self.minibatch_size}")
+            raise ConfigError(f"minibatch_size: must be 'full' (None) or an int >= 1, got {self.minibatch_size}")
         if not (np.isfinite(self.stop_loss_threshold) and self.stop_loss_threshold > 0):
-            raise ConfigError(f"stop_loss_threshold must be finite and > 0, got {self.stop_loss_threshold}")
+            raise ConfigError(f"stop_loss_threshold: must be finite and > 0, got {self.stop_loss_threshold}")
         if not (isinstance(self.max_global_iters, int) and self.max_global_iters >= 1):
-            raise ConfigError(f"max_global_iters must be an int >= 1, got {self.max_global_iters}")
+            raise ConfigError(f"max_global_iters: must be an int >= 1, got {self.max_global_iters}")
 
 
 @dataclass(frozen=True)
@@ -89,76 +101,119 @@ def weighted_average(param_vectors, sample_counts) -> Array:
     return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
 
 
-def local_update(model: Model, features, labels, lr: float, cfg: FedConfig, rng) -> Array:
-    """``cfg.local_epochs`` passes of SGD at a fixed learning rate; returns new params.
+def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
+                 rng) -> tuple[Array, float | None]:
+    """``cfg.local_epochs`` passes of SGD at a fixed learning rate.
 
     Each pass is one full batch in stored order, or shuffled minibatches.
+    Returns the new params and the training loss of ``model`` on the whole
+    labeled set, read from the first gradient's forward pass.  That loss is
+    None unless the first batch is the whole set and no dropout is active.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.size == 0:
         raise EmptyInputError("client has no labeled examples")
     y = np.asarray(labels)
-    params = model.params
+    n = feats.shape[0]
+    params, start_loss, first = model.params, None, True
     for _ in range(cfg.local_epochs):
-        for batch in nn.minibatches(feats.shape[0], cfg.minibatch_size, rng):
-            g = nn.grad(Model(model.arch, params), feats[batch], y[batch], rng)
-            params = nn.sgd_step(params, g, lr)
-    return params
+        for batch in nn.minibatches(n, cfg.minibatch_size, rng):
+            current = Model(model.arch, params)
+            if first and len(batch) == n and model.arch.dropout_rate == 0.0:
+                start_loss, g = nn.loss_and_grad(current, feats[batch], y[batch], rng)
+            else:
+                g = nn.grad(current, feats[batch], y[batch], rng)
+            params, first = nn.sgd_step(params, g, lr), False
+    return params, start_loss
 
 
-def _supervised_update(model: Model, features, labels, lr: float, cfg: FedConfig, rng,
-                       client_id: int) -> Array:
-    return local_update(model, features, labels, lr, cfg, rng)
+def _client_update(local_fn, model: Model, features, labels, lr: float, cfg: FedConfig, rng,
+                   client_id: int) -> tuple[Array, float | None]:
+    """One client's update as ``(params, loss of model or None)``; see :func:`fedavg`."""
+    if local_fn is None:
+        return local_update(model, features, labels, lr, cfg, rng)
+    return local_fn(model, features, labels, lr, cfg, rng, client_id), None
 
 
-def _train_to_threshold(init_model: Model, cfg: FedConfig, step) -> FedRunReport:
-    """Iterate ``step(t, params) -> (params, loss)`` for t = 1, 2, ...
+def _mean_loss(losses, counts) -> float:
+    """Sample-weighted mean of per-client losses, accumulated in client order."""
+    total = float(sum(counts))
+    mean = 0.0
+    for value, count in zip(losses, counts):
+        mean += (count / total) * value
+    return mean
 
-    Stops once the loss drops below ``cfg.stop_loss_threshold``, and otherwise
-    after ``cfg.max_global_iters`` iterations.
+
+def _train_to_threshold(init_model: Model, cfg: FedConfig, step, train_loss) -> FedRunReport:
+    """Iterate ``step(t, params) -> (params, training loss of the input params or None)``.
+
+    Stops on the training loss of the model the run returns: once that loss
+    drops below ``cfg.stop_loss_threshold`` after at least one update, and
+    otherwise after ``cfg.max_global_iters`` updates.  ``loss_trace[k]`` is
+    the loss after ``k + 1`` updates, so its length is the number of updates.
+
+    A step that reads its input's loss from its own forward pass (every
+    iteration of a run does, or none does) checks the previous update: when
+    that one stopped the run, the step's own update is dropped, and at the
+    cap ``train_loss(params)`` gives the last entry.  Otherwise
+    ``train_loss`` is called after every update.
     """
     params = init_model.params.copy()
     trace: list[float] = []
     for t in range(1, cfg.max_global_iters + 1):
-        params, value = step(t, params)
-        trace.append(value)
-        if value < cfg.stop_loss_threshold:
-            break
+        new_params, read = step(t, params)
+        if read is not None and t > 1:
+            trace.append(read)  # the loss of update t - 1's result
+            if read < cfg.stop_loss_threshold:
+                break
+        params = new_params
+        if read is None:
+            trace.append(train_loss(params))
+            if trace[-1] < cfg.stop_loss_threshold:
+                break
+    else:
+        if len(trace) < cfg.max_global_iters:
+            trace.append(train_loss(params))
     return FedRunReport(Model(init_model.arch, params), len(trace), tuple(trace))
 
 
 def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig,
            seed, local_fn=None) -> FedRunReport:
-    """Run FedAvg until the stopping loss or the iteration cap is reached.
+    """Run FedAvg until the global model's training loss or the iteration cap stops it.
 
     ``local_fn(model, features, labels, lr, cfg, rng, client_id) -> params``
     replaces the plain supervised local update when given (used for
     head-disagreement training of the two-head scoring model).  Client
-    ``m`` draws iteration ``t``'s randomness from ``rng_for(seed, "local", m, t)``.
+    ``m`` draws iteration ``t``'s randomness from ``rng_for(seed, "local", m, t)``;
+    the stream is built only when the update can draw from it (a
+    ``local_fn``, minibatches or dropout).
     """
     if all(len(p.labeled) == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
     arch = init_model.arch
-    local_fn = local_fn or _supervised_update
     # Clients without labels get weight zero: they only receive the global model.
     clients = [(pool.client_id, *gather(dataset, pool.labeled)) for pool in pools if pool.labeled]
     counts = [len(labels) for _, _, labels in clients]
-    total = float(sum(counts))
+    draws = local_fn is not None or cfg.minibatch_size is not None or arch.dropout_rate > 0.0
 
     def step(t, params):
         lr = cfg.schedule.lr(t)
-        updated: list[Array] = []
-        mean_loss = 0.0
-        for (client_id, feats, labels), count in zip(clients, counts):
-            rng = rng_for(seed, "local", client_id, t)
-            new_params = local_fn(Model(arch, params), feats, labels, lr, cfg, rng, client_id)
+        model = Model(arch, params)
+        updated, losses = [], []
+        for client_id, feats, labels in clients:
+            rng = rng_for(seed, "local", client_id, t) if draws else None
+            new_params, start_loss = _client_update(local_fn, model, feats, labels, lr, cfg, rng,
+                                                    client_id)
             updated.append(new_params)
-            # End-of-update training loss on the client's full labeled set,
-            # evaluated deterministically (no dropout).
-            mean_loss += (count / total) * nn.loss(Model(arch, new_params), feats, labels)
-        return weighted_average(updated, counts), mean_loss
+            losses.append(start_loss)
+        read = None if any(v is None for v in losses) else _mean_loss(losses, counts)
+        return weighted_average(updated, counts), read
 
-    return _train_to_threshold(init_model, cfg, step)
+    def train_loss(params):
+        model = Model(arch, params)
+        return _mean_loss([nn.loss(model, feats, labels) for _, feats, labels in clients], counts)
+
+    return _train_to_threshold(init_model, cfg, step, train_loss)
 
 
 def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
@@ -166,8 +221,8 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
     """Train on one client's labeled pool only, decaying the rate per iteration.
 
     Each iteration is one local update, exactly as one client's part of a
-    :func:`fedavg` iteration (``local_fn`` has the same meaning), followed
-    by the same stopping rule on that client's training loss.  Unlike
+    :func:`fedavg` iteration (``local_fn`` has the same meaning), and the
+    same stopping rule applies to that client's training loss.  Unlike
     FedAvg, every iteration draws from the single stream
     ``rng_for(seed, client_id)``.
     """
@@ -176,15 +231,14 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
     feats, labels = gather(dataset, pool.labeled)
     arch = init_model.arch
-    local_fn = local_fn or _supervised_update
     rng = rng_for(seed, pool.client_id)
 
     def step(t, params):
-        new_params = local_fn(Model(arch, params), feats, labels, cfg.schedule.lr(t), cfg, rng,
-                              pool.client_id)
-        return new_params, nn.loss(Model(arch, new_params), feats, labels)
+        return _client_update(local_fn, Model(arch, params), feats, labels, cfg.schedule.lr(t),
+                              cfg, rng, pool.client_id)
 
-    return _train_to_threshold(init_model, cfg, step)
+    return _train_to_threshold(init_model, cfg, step,
+                               lambda params: nn.loss(Model(arch, params), feats, labels))
 
 
 def evaluate(model: Model, test: Dataset) -> float:

@@ -120,9 +120,9 @@ class LrSchedule:
 
     def __post_init__(self):
         if not (np.isfinite(self.initial_lr) and self.initial_lr > 0):
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
+            raise ConfigError(f"initial_lr: must be positive, got {self.initial_lr}")
         if not (0.0 < self.decay <= 1.0):
-            raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
+            raise ConfigError(f"decay: must lie in (0, 1], got {self.decay}")
 
     def lr(self, t: int) -> float:
         if t < 1:
@@ -153,13 +153,25 @@ def _activate(name: str, z: Array) -> Array:
     return np.tanh(z)
 
 
-def _forward_cache(model: Model, x: Array, rng):
-    """Run the network, keeping every intermediate needed for backprop.
+class _Pass(NamedTuple):
+    """Everything one forward pass keeps for the loss and for backprop.
 
-    Returns (inputs_per_layer, pre_dropout_activations, dropout_masks,
-    head_logits, head_probs).  ``inputs_per_layer[j]`` is what layer j
-    consumed (post-dropout activation of the previous layer).
+    ``inputs[j]`` is what layer j consumed (the post-dropout activation of
+    the previous layer).  Per head: the logits, their row maxima and the row
+    sums of ``exp(logits - row max)`` (both ``(rows, 1)``), and the softmax.
     """
+
+    inputs: list[Array]
+    pre_dropout: list[Array]
+    masks: list[Array | None]
+    logits: list[Array]
+    row_max: list[Array]
+    row_sum: list[Array]
+    probs: list[Array]
+
+
+def _forward_cache(model: Model, x: Array, rng) -> _Pass:
+    """Run the network, keeping every intermediate needed for the loss and backprop."""
     arch = model.arch
     hidden, heads = _split_params(arch, model.params)
     p = arch.dropout_rate
@@ -181,16 +193,17 @@ def _forward_cache(model: Model, x: Array, rng):
         masks.append(mask)
         inputs.append(act)
         a = act
-    head_logits = []
-    head_probs = []
+    out = _Pass(inputs, pre_dropout, masks, [], [], [], [])
     for w, b in heads:
         z = a @ w + b
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-        head_logits.append(z)
-        head_probs.append(probs)
-    return inputs, pre_dropout, masks, head_logits, head_probs
+        zmax = z.max(axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        sums = e.sum(axis=1, keepdims=True)
+        out.logits.append(z)
+        out.row_max.append(zmax)
+        out.row_sum.append(sums)
+        out.probs.append(e / sums)
+    return out
 
 
 def forward(model: Model, x, rng=None) -> list[Array]:
@@ -200,8 +213,7 @@ def forward(model: Model, x, rng=None) -> list[Array]:
     dropout masks (training mode); with ``dropout_rate == 0`` the rng is
     ignored entirely.
     """
-    *_, head_probs = _forward_cache(model, _as_batch(x, model.arch.input_dim), rng)
-    return head_probs
+    return _forward_cache(model, _as_batch(x, model.arch.input_dim), rng).probs
 
 
 def hidden_features(model: Model, x) -> Array:
@@ -210,8 +222,7 @@ def hidden_features(model: Model, x) -> Array:
     For an architecture without hidden layers this is the raw input, which is
     what the final linear layer consumes.
     """
-    inputs, *_ = _forward_cache(model, _as_batch(x, model.arch.input_dim), None)
-    return inputs[-1]
+    return _forward_cache(model, _as_batch(x, model.arch.input_dim), None).inputs[-1]
 
 
 def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
@@ -220,8 +231,8 @@ def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
     Hook for callers that build custom objectives on top of the heads
     (e.g. head-disagreement training) without re-deriving the trunk.
     """
-    inputs, _, _, _, head_probs = _forward_cache(model, _as_batch(x, model.arch.input_dim), rng)
-    return inputs[-1], head_probs
+    fwd = _forward_cache(model, _as_batch(x, model.arch.input_dim), rng)
+    return fwd.inputs[-1], fwd.probs
 
 
 def _labeled_batch(model: Model, features, labels) -> tuple[Array, Array]:
@@ -245,30 +256,21 @@ def _labeled_batch(model: Model, features, labels) -> tuple[Array, Array]:
     return batch, y
 
 
-def loss(model: Model, features, labels, rng=None) -> float:
-    """Mean cross-entropy over the batch, averaged over heads."""
-    batch, y = _labeled_batch(model, features, labels)
-    *_, head_logits, _ = _forward_cache(model, batch, rng)
-    rows = np.arange(batch.shape[0])
+def _cross_entropy(fwd: _Pass, y: Array) -> float:
+    """Mean cross-entropy over the batch, averaged over heads, from the softmax parts."""
+    rows = np.arange(y.shape[0])
     total = 0.0
-    for z in head_logits:
-        zmax = z.max(axis=1)
-        logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    for z, zmax, sums in zip(fwd.logits, fwd.row_max, fwd.row_sum):
+        logsumexp = zmax[:, 0] + np.log(sums[:, 0])
         total += float(np.mean(logsumexp - z[rows, y]))
-    return total / model.arch.head_count
+    return total / len(fwd.logits)
 
 
-def grad(model: Model, features, labels, rng=None) -> Array:
-    """Analytic gradient of :func:`loss` with respect to the flat parameters.
-
-    When dropout is active the same masks are used for the forward and the
-    backward pass, exactly as a single stochastic training step requires.
-    """
-    arch = model.arch
-    batch, y = _labeled_batch(model, features, labels)
-    hidden, heads = _split_params(arch, model.params)
-    inputs, pre_dropout, masks, _, head_probs = _forward_cache(model, batch, rng)
-    n = batch.shape[0]
+def _backward(arch: MlpArchitecture, params: Array, y: Array, fwd: _Pass) -> Array:
+    """Gradient of the mean cross-entropy of ``fwd`` with respect to the flat parameters."""
+    hidden, heads = _split_params(arch, params)
+    inputs, pre_dropout, masks = fwd.inputs, fwd.pre_dropout, fwd.masks
+    n = y.shape[0]
     rows = np.arange(n)
     p = arch.dropout_rate
 
@@ -278,7 +280,7 @@ def grad(model: Model, features, labels, rng=None) -> Array:
 
     # dL/dz for each head; CE averaged over batch and heads.
     d_last = np.zeros_like(last_hidden)
-    for block, (w, _), probs in zip(layout.heads, heads, head_probs):
+    for block, (w, _), probs in zip(layout.heads, heads, fwd.probs):
         dz = probs.copy()
         dz[rows, y] -= 1.0
         dz /= n * arch.head_count
@@ -300,6 +302,29 @@ def grad(model: Model, features, labels, rng=None) -> Array:
         out[layout.hidden[j].b] = d_z.sum(axis=0)
         d_act = d_z @ w.T
     return out
+
+
+def loss(model: Model, features, labels, rng=None) -> float:
+    """Mean cross-entropy over the batch, averaged over heads."""
+    batch, y = _labeled_batch(model, features, labels)
+    return _cross_entropy(_forward_cache(model, batch, rng), y)
+
+
+def grad(model: Model, features, labels, rng=None) -> Array:
+    """Analytic gradient of :func:`loss` with respect to the flat parameters.
+
+    When dropout is active the same masks are used for the forward and the
+    backward pass, exactly as a single stochastic training step requires.
+    """
+    batch, y = _labeled_batch(model, features, labels)
+    return _backward(model.arch, model.params, y, _forward_cache(model, batch, rng))
+
+
+def loss_and_grad(model: Model, features, labels, rng=None) -> tuple[float, Array]:
+    """:func:`loss` and :func:`grad` from one forward pass, each bit for bit."""
+    batch, y = _labeled_batch(model, features, labels)
+    fwd = _forward_cache(model, batch, rng)
+    return _cross_entropy(fwd, y), _backward(model.arch, model.params, y, fwd)
 
 
 def minibatches(n: int, size: int | None, rng) -> list[Array]:

@@ -126,7 +126,16 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("fl:\n  lr: oops\n", "fl.lr"),
         ("run:\n  repeats: 0\n", "run.repeats"),
         ("run:\n  seed: -1\n", "run.seed"),
-        ("fl:\n  stop_loss_threshold: .inf\n", "fl: stop_loss_threshold"),
+        ("fl:\n  stop_loss_threshold: .inf\n", r"^fl\.stop_loss_threshold: "),
+        ("fl:\n  lr: -1.0\n", r"^fl\.lr: must be positive"),
+        ("fl:\n  lr_decay: 1.5\n", r"^fl\.lr_decay: must lie in"),
+        ("fl:\n  max_global_iters: 0\n", r"^fl\.max_global_iters: "),
+        ("independent:\n  lr: 0.0\n", r"^independent\.lr: must be positive"),
+        ("independent:\n  lr_decay: 0.0\n", r"^independent\.lr_decay: must lie in"),
+        ("independent:\n  local_epochs: 0\n", r"^independent\.local_epochs: "),
+        ("independent:\n  minibatch_size: 0\n", r"^independent\.minibatch_size: "),
+        ("partition:\n  clients: 0\n", r"^partition\.clients: must be an int >= 1"),
+        ("partition:\n  clients: 2\n  mode: label_skew\n", r"^partition\.classes_per_client: "),
         ("dataset:\n  kind: blobs\n  classes: 1\n", r"^dataset\.classes: "),
         ("dataset:\n  kind: blobs\n  dim: 1\n", r"^dataset\.dim: "),
         ("dataset:\n  kind: blobs\n  classes: 40\n  test_size: 30\n", r"^dataset\.test_size: "),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedal import fed as fed_module
 from fedal.data import ClientPools, Dataset, gather, synth_blobs
 from fedal.errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError
 from fedal.fed import (
@@ -15,7 +16,7 @@ from fedal.fed import (
     local_update,
     weighted_average,
 )
-from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, sgd_step
+from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, loss, sgd_step
 from fedal.seeding import rng_for
 
 
@@ -101,9 +102,24 @@ def test_local_update_one_full_batch_epoch_is_one_sgd_step():
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.3))
-    updated = local_update(model, feats, labels, 0.3, cfg, rng=None)
+    updated, start_loss = local_update(model, feats, labels, 0.3, cfg, rng=None)
     manual = sgd_step(model.params, grad(model, feats, labels), 0.3)
     assert np.array_equal(updated, manual)
+    assert start_loss == loss(model, feats, labels)
+
+
+@pytest.mark.parametrize("minibatch,dropout", [(4, 0.0), (None, 0.2), (12, 0.0)])
+def test_local_update_reads_the_loss_only_from_a_deterministic_full_batch(minibatch, dropout):
+    ds = _dataset()
+    arch = MlpArchitecture((2, 4, 2), dropout_rate=dropout)
+    model = _init(arch)
+    feats, labels = gather(ds, list(range(ds.size)))
+    cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=minibatch)
+    _, start_loss = local_update(model, feats, labels, 0.3, cfg, np.random.default_rng(0))
+    if minibatch is not None and minibatch >= ds.size:  # one batch of every row
+        assert start_loss == loss(model, feats, labels)
+    else:
+        assert start_loss is None
 
 
 def test_local_update_epochs_chain():
@@ -113,11 +129,11 @@ def test_local_update_epochs_chain():
     feats, labels = gather(ds, list(range(ds.size)))
     two = FedConfig(schedule=LrSchedule(0.3), local_epochs=2)
     one = FedConfig(schedule=LrSchedule(0.3), local_epochs=1)
-    chained = local_update(
-        Model(arch, local_update(model, feats, labels, 0.3, one, None)),
+    chained, _ = local_update(
+        Model(arch, local_update(model, feats, labels, 0.3, one, None)[0]),
         feats, labels, 0.3, one, None,
     )
-    assert np.array_equal(local_update(model, feats, labels, 0.3, two, None), chained)
+    assert np.array_equal(local_update(model, feats, labels, 0.3, two, None)[0], chained)
 
 
 def test_local_update_zero_rate_is_an_identity():
@@ -126,7 +142,7 @@ def test_local_update_zero_rate_is_an_identity():
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.3))
-    assert np.array_equal(local_update(model, feats, labels, 0.0, cfg, None), model.params)
+    assert np.array_equal(local_update(model, feats, labels, 0.0, cfg, None)[0], model.params)
 
 
 def test_local_update_rejects_empty_batches():
@@ -142,8 +158,8 @@ def test_local_update_is_pure():
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.2), minibatch_size=4)
-    a = local_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
-    b = local_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
+    a, _ = local_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
+    b, _ = local_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
     assert np.array_equal(a, b)
     assert np.array_equal(model.params, _init(arch).params)  # input untouched
 
@@ -201,6 +217,81 @@ def test_fedavg_trace_matches_iterations_used():
     assert len(report.loss_trace) == report.global_iters_used
     assert report.loss_trace[-1] < 0.2 or report.global_iters_used == 200
     assert all(np.isfinite(v) for v in report.loss_trace)
+
+
+def _global_loss(ds, pools, model):
+    """Sample-weighted mean over the clients of ``loss`` at ``model``, in client order."""
+    parts = [gather(ds, p.labeled) for p in pools if p.labeled]
+    total = float(sum(len(y) for _, y in parts))
+    value = 0.0
+    for feats, labels in parts:
+        value += (len(labels) / total) * loss(model, feats, labels)
+    return value
+
+
+def _supervised_fn(model, feats, labels, lr, cfg, rng, client_id):
+    return local_update(model, feats, labels, lr, cfg, rng)[0]
+
+
+TRAIN_MODES = {
+    "full-batch": ({}, {}),
+    "minibatch-dropout": ({"dropout_rate": 0.2}, {"minibatch_size": 4}),
+    "local_fn": ({}, {"local_fn": _supervised_fn}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRAIN_MODES))
+@pytest.mark.parametrize("threshold", [1e-9, 0.4])
+def test_fedavg_trace_ends_with_the_returned_models_loss(mode, threshold):
+    arch_kwargs, run_kwargs = TRAIN_MODES[mode]
+    local_fn = run_kwargs.get("local_fn")
+    ds = _dataset(21, seed=3)
+    pools = _full_pools(21, clients=2)
+    arch = MlpArchitecture((2, 6, 2), **arch_kwargs)
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.99), minibatch_size=run_kwargs.get("minibatch_size"),
+                    stop_loss_threshold=threshold, max_global_iters=60)
+    report = fedavg(ds, pools, _init(arch), cfg, seed=2, local_fn=local_fn)
+    assert len(report.loss_trace) == report.global_iters_used
+    assert report.loss_trace[-1] == _global_loss(ds, pools, report.final_model)
+    if threshold < 1e-3:
+        assert report.global_iters_used == cfg.max_global_iters
+    else:  # stopped early, on a model below the threshold
+        assert report.global_iters_used < cfg.max_global_iters
+        assert _global_loss(ds, pools, report.final_model) < threshold
+        assert all(value >= threshold for value in report.loss_trace[:-1])
+
+
+@pytest.mark.parametrize("mode", sorted(TRAIN_MODES))
+def test_independent_train_stops_on_a_model_below_the_threshold(mode):
+    arch_kwargs, run_kwargs = TRAIN_MODES[mode]
+    ds = _dataset(21, seed=3)
+    pools = _full_pools(21, clients=2)
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.99), minibatch_size=run_kwargs.get("minibatch_size"),
+                    stop_loss_threshold=0.4, max_global_iters=60)
+    report = independent_train(ds, pools, 1, _init(MlpArchitecture((2, 6, 2), **arch_kwargs)), cfg,
+                               seed=2, local_fn=run_kwargs.get("local_fn"))
+    feats, labels = gather(ds, pools[1].labeled)
+    assert report.global_iters_used < cfg.max_global_iters
+    assert report.loss_trace[-1] == loss(report.final_model, feats, labels) < 0.4
+
+
+@pytest.mark.parametrize("mode,draws", [("full-batch", False), ("minibatch-dropout", True),
+                                        ("local_fn", True)])
+def test_fedavg_builds_local_streams_only_when_the_update_can_draw(mode, draws, monkeypatch):
+    arch_kwargs, run_kwargs = TRAIN_MODES[mode]
+    built = []
+
+    def spy(*key):
+        built.append(key)
+        return rng_for(*key)
+
+    monkeypatch.setattr(fed_module, "rng_for", spy)
+    cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=run_kwargs.get("minibatch_size"),
+                    stop_loss_threshold=1e-9, max_global_iters=3)
+    fedavg(_dataset(12), _full_pools(12, clients=2), _init(MlpArchitecture((2, 3, 2), **arch_kwargs)),
+           cfg, seed=8, local_fn=run_kwargs.get("local_fn"))
+    expected = [(8, "local", m, t) for t in (1, 2, 3) for m in (0, 1)]
+    assert built == (expected if draws else [])
 
 
 def test_fedavg_requires_some_labeled_data():
@@ -302,7 +393,7 @@ def test_independent_train_runs_local_epochs_per_iteration_on_one_stream():
     params = init.params
     for t in range(1, 4):
         for _ in range(2):
-            params = local_update(Model(arch, params), feats, labels, two.schedule.lr(t), one, rng)
+            params, _ = local_update(Model(arch, params), feats, labels, two.schedule.lr(t), one, rng)
     assert report.global_iters_used == 3
     assert np.array_equal(report.final_model.params, params)
 

@@ -143,8 +143,8 @@ STOP_CASES = {
 
 # case -> (iterations used, sha256 of the final parameters and the loss trace)
 STOP_GOLDEN = {
-    "fedavg-minibatch": (76,
-        "9de668836973cefa55a765fa9a359392e8ab30f1f95b82ccb24abf2614ea5d1f"),
+    "fedavg-minibatch": (98,
+        "65c84990873dd7cf362105f2e78916e4b6f5bad79413e4018148808c97aaff1d"),
     "independent-full": (113,
         "c15f71360ae1649a9303fc363c98ee14e4a8ec6e9e2f0c7385c459f21422aba6"),
     "independent-minibatch": (29,

@@ -15,6 +15,7 @@ from fedal.nn import (
     hidden_features,
     init_params,
     loss,
+    loss_and_grad,
     sgd_step,
 )
 
@@ -287,6 +288,28 @@ def test_small_gradient_step_does_not_increase_loss():
         before = loss(model, feats, labels)
         stepped = sgd_step(model.params, grad(model, feats, labels), 1e-3)
         assert loss(Model(arch, stepped), feats, labels) <= before + 1e-12
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("sizes", [(3, 4), (3, 5, 4), (3, 5, 6, 4)])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_loss_and_grad_equal_loss_and_grad_bit_for_bit(activation, sizes, heads):
+    model = _random_model(len(sizes) + heads, sizes, activation=activation, heads=heads, scale=2.0)
+    rng = np.random.default_rng(7)
+    feats = rng.normal(size=(9, 3))
+    labels = rng.integers(0, 4, size=9)
+    value, g = loss_and_grad(model, feats, labels)
+    assert value == loss(model, feats, labels)
+    assert np.array_equal(g, grad(model, feats, labels))
+
+
+def test_loss_and_grad_share_the_dropout_masks_of_one_stream():
+    model = _random_model(4, (3, 6, 4), activation="tanh", dropout=0.3, heads=2)
+    feats = np.random.default_rng(1).normal(size=(7, 3))
+    labels = np.array([0, 1, 2, 3, 0, 1, 2])
+    value, g = loss_and_grad(model, feats, labels, np.random.default_rng(5))
+    assert value == loss(model, feats, labels, np.random.default_rng(5))
+    assert np.array_equal(g, grad(model, feats, labels, np.random.default_rng(5)))
 
 
 # -- sgd / schedule / init ----------------------------------------------------
