@@ -2,10 +2,10 @@
 """Record the benchmark's numbers for the checked-out commit in ``BENCH_<label>.json``.
 
     python3 scripts/bench.py --label baseline
-    python3 scripts/bench.py --label mychange --runs 5 --workloads trend
 
-For each workload it runs ``perfbench/run.py`` ``--runs`` times untraced and
-once traced, all on one seed, and keeps the JSON object on the last line of
+For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` three
+times untraced and once traced, all on seed 1 and for the ``run_seconds``
+that ``BENCHMARK.json`` sets, and keeps the JSON object on the last line of
 each run.  The file holds, per workload, the median and the range of every
 untraced end-to-end metric, the traced per-layer metrics, and the failed and
 attempted operation counts; plus the host (nproc, Python and NumPy versions,
@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("trend", "paper_pool", "skew_minibatch")
+RUNS = 3
+SEED = 1
 
 
 def _last_json_line(args: list[str]) -> dict:
@@ -52,12 +53,12 @@ def _git_sha() -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def bench_workload(name: str, seed: int, runs: int, seconds: float) -> dict:
-    common = ["--workload", name, "--seed", str(seed), "--seconds", str(seconds)]
+def bench_workload(name: str, seconds: float) -> dict:
+    common = ["--workload", name, "--seed", str(SEED), "--seconds", str(seconds)]
     untraced = []
-    for k in range(runs):
+    for k in range(RUNS):
         untraced.append(_last_json_line([*common, "--trace", "0"]))
-        print(f"{name}: untraced run {k + 1}/{runs}: wall_ref_s "
+        print(f"{name}: untraced run {k + 1}/{RUNS}: wall_ref_s "
               f"{untraced[-1]['metrics']['wall_ref_s']['value']:.3f}", flush=True)
     traced = _last_json_line([*common, "--trace", "1"])
     print(f"{name}: traced run done", flush=True)
@@ -68,8 +69,8 @@ def bench_workload(name: str, seed: int, runs: int, seconds: float) -> dict:
                               "max": max(values), "unit": entry["unit"]}
     runs_all = [*untraced, traced]
     return {
-        "seed": seed,
-        "untraced_runs": runs,
+        "seed": SEED,
+        "untraced_runs": RUNS,
         "correct": all(run["correct"] for run in runs_all),
         "attempted": sum(run["attempted"] for run in runs_all),
         "failed": sum(run["failed"] for run in runs_all),
@@ -82,28 +83,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
-    parser.add_argument("--runs", type=int, default=3, help="untraced runs per workload (default 3)")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    parser.add_argument("--seconds", type=float, default=32.0,
-                        help="--seconds of each untraced run (default 32)")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma-separated subset of " + ", ".join(WORKLOADS))
     args = parser.parse_args(argv)
-    names = [w for w in args.workloads.split(",") if w]
-    unknown = sorted(set(names) - set(WORKLOADS))
-    if unknown or not names:
-        parser.error(f"unknown workloads {unknown}; expected a subset of {WORKLOADS}")
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
 
     result = {
         "label": args.label,
         "git_sha": _git_sha(),
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "blas": _blas_vendor()},
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
-        "workloads": {name: bench_workload(name, args.seed, args.runs, args.seconds)
-                      for name in names},
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds} "
+                   "--trace 0|1",
+        "seconds": seconds,
+        "workloads": {w["name"]: bench_workload(w["name"], seconds) for w in spec["workloads"]},
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")

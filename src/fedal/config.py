@@ -230,15 +230,15 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("dataset.test_path: required for external datasets")
 
     part = root.section("partition")
+    client_count = part.get("clients", int)
+    mode = part.get("mode", str, default="iid_disjoint", allowed=PARTITION_MODES)
+    classes_per_client = part.get("classes_per_client", int, default=None)
+    part.reject_unknown()
     try:
-        partition_spec = PartitionSpec(
-            client_count=part.get("clients", int),
-            mode=part.get("mode", str, default="iid_disjoint", allowed=PARTITION_MODES),
-            classes_per_client=part.get("classes_per_client", int, default=None),
-        )
+        partition_spec = PartitionSpec(client_count=client_count, mode=mode,
+                                       classes_per_client=classes_per_client)
     except ConfigError as exc:
         raise _owner_error("partition", exc) from None
-    part.reject_unknown()
 
     mdl = root.section("model")
     hidden_raw = mdl.get("hidden", list, default=[32])

@@ -11,11 +11,13 @@ otherwise at ``max_global_iters``.  Independent training runs the same loop
 on one client, with the weighted average left out, and stops on that
 client's training loss.
 
-With full batches and no dropout the loss costs no extra work: the next
-iteration's first gradient runs the forward pass at those parameters, and
-only a run that reaches the cap needs one more forward pass.  Minibatches,
-dropout or a custom ``local_fn`` take one deterministic loss pass per
-client and iteration.
+Each iteration reports the loss of the parameters it started from, so the
+check lags one update: the iteration after the one that stops the run has
+its update dropped, and a run that reaches the cap takes one more loss pass
+for the last model.  With full batches and no dropout that loss costs no
+extra work, since the iteration's first gradient runs the forward pass at
+those parameters.  Minibatches, dropout or a custom ``local_fn`` take one
+deterministic loss pass per client and iteration.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.
@@ -101,6 +103,16 @@ def weighted_average(param_vectors, sample_counts) -> Array:
     return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
 
 
+def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
+    """Whether a plain local update on ``n`` rows draws randomness.
+
+    It does with dropout, or with minibatches smaller than ``n`` (see
+    :func:`nn.minibatches`).  Otherwise every epoch is one full batch in
+    stored order, and the first gradient's forward pass gives the loss.
+    """
+    return arch.dropout_rate > 0.0 or (cfg.minibatch_size is not None and cfg.minibatch_size < n)
+
+
 def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
                  rng) -> tuple[Array, float | None]:
     """``cfg.local_epochs`` passes of SGD at a fixed learning rate.
@@ -108,18 +120,18 @@ def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
     Each pass is one full batch in stored order, or shuffled minibatches.
     Returns the new params and the training loss of ``model`` on the whole
     labeled set, read from the first gradient's forward pass.  That loss is
-    None unless the first batch is the whole set and no dropout is active.
+    None when the update draws randomness (:func:`_update_draws`).
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.size == 0:
         raise EmptyInputError("client has no labeled examples")
     y = np.asarray(labels)
     n = feats.shape[0]
-    params, start_loss, first = model.params, None, True
+    params, start_loss, first = model.params, None, not _update_draws(model.arch, cfg, n)
     for _ in range(cfg.local_epochs):
         for batch in nn.minibatches(n, cfg.minibatch_size, rng):
             current = Model(model.arch, params)
-            if first and len(batch) == n and model.arch.dropout_rate == 0.0:
+            if first:
                 start_loss, g = nn.loss_and_grad(current, feats[batch], y[batch], rng)
             else:
                 g = nn.grad(current, feats[batch], y[batch], rng)
@@ -128,11 +140,15 @@ def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
 
 
 def _client_update(local_fn, model: Model, features, labels, lr: float, cfg: FedConfig, rng,
-                   client_id: int) -> tuple[Array, float | None]:
-    """One client's update as ``(params, loss of model or None)``; see :func:`fedavg`."""
+                   client_id: int) -> tuple[Array, float]:
+    """One client's update as ``(params, training loss of model)``; see :func:`fedavg`."""
     if local_fn is None:
-        return local_update(model, features, labels, lr, cfg, rng)
-    return local_fn(model, features, labels, lr, cfg, rng, client_id), None
+        params, start_loss = local_update(model, features, labels, lr, cfg, rng)
+    else:
+        params, start_loss = local_fn(model, features, labels, lr, cfg, rng, client_id), None
+    if start_loss is None:
+        start_loss = nn.loss(model, features, labels)
+    return params, start_loss
 
 
 def _mean_loss(losses, counts) -> float:
@@ -145,35 +161,28 @@ def _mean_loss(losses, counts) -> float:
 
 
 def _train_to_threshold(init_model: Model, cfg: FedConfig, step, train_loss) -> FedRunReport:
-    """Iterate ``step(t, params) -> (params, training loss of the input params or None)``.
+    """Iterate ``step(t, params) -> (updated params, training loss of params)``.
 
     Stops on the training loss of the model the run returns: once that loss
     drops below ``cfg.stop_loss_threshold`` after at least one update, and
     otherwise after ``cfg.max_global_iters`` updates.  ``loss_trace[k]`` is
     the loss after ``k + 1`` updates, so its length is the number of updates.
 
-    A step that reads its input's loss from its own forward pass (every
-    iteration of a run does, or none does) checks the previous update: when
-    that one stopped the run, the step's own update is dropped, and at the
-    cap ``train_loss(params)`` gives the last entry.  Otherwise
-    ``train_loss`` is called after every update.
+    Step ``t`` reports the loss of update ``t - 1``'s result, so when that
+    loss stops the run, step ``t``'s own update is dropped; at the cap
+    ``train_loss(params)`` gives the last entry.
     """
     params = init_model.params.copy()
     trace: list[float] = []
     for t in range(1, cfg.max_global_iters + 1):
-        new_params, read = step(t, params)
-        if read is not None and t > 1:
-            trace.append(read)  # the loss of update t - 1's result
-            if read < cfg.stop_loss_threshold:
+        new_params, loss = step(t, params)
+        if t > 1:
+            trace.append(loss)
+            if loss < cfg.stop_loss_threshold:
                 break
         params = new_params
-        if read is None:
-            trace.append(train_loss(params))
-            if trace[-1] < cfg.stop_loss_threshold:
-                break
     else:
-        if len(trace) < cfg.max_global_iters:
-            trace.append(train_loss(params))
+        trace.append(train_loss(params))
     return FedRunReport(Model(init_model.arch, params), len(trace), tuple(trace))
 
 
@@ -185,8 +194,8 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     replaces the plain supervised local update when given (used for
     head-disagreement training of the two-head scoring model).  Client
     ``m`` draws iteration ``t``'s randomness from ``rng_for(seed, "local", m, t)``;
-    the stream is built only when the update can draw from it (a
-    ``local_fn``, minibatches or dropout).
+    the stream is built only when the update can draw from it: always for a
+    ``local_fn``, else as :func:`_update_draws` says.
     """
     if all(len(p.labeled) == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
@@ -194,20 +203,19 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     # Clients without labels get weight zero: they only receive the global model.
     clients = [(pool.client_id, *gather(dataset, pool.labeled)) for pool in pools if pool.labeled]
     counts = [len(labels) for _, _, labels in clients]
-    draws = local_fn is not None or cfg.minibatch_size is not None or arch.dropout_rate > 0.0
+    draws = [local_fn is not None or _update_draws(arch, cfg, n) for n in counts]
 
     def step(t, params):
         lr = cfg.schedule.lr(t)
         model = Model(arch, params)
         updated, losses = [], []
-        for client_id, feats, labels in clients:
-            rng = rng_for(seed, "local", client_id, t) if draws else None
+        for (client_id, feats, labels), client_draws in zip(clients, draws):
+            rng = rng_for(seed, "local", client_id, t) if client_draws else None
             new_params, start_loss = _client_update(local_fn, model, feats, labels, lr, cfg, rng,
                                                     client_id)
             updated.append(new_params)
             losses.append(start_loss)
-        read = None if any(v is None for v in losses) else _mean_loss(losses, counts)
-        return weighted_average(updated, counts), read
+        return weighted_average(updated, counts), _mean_loss(losses, counts)
 
     def train_loss(params):
         model = Model(arch, params)

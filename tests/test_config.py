@@ -136,6 +136,7 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("independent:\n  minibatch_size: 0\n", r"^independent\.minibatch_size: "),
         ("partition:\n  clients: 0\n", r"^partition\.clients: must be an int >= 1"),
         ("partition:\n  clients: 2\n  mode: label_skew\n", r"^partition\.classes_per_client: "),
+        ("partition:\n  clients: 2\n  mode: bogus\n", r"^partition\.mode: 'bogus' is not one of"),
         ("dataset:\n  kind: blobs\n  classes: 1\n", r"^dataset\.classes: "),
         ("dataset:\n  kind: blobs\n  dim: 1\n", r"^dataset\.dim: "),
         ("dataset:\n  kind: blobs\n  classes: 40\n  test_size: 30\n", r"^dataset\.test_size: "),
@@ -155,7 +156,7 @@ def test_bad_values_are_rejected_with_dotted_paths(extra, fragment):
 def test_missing_required_keys_are_named():
     with pytest.raises(ConfigError, match="dataset.kind"):
         _parse("partition:\n  clients: 2\nal:\n  strategy: random\n  budget: 4\n")
-    with pytest.raises(ConfigError, match="partition.clients"):
+    with pytest.raises(ConfigError, match=r"^partition\.clients: required key is missing"):
         _parse("dataset:\n  kind: blobs\nal:\n  strategy: random\n  budget: 4\n")
     with pytest.raises(ConfigError, match="al.budget"):
         _parse("dataset:\n  kind: blobs\npartition:\n  clients: 2\nal:\n  strategy: random\n")

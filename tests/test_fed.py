@@ -275,9 +275,15 @@ def test_independent_train_stops_on_a_model_below_the_threshold(mode):
     assert report.loss_trace[-1] == loss(report.final_model, feats, labels) < 0.4
 
 
-@pytest.mark.parametrize("mode,draws", [("full-batch", False), ("minibatch-dropout", True),
-                                        ("local_fn", True)])
-def test_fedavg_builds_local_streams_only_when_the_update_can_draw(mode, draws, monkeypatch):
+@pytest.mark.parametrize("mode,minibatch,draws", [
+    ("full-batch", None, False),
+    ("full-batch", 6, False),  # one batch of each client's 6 rows
+    ("full-batch", 5, True),
+    ("minibatch-dropout", 4, True),
+    ("local_fn", None, True),
+])
+def test_fedavg_builds_local_streams_only_when_the_update_can_draw(mode, minibatch, draws,
+                                                                   monkeypatch):
     arch_kwargs, run_kwargs = TRAIN_MODES[mode]
     built = []
 
@@ -286,8 +292,8 @@ def test_fedavg_builds_local_streams_only_when_the_update_can_draw(mode, draws, 
         return rng_for(*key)
 
     monkeypatch.setattr(fed_module, "rng_for", spy)
-    cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=run_kwargs.get("minibatch_size"),
-                    stop_loss_threshold=1e-9, max_global_iters=3)
+    cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=minibatch, stop_loss_threshold=1e-9,
+                    max_global_iters=3)
     fedavg(_dataset(12), _full_pools(12, clients=2), _init(MlpArchitecture((2, 3, 2), **arch_kwargs)),
            cfg, seed=8, local_fn=run_kwargs.get("local_fn"))
     expected = [(8, "local", m, t) for t in (1, 2, 3) for m in (0, 1)]
