@@ -12,9 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import HARNESS_STRATEGIES, parse_config_file
+from .config import parse_config_file
 from .errors import ConfigError
 from .harness import emit_csv, run_experiment
+from .orchestrator import HARNESS_STRATEGIES
 from .presets import PAPER_SCALE_PRESETS, PROVENANCE_NOTE
 from .strategies import SCORER_KINDS
 

@@ -21,12 +21,11 @@ from .data import (
 )
 from .errors import ConfigError
 from .fed import FedConfig
-from .nn import ACTIVATIONS, LrSchedule
-from .orchestrator import STRATEGIES, ALConfig, check_scorer
+from .nn import LrSchedule, MlpArchitecture
+from .orchestrator import ALConfig, check_scorer
 from .presets import PRESETS
-from .strategies import SCORER_KINDS, ScorerSpec
+from .strategies import ScorerSpec
 
-HARNESS_STRATEGIES = (*STRATEGIES, "full_budget")
 DATASET_KINDS = ("blobs",) + EXTERNAL_FORMATS
 
 
@@ -130,13 +129,31 @@ class _Section:
 
 # Owner fields whose config key has another name.  Owners start each error
 # with the field it concerns ("initial_lr: must be positive, ...").
-_KEY_OF_FIELD = {"initial_lr": "lr", "decay": "lr_decay", "client_count": "clients"}
+_KEY_OF_FIELD = {"initial_lr": "lr", "decay": "lr_decay", "client_count": "clients",
+                 "layer_sizes": "hidden", "dropout_rate": "dropout", "kind": "scorer"}
 
 
 def _owner_error(path: str, exc: ConfigError) -> ConfigError:
     """An owner's error, reworded to name the dotted config key under ``path``."""
     field, _, message = str(exc).partition(": ")
     return ConfigError(f"{path}.{_KEY_OF_FIELD.get(field, field)}: {message}")
+
+
+def _reject_duplicate_keys(node, path: str = "") -> None:
+    """Name the first mapping key given twice; plain YAML keeps its last copy without a word."""
+    labels = set()
+    for key_node, value_node in node.value if isinstance(node, yaml.MappingNode) else ():
+        label = f"{path}.{key_node.value}" if path else str(key_node.value)
+        if label in labels:
+            raise ConfigError(f"{label}: duplicate key")
+        labels.add(label)
+        _reject_duplicate_keys(value_node, label)
+
+
+class _StrictLoader(yaml.SafeLoader):
+    def construct_document(self, node):
+        _reject_duplicate_keys(node)
+        return super().construct_document(node)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -178,7 +195,7 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
     try:
-        loaded = yaml.safe_load(raw)
+        loaded = yaml.load(raw, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     if loaded is None:
@@ -242,20 +259,22 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
 
     mdl = root.section("model")
     hidden_raw = mdl.get("hidden", list, default=[32])
-    if not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden_raw):
-        raise ConfigError("model.hidden: expected a list of ints >= 1")
+    if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden_raw):
+        raise ConfigError("model.hidden: expected a list of ints")
     model_spec = ModelSpec(
         hidden=tuple(hidden_raw),
-        activation=mdl.get("activation", str, default="relu", allowed=ACTIVATIONS),
+        activation=mdl.get("activation", str, default="relu"),
         dropout=mdl.get("dropout", float, default=0.0),
     )
     mdl.reject_unknown()
-    if not 0.0 <= model_spec.dropout < 1.0:
-        raise ConfigError(f"model.dropout: must lie in [0, 1), got {model_spec.dropout}")
+    try:  # the data sets the input and class counts; 1 stands in for both
+        MlpArchitecture((1, *model_spec.hidden, 1), model_spec.activation, model_spec.dropout)
+    except ConfigError as exc:
+        raise _owner_error("model", exc) from None
 
     al = root.section("al")
-    strategy = al.get("strategy", str, allowed=HARNESS_STRATEGIES)
-    scorer_kind = al.get("scorer", str, default="entropy", allowed=SCORER_KINDS)
+    strategy = al.get("strategy", str)
+    scorer_kind = al.get("scorer", str, default="entropy")
     rounds = al.get("rounds", int, default=10)
     budget_total = al.get("budget", int, default=None)
     budgets_raw = al.get("budgets", list, default=None)

@@ -20,7 +20,10 @@ those parameters.  Minibatches, dropout or a custom ``local_fn`` take one
 deterministic loss pass per client and iteration.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
-receive the next global model like everyone else.
+receive the next global model like everyone else.  :func:`fedavg` and
+:func:`independent_train` check each client's labeled pair once per run,
+where they gather it, and then run nn's unchecked cores; :func:`local_update`
+checks its arguments on every call.
 """
 
 from __future__ import annotations
@@ -122,33 +125,35 @@ def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
     labeled set, read from the first gradient's forward pass.  That loss is
     None when the update draws randomness (:func:`_update_draws`).
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.size == 0:
+    if np.size(features) == 0:
         raise EmptyInputError("client has no labeled examples")
-    y = np.asarray(labels)
-    n = feats.shape[0]
-    params, start_loss, first = model.params, None, not _update_draws(model.arch, cfg, n)
+    x, y = nn.labeled_batch(model.arch, features, labels)
+    return _local_update(model.arch, model.params, x, y, lr, cfg, rng)
+
+
+def _local_update(arch, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
+                  rng) -> tuple[Array, float | None]:
+    """:func:`local_update` on a pair checked by :func:`nn.labeled_batch`."""
+    start_loss, first = None, not _update_draws(arch, cfg, y.shape[0])
     for _ in range(cfg.local_epochs):
-        for batch in nn.minibatches(n, cfg.minibatch_size, rng):
-            current = Model(model.arch, params)
+        for xb, yb in nn.minibatches(x, y, cfg.minibatch_size, rng):
+            value, g = nn._grad(arch, params, xb, yb, rng, first)
             if first:
-                start_loss, g = nn.loss_and_grad(current, feats[batch], y[batch], rng)
-            else:
-                g = nn.grad(current, feats[batch], y[batch], rng)
-            params, first = nn.sgd_step(params, g, lr), False
+                start_loss = value
+            params, first = params - lr * g, False
     return params, start_loss
 
 
-def _client_update(local_fn, model: Model, features, labels, lr: float, cfg: FedConfig, rng,
-                   client_id: int) -> tuple[Array, float]:
-    """One client's update as ``(params, training loss of model)``; see :func:`fedavg`."""
+def _client_update(local_fn, arch, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
+                   rng, client_id: int) -> tuple[Array, float]:
+    """One client's update as ``(params, training loss of params)``; see :func:`fedavg`."""
     if local_fn is None:
-        params, start_loss = local_update(model, features, labels, lr, cfg, rng)
+        new_params, start_loss = _local_update(arch, params, x, y, lr, cfg, rng)
     else:
-        params, start_loss = local_fn(model, features, labels, lr, cfg, rng, client_id), None
+        new_params, start_loss = local_fn(Model(arch, params), x, y, lr, cfg, rng, client_id), None
     if start_loss is None:
-        start_loss = nn.loss(model, features, labels)
-    return params, start_loss
+        start_loss = nn._loss(arch, params, x, y)
+    return new_params, start_loss
 
 
 def _mean_loss(losses, counts) -> float:
@@ -201,25 +206,24 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
         raise InvalidStateError("no client has labeled data")
     arch = init_model.arch
     # Clients without labels get weight zero: they only receive the global model.
-    clients = [(pool.client_id, *gather(dataset, pool.labeled)) for pool in pools if pool.labeled]
-    counts = [len(labels) for _, _, labels in clients]
+    clients = [(pool.client_id, *nn.labeled_batch(arch, *gather(dataset, pool.labeled)))
+               for pool in pools if pool.labeled]
+    counts = [len(y) for _, _, y in clients]
     draws = [local_fn is not None or _update_draws(arch, cfg, n) for n in counts]
 
     def step(t, params):
         lr = cfg.schedule.lr(t)
-        model = Model(arch, params)
         updated, losses = [], []
-        for (client_id, feats, labels), client_draws in zip(clients, draws):
+        for (client_id, x, y), client_draws in zip(clients, draws):
             rng = rng_for(seed, "local", client_id, t) if client_draws else None
-            new_params, start_loss = _client_update(local_fn, model, feats, labels, lr, cfg, rng,
+            new_params, start_loss = _client_update(local_fn, arch, params, x, y, lr, cfg, rng,
                                                     client_id)
             updated.append(new_params)
             losses.append(start_loss)
         return weighted_average(updated, counts), _mean_loss(losses, counts)
 
     def train_loss(params):
-        model = Model(arch, params)
-        return _mean_loss([nn.loss(model, feats, labels) for _, feats, labels in clients], counts)
+        return _mean_loss([nn._loss(arch, params, x, y) for _, x, y in clients], counts)
 
     return _train_to_threshold(init_model, cfg, step, train_loss)
 
@@ -237,16 +241,15 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
     pool = pools[client]
     if not pool.labeled:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
-    feats, labels = gather(dataset, pool.labeled)
     arch = init_model.arch
+    x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
     rng = rng_for(seed, pool.client_id)
 
     def step(t, params):
-        return _client_update(local_fn, Model(arch, params), feats, labels, cfg.schedule.lr(t),
-                              cfg, rng, pool.client_id)
+        return _client_update(local_fn, arch, params, x, y, cfg.schedule.lr(t), cfg, rng,
+                              pool.client_id)
 
-    return _train_to_threshold(init_model, cfg, step,
-                               lambda params: nn.loss(Model(arch, params), feats, labels))
+    return _train_to_threshold(init_model, cfg, step, lambda params: nn._loss(arch, params, x, y))
 
 
 def evaluate(model: Model, test: Dataset) -> float:

@@ -4,7 +4,10 @@ All arithmetic is float64 and accumulated in a fixed order so that identical
 inputs produce bit-identical outputs.  Models are plain values; every
 operation is a pure function of its arguments, with randomness (dropout
 masks) supplied through an explicit Generator.  Features always arrive as a
-2-D batch of rows; a 1-D vector is rejected with a ``ShapeError``.
+2-D batch of rows; a 1-D vector is rejected with a ``ShapeError``.  Every
+public function checks its own inputs; training loops check a labeled pair
+once per run (:func:`labeled_batch`), then call the unchecked cores
+``_loss`` and ``_grad`` that :func:`loss` and :func:`grad` share.
 
 Parameters live in a single flat float64 vector.  Storage order: for each
 hidden layer a weight matrix (fan_in x fan_out, row-major) followed by its
@@ -46,7 +49,7 @@ class ParamLayout(NamedTuple):
 
 @dataclass(frozen=True)
 class MlpArchitecture:
-    """Shape of a dense classifier: layer sizes (input first, classes last)."""
+    """Shape of a dense classifier: layer sizes (input first, classes last); errors name the field."""
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
@@ -56,15 +59,15 @@ class MlpArchitecture:
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if len(self.layer_sizes) < 2:
-            raise ConfigError("layer_sizes needs at least an input and an output size")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ConfigError(f"layer sizes must be >= 1, got {self.layer_sizes}")
+            raise ConfigError("layer_sizes: needs at least an input and an output size")
+        if min(self.layer_sizes) < 1:
+            raise ConfigError(f"layer_sizes: sizes must be >= 1, got {min(self.layer_sizes)}")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
+            raise ConfigError(f"activation: unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         if not (isinstance(self.dropout_rate, (int, float)) and 0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"dropout_rate: must lie in [0, 1), got {self.dropout_rate}")
         if not (isinstance(self.head_count, int) and self.head_count >= 1):
-            raise ConfigError(f"head_count must be an int >= 1, got {self.head_count}")
+            raise ConfigError(f"head_count: must be an int >= 1, got {self.head_count}")
 
     @property
     def input_dim(self) -> int:
@@ -156,11 +159,13 @@ def _activate(name: str, z: Array) -> Array:
 class _Pass(NamedTuple):
     """Everything one forward pass keeps for the loss and for backprop.
 
-    ``inputs[j]`` is what layer j consumed (the post-dropout activation of
-    the previous layer).  Per head: the logits, their row maxima and the row
-    sums of ``exp(logits - row max)`` (both ``(rows, 1)``), and the softmax.
+    ``layers`` holds the (W, b) views.  ``inputs[j]`` is what layer j consumed
+    (the post-dropout activation of the previous layer).  Per head: the
+    logits, their row maxima and the row sums of ``exp(logits - row max)``
+    (both ``(rows, 1)``), and the softmax, unless the pass is logits-only.
     """
 
+    layers: tuple[list, list]
     inputs: list[Array]
     pre_dropout: list[Array]
     masks: list[Array | None]
@@ -170,10 +175,9 @@ class _Pass(NamedTuple):
     probs: list[Array]
 
 
-def _forward_cache(model: Model, x: Array, rng) -> _Pass:
-    """Run the network, keeping every intermediate needed for the loss and backprop."""
-    arch = model.arch
-    hidden, heads = _split_params(arch, model.params)
+def _forward_cache(arch: MlpArchitecture, params: Array, x: Array, rng, probs: bool = True) -> _Pass:
+    """Run the network, keeping what the loss and backprop need; ``probs=False`` is logits-only."""
+    hidden, heads = layers = _split_params(arch, params)
     p = arch.dropout_rate
     inputs = [x]
     pre_dropout = []
@@ -193,7 +197,7 @@ def _forward_cache(model: Model, x: Array, rng) -> _Pass:
         masks.append(mask)
         inputs.append(act)
         a = act
-    out = _Pass(inputs, pre_dropout, masks, [], [], [], [])
+    out = _Pass(layers, inputs, pre_dropout, masks, [], [], [], [])
     for w, b in heads:
         z = a @ w + b
         zmax = z.max(axis=1, keepdims=True)
@@ -202,7 +206,8 @@ def _forward_cache(model: Model, x: Array, rng) -> _Pass:
         out.logits.append(z)
         out.row_max.append(zmax)
         out.row_sum.append(sums)
-        out.probs.append(e / sums)
+        if probs:
+            out.probs.append(e / sums)
     return out
 
 
@@ -213,7 +218,7 @@ def forward(model: Model, x, rng=None) -> list[Array]:
     dropout masks (training mode); with ``dropout_rate == 0`` the rng is
     ignored entirely.
     """
-    return _forward_cache(model, _as_batch(x, model.arch.input_dim), rng).probs
+    return _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), rng).probs
 
 
 def hidden_features(model: Model, x) -> Array:
@@ -222,7 +227,7 @@ def hidden_features(model: Model, x) -> Array:
     For an architecture without hidden layers this is the raw input, which is
     what the final linear layer consumes.
     """
-    return _forward_cache(model, _as_batch(x, model.arch.input_dim), None).inputs[-1]
+    return _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), None).inputs[-1]
 
 
 def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
@@ -231,13 +236,13 @@ def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
     Hook for callers that build custom objectives on top of the heads
     (e.g. head-disagreement training) without re-deriving the trunk.
     """
-    fwd = _forward_cache(model, _as_batch(x, model.arch.input_dim), rng)
+    fwd = _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), rng)
     return fwd.inputs[-1], fwd.probs
 
 
-def _labeled_batch(model: Model, features, labels) -> tuple[Array, Array]:
-    """The checked (batch, int64 labels) pair that :func:`loss` and :func:`grad` share."""
-    batch = _as_batch(features, model.arch.input_dim)
+def labeled_batch(arch: MlpArchitecture, features, labels) -> tuple[Array, Array]:
+    """The checked (float64 batch, int64 labels) pair that the unchecked cores take."""
+    batch = _as_batch(features, arch.input_dim)
     if batch.shape[0] == 0:
         raise EmptyInputError("empty batch")
     y = np.asarray(labels)
@@ -248,7 +253,7 @@ def _labeled_batch(model: Model, features, labels) -> tuple[Array, Array]:
     if not np.issubdtype(y.dtype, np.integer) and np.any(y != np.floor(y)):
         raise ShapeError("labels must be integers")
     y = y.astype(np.int64)
-    class_count = model.arch.class_count
+    class_count = arch.class_count
     if y.min() < 0 or y.max() >= class_count:
         raise ShapeError(f"labels must lie in [0, {class_count}), got range [{y.min()}, {y.max()}]")
     if y.shape[0] != batch.shape[0]:
@@ -256,58 +261,70 @@ def _labeled_batch(model: Model, features, labels) -> tuple[Array, Array]:
     return batch, y
 
 
-def _cross_entropy(fwd: _Pass, y: Array) -> float:
-    """Mean cross-entropy over the batch, averaged over heads, from the softmax parts."""
-    rows = np.arange(y.shape[0])
+def _cross_entropy(fwd: _Pass, picks: Array) -> float:
+    """Mean cross-entropy over the batch, averaged over heads; ``picks`` index the label logits."""
     total = 0.0
     for z, zmax, sums in zip(fwd.logits, fwd.row_max, fwd.row_sum):
         logsumexp = zmax[:, 0] + np.log(sums[:, 0])
-        total += float(np.mean(logsumexp - z[rows, y]))
+        # Sum, then divide by the row count: the same bits as np.mean.
+        total += float(np.add.reduce(logsumexp - z.ravel()[picks]) / picks.shape[0])
     return total / len(fwd.logits)
 
 
-def _backward(arch: MlpArchitecture, params: Array, y: Array, fwd: _Pass) -> Array:
-    """Gradient of the mean cross-entropy of ``fwd`` with respect to the flat parameters."""
-    hidden, heads = _split_params(arch, params)
+def _backward(arch: MlpArchitecture, picks: Array, fwd: _Pass) -> Array:
+    """Gradient of the mean cross-entropy of ``fwd`` (whose probs it overwrites) in flat layout."""
+    hidden, heads = fwd.layers
     inputs, pre_dropout, masks = fwd.inputs, fwd.pre_dropout, fwd.masks
-    n = y.shape[0]
-    rows = np.arange(n)
     p = arch.dropout_rate
-
-    out = np.zeros(arch.param_count, dtype=np.float64)
     layout = arch.layout
+    out = np.empty(layout.size, dtype=np.float64)
     last_hidden = inputs[-1]
 
-    # dL/dz for each head; CE averaged over batch and heads.
-    d_last = np.zeros_like(last_hidden)
-    for block, (w, _), probs in zip(layout.heads, heads, fwd.probs):
-        dz = probs.copy()
-        dz[rows, y] -= 1.0
-        dz /= n * arch.head_count
-        out[block.w] = (last_hidden.T @ dz).ravel()
-        out[block.b] = dz.sum(axis=0)
-        d_last = d_last + dz @ w.T
+    # dL/dz for each head; CE averaged over batch and heads.  (0.0 adds like a zero array.)
+    d_last = 0.0
+    for block, (w, _), dz in zip(layout.heads, heads, fwd.probs):
+        dz.ravel()[picks] -= 1.0
+        dz /= picks.shape[0] * arch.head_count
+        np.matmul(last_hidden.T, dz, out=out[block.w].reshape(block.shape))
+        np.add.reduce(dz, axis=0, out=out[block.b])
+        if hidden:
+            d_last = d_last + dz @ w.T
 
-    # Walk the hidden stack backwards.
+    # Walk the hidden stack backwards; the raw input needs no gradient.
     d_act = d_last
-    for j in range(len(hidden) - 1, -1, -1):
-        w, _ = hidden[j]
+    for j, block in reversed(tuple(enumerate(layout.hidden))):
         if masks[j] is not None:
-            d_act = d_act * (masks[j] / (1.0 - p))
+            d_act *= masks[j] / (1.0 - p)
         if arch.activation == "relu":
-            d_z = d_act * (pre_dropout[j] > 0.0)
+            d_act *= pre_dropout[j] > 0.0
         else:
-            d_z = d_act * (1.0 - pre_dropout[j] ** 2)
-        out[layout.hidden[j].w] = (inputs[j].T @ d_z).ravel()
-        out[layout.hidden[j].b] = d_z.sum(axis=0)
-        d_act = d_z @ w.T
+            d_act *= 1.0 - pre_dropout[j] ** 2
+        np.matmul(inputs[j].T, d_act, out=out[block.w].reshape(block.shape))
+        np.add.reduce(d_act, axis=0, out=out[block.b])
+        if j:
+            d_act = d_act @ hidden[j][0].T
     return out
+
+
+def _loss(arch: MlpArchitecture, params: Array, x: Array, y: Array, rng=None) -> float:
+    """:func:`loss` on a checked pair (see :func:`labeled_batch`), from a logits-only pass."""
+    picks = np.arange(y.shape[0]) * arch.class_count + y
+    return _cross_entropy(_forward_cache(arch, params, x, rng, probs=False), picks)
+
+
+def _grad(arch: MlpArchitecture, params: Array, x: Array, y: Array, rng,
+          want_loss: bool) -> tuple[float | None, Array]:
+    """(:func:`loss` or None, :func:`grad`) on a checked pair, from one forward pass."""
+    fwd = _forward_cache(arch, params, x, rng)
+    picks = np.arange(y.shape[0]) * arch.class_count + y
+    value = _cross_entropy(fwd, picks) if want_loss else None
+    return value, _backward(arch, picks, fwd)
 
 
 def loss(model: Model, features, labels, rng=None) -> float:
     """Mean cross-entropy over the batch, averaged over heads."""
-    batch, y = _labeled_batch(model, features, labels)
-    return _cross_entropy(_forward_cache(model, batch, rng), y)
+    batch, y = labeled_batch(model.arch, features, labels)
+    return _loss(model.arch, model.params, batch, y, rng)
 
 
 def grad(model: Model, features, labels, rng=None) -> Array:
@@ -316,28 +333,28 @@ def grad(model: Model, features, labels, rng=None) -> Array:
     When dropout is active the same masks are used for the forward and the
     backward pass, exactly as a single stochastic training step requires.
     """
-    batch, y = _labeled_batch(model, features, labels)
-    return _backward(model.arch, model.params, y, _forward_cache(model, batch, rng))
+    batch, y = labeled_batch(model.arch, features, labels)
+    return _grad(model.arch, model.params, batch, y, rng, False)[1]
 
 
 def loss_and_grad(model: Model, features, labels, rng=None) -> tuple[float, Array]:
     """:func:`loss` and :func:`grad` from one forward pass, each bit for bit."""
-    batch, y = _labeled_batch(model, features, labels)
-    fwd = _forward_cache(model, batch, rng)
-    return _cross_entropy(fwd, y), _backward(model.arch, model.params, y, fwd)
+    batch, y = labeled_batch(model.arch, features, labels)
+    return _grad(model.arch, model.params, batch, y, rng, True)
 
 
-def minibatches(n: int, size: int | None, rng) -> list[Array]:
-    """Row-index batches for one epoch over ``n`` rows.
+def minibatches(x: Array, y: Array, size: int | None, rng) -> list[tuple[Array, Array]]:
+    """One epoch of ``(features, labels)`` batches over the ``n`` rows of a checked pair.
 
-    ``size`` of None (or at least ``n``) gives one batch in stored order and
-    draws nothing from ``rng``; otherwise one ``rng.permutation(n)`` is cut
-    into consecutive ``size``-row batches.
+    ``size`` of None (or at least ``n``) gives the pair itself, in stored
+    order, and draws nothing from ``rng``; otherwise one
+    ``rng.permutation(n)`` is cut into consecutive ``size``-row batches.
     """
+    n = y.shape[0]
     if size is None or size >= n:
-        return [np.arange(n)]
+        return [(x, y)]
     perm = rng.permutation(n)
-    return [perm[i:i + size] for i in range(0, n, size)]
+    return [(x[rows], y[rows]) for rows in (perm[i:i + size] for i in range(0, n, size))]
 
 
 def sgd_step(params: Array, gradient: Array, lr: float) -> Array:

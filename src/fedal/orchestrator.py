@@ -44,6 +44,7 @@ from .strategies import (
 )
 
 STRATEGIES = ("random", "s_al", "f_al")
+HARNESS_STRATEGIES = (*STRATEGIES, "full_budget")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,9 @@ class RoundLog:
 
 
 def check_scorer(strategy: str, scorer: ScorerSpec) -> None:
-    """s_al and f_al pick by a model's scores; only random sampling takes the random scorer."""
+    """The strategy is known; s_al and f_al pick by a model's scores, so not the random scorer."""
+    if strategy not in HARNESS_STRATEGIES:
+        raise ConfigError(f"strategy: unknown strategy {strategy!r}; expected one of {HARNESS_STRATEGIES}")
     if strategy in ("s_al", "f_al") and scorer.kind == "random":
         raise ConfigError(f"scorer: strategy {strategy!r} needs a model-based scorer, not 'random'")
 
@@ -188,8 +191,6 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
     """One full annotation run of ``strategy``; ``full_budget`` is a single round."""
     if strategy == "full_budget":
         return [run_full_budget(dataset, test, pools, arch, fed_cfg, seed)]
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
     check_scorer(strategy, al_cfg.scorer)
     if strategy == "random":
         al_cfg = replace(al_cfg, scorer=ScorerSpec("random"))

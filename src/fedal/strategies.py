@@ -43,7 +43,7 @@ class ScorerSpec:
 
     def __post_init__(self):
         if self.kind not in SCORER_KINDS:
-            raise ConfigError(f"unknown scorer {self.kind!r}; expected one of {SCORER_KINDS}")
+            raise ConfigError(f"kind: unknown scorer {self.kind!r}; expected one of {SCORER_KINDS}")
         if not (isinstance(self.mc_passes, int) and self.mc_passes >= 1):
             raise ConfigError(f"mc_passes: must be an int >= 1, got {self.mc_passes}")
 
@@ -192,21 +192,20 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
     feats = np.asarray(labeled_feats, dtype=np.float64)
     if feats.size == 0:
         raise EmptyInputError("discrepancy training needs labeled examples")
-    labels = np.asarray(labeled_labels)
     unlab = np.asarray(unlabeled_feats, dtype=np.float64)
     if unlab.size == 0 and epochs > 0:
         warnings.warn("no unlabeled data: skipping the disagreement term", stacklevel=2)
     if not (isinstance(epochs, int) and epochs >= 0):
         raise ConfigError(f"epochs must be a non-negative int, got {epochs}")
 
+    x, y = nn.labeled_batch(arch, feats, labeled_labels)
     params = model.params
     for _ in range(epochs):
-        batches = nn.minibatches(feats.shape[0], minibatch_size, rng)
+        batches = nn.minibatches(x, y, minibatch_size, rng)
         u_shuffled = unlab.size and minibatch_size is not None and minibatch_size < unlab.shape[0]
         u_perm = rng.permutation(unlab.shape[0]) if u_shuffled else None
-        for step, batch in enumerate(batches):
-            current = Model(arch, params)
-            g = nn.grad(current, feats[batch], labels[batch], rng)
+        for step, (xb, yb) in enumerate(batches):
+            g = nn._grad(arch, params, xb, yb, rng, False)[1]
             if unlab.size:
                 if u_perm is None:
                     u_batch = unlab
@@ -214,6 +213,6 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
                     start = (step * minibatch_size) % unlab.shape[0]
                     take = np.arange(start, start + minibatch_size) % unlab.shape[0]
                     u_batch = unlab[u_perm[take]]
-                g = g + _discrepancy_grad(current, u_batch)
-            params = nn.sgd_step(params, g, lr)
+                g = g + _discrepancy_grad(Model(arch, params), u_batch)
+            params = params - lr * g
     return Model(arch, params)

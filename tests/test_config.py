@@ -121,8 +121,17 @@ def test_independent_section_defaults_to_a_slower_rate():
          r"^al\.initial_label_fraction: "),
         ("al:\n  strategy: random\n  budget: 40\n  mc_passes: 0\n", r"^al\.mc_passes: "),
         ("al:\n  strategy: random\n  budget: 40\n  banana: 1\n", "al.banana: unknown key"),
+        ("al:\n  strategy: bogus\n  budget: 40\n", r"^al\.strategy: unknown strategy 'bogus'"),
+        ("al:\n  strategy: random\n  scorer: margin\n  budget: 40\n", r"^al\.scorer: unknown scorer 'margin'"),
         ("model:\n  hidden: [0]\n", "model.hidden"),
+        ("model:\n  hidden: [0]\n", r"^model\.hidden: sizes must be >= 1, got 0"),
+        ("model:\n  hidden: [4, 1.5]\n", r"^model\.hidden: expected a list of ints"),
         ("model:\n  dropout: 1.0\n", "model.dropout"),
+        ("model:\n  dropout: 1.0\n", r"^model\.dropout: must lie in \[0, 1\), got 1\.0"),
+        ("model:\n  activation: selu\n", r"^model\.activation: unknown activation 'selu'"),
+        ("fl:\n  lr: 0.1\nfl:\n  max_global_iters: 7\n", r"^fl: duplicate key"),
+        ("fl:\n  lr: 0.1\n  lr: 0.2\n", r"^fl\.lr: duplicate key"),
+        ("al:\n  strategy: random\n  budgets: [10, 10]\n  budgets: [20, 0]\n", r"^al\.budgets: duplicate key"),
         ("fl:\n  lr: oops\n", "fl.lr"),
         ("run:\n  repeats: 0\n", "run.repeats"),
         ("run:\n  seed: -1\n", "run.seed"),
@@ -146,11 +155,22 @@ def test_independent_section_defaults_to_a_slower_rate():
     ],
 )
 def test_bad_values_are_rejected_with_dotted_paths(extra, fragment):
-    base = "dataset:\n  kind: blobs\npartition:\n  clients: 2\n"
-    if not extra.startswith("al:"):
-        base += "al:\n  strategy: random\n  budget: 40\n"
+    base = {"dataset": "dataset:\n  kind: blobs\n", "partition": "partition:\n  clients: 2\n",
+            "al": "al:\n  strategy: random\n  budget: 40\n"}
+    # A case restates in full the base section it changes; a repeated section is an error.
+    base.pop(extra.split(":")[0], None)
     with pytest.raises(ConfigError, match=fragment):
-        _parse(base + extra)
+        _parse("".join(base.values()) + extra)
+
+
+def test_a_repeated_key_is_named_and_never_silently_dropped(tmp_path, capsys):
+    text = MINIMAL + "fl:\n  lr: 0.1\nfl:\n  max_global_iters: 7\n"
+    with pytest.raises(ConfigError, match=r"^fl: duplicate key$"):
+        _parse(text)
+    assert cli_main(["run", str(_write_cfg(tmp_path, text))]) == 2
+    assert capsys.readouterr().err.strip() == "config error: fl: duplicate key"
+    cfg = _parse(MINIMAL + "fl:\n  lr: 0.1\n  max_global_iters: 7\n")
+    assert (cfg.fl.schedule.initial_lr, cfg.fl.max_global_iters) == (0.1, 7)
 
 
 def test_missing_required_keys_are_named():
@@ -312,7 +332,7 @@ def test_cli_strategy_and_scorer_flags_override_the_file(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_configs_with_exit_code_two(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, TINY_RUN + "al:\n  budget: 7\n")
+    cfg = _write_cfg(tmp_path, TINY_RUN.replace("budget: 8", "budget: 7"))
     assert cli_main(["run", str(cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.yaml")]) == 2

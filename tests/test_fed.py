@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedal import fed as fed_module
+from fedal import nn as nn_module
 from fedal.data import ClientPools, Dataset, gather, synth_blobs
 from fedal.errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError
 from fedal.fed import (
@@ -164,6 +165,46 @@ def test_local_update_is_pure():
     assert np.array_equal(model.params, _init(arch).params)  # input untouched
 
 
+def _reference_update(model, feats, labels, lr, cfg, rng):
+    """local_update from the public checked nn.loss, nn.grad and sgd_step only."""
+    n = len(labels)
+    size = cfg.minibatch_size
+    draws = model.arch.dropout_rate > 0 or (size is not None and size < n)
+    start_loss = None if draws else loss(model, feats, labels)
+    params = model.params
+    for _ in range(cfg.local_epochs):
+        if size is None or size >= n:
+            batches = [np.arange(n)]
+        else:
+            perm = rng.permutation(n)
+            batches = [perm[i:i + size] for i in range(0, n, size)]
+        for batch in batches:
+            params = sgd_step(params, grad(Model(model.arch, params), feats[batch], labels[batch], rng), lr)
+    return params, start_loss
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("minibatch", [None, 4])
+def test_local_update_equals_the_public_checked_loop_bit_for_bit(activation, hidden, heads, dropout,
+                                                                 minibatch):
+    ds = _dataset(13, classes=3, seed=len(hidden) + heads)
+    arch = MlpArchitecture((2, *hidden, 3), activation=activation, dropout_rate=dropout,
+                           head_count=heads)
+    model = Model(arch, init_params(arch, 7) * 3.0)
+    feats, labels = gather(ds, list(range(ds.size)))
+    cfg = FedConfig(schedule=LrSchedule(0.4), local_epochs=2, minibatch_size=minibatch)
+    params, start_loss = local_update(model, feats, labels, 0.4, cfg, np.random.default_rng(3))
+    expected, expected_loss = _reference_update(model, feats, labels, 0.4, cfg,
+                                                np.random.default_rng(3))
+    assert params.tobytes() == expected.tobytes()
+    assert start_loss == expected_loss
+    if expected_loss is not None:
+        assert np.float64(start_loss).tobytes() == np.float64(expected_loss).tobytes()
+
+
 # -- fedavg ----------------------------------------------------------------------
 
 def test_fedavg_single_client_is_plain_gradient_descent():
@@ -298,6 +339,61 @@ def test_fedavg_builds_local_streams_only_when_the_update_can_draw(mode, minibat
            cfg, seed=8, local_fn=run_kwargs.get("local_fn"))
     expected = [(8, "local", m, t) for t in (1, 2, 3) for m in (0, 1)]
     assert built == (expected if draws else [])
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["full-batch", "minibatch-dropout"])
+def test_fedavg_checks_each_clients_labels_once_per_run(mode, monkeypatch):
+    arch_kwargs, run_kwargs = TRAIN_MODES[mode]
+    checks = _counting(monkeypatch, nn_module, "labeled_batch")
+    averages = _counting(monkeypatch, fed_module, "weighted_average")
+    cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=run_kwargs.get("minibatch_size"),
+                    stop_loss_threshold=1e-9, max_global_iters=5)
+    report = fedavg(_dataset(15), _full_pools(15, clients=3),
+                    _init(MlpArchitecture((2, 3, 2), **arch_kwargs)), cfg, seed=4)
+    assert report.global_iters_used == 5
+    assert len(checks) == 3  # one per client, not one per client and iteration
+    assert len(averages) == 5  # the traced seam still runs once per iteration
+
+
+@pytest.mark.parametrize("bad,message", [
+    (2.5, "^labels must be integers$"),
+    (2, r"^labels must lie in \[0, 2\), got range \[0, 2\]$"),
+])
+def test_bad_labels_in_one_pool_fail_before_any_update(bad, message, monkeypatch):
+    real_gather = fed_module.gather
+
+    def corrupting_gather(dataset, indices):
+        feats, labels = real_gather(dataset, indices)
+        if 11 in indices:  # the last client's pool
+            labels = labels.astype(np.float64)
+            labels[-1] = bad
+        return feats, labels
+
+    monkeypatch.setattr(fed_module, "gather", corrupting_gather)
+    steps = _counting(monkeypatch, nn_module, "_grad")
+    ds, pools = _dataset(12), _full_pools(12, clients=3)
+    model = _init(MlpArchitecture((2, 3, 2)))
+    cfg = FedConfig(schedule=LrSchedule(0.3), max_global_iters=3)
+    with pytest.raises(ShapeError, match=message):
+        fedavg(ds, pools, model, cfg, seed=0)
+    with pytest.raises(ShapeError, match=message):
+        independent_train(ds, pools, 2, model, cfg, seed=0)
+    assert steps == []
+    independent_train(ds, pools, 0, model, cfg, seed=0)  # a clean pool still trains
+    assert steps
 
 
 def test_fedavg_requires_some_labeled_data():

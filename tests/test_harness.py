@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from fedal import harness
 from fedal.config import parse_config
@@ -46,7 +47,10 @@ run:
 
 
 def _cfg(strategy="random", scorer="entropy", repeats=1, extra=""):
-    return parse_config(BASE.format(strategy=strategy, scorer=scorer, repeats=repeats) + extra)
+    text = BASE.format(strategy=strategy, scorer=scorer, repeats=repeats)
+    if extra:  # each section of ``extra`` replaces the base section of that name
+        text = yaml.safe_dump(yaml.safe_load(text) | yaml.safe_load(extra))
+    return parse_config(text)
 
 
 # -- world building -----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from fedal import nn as nn_module
 from fedal.errors import (
     BudgetError,
     ConfigError,
@@ -17,6 +18,7 @@ from fedal.errors import (
 from fedal.nn import MlpArchitecture, Model, forward, grad, init_params, sgd_step
 from fedal.strategies import (
     ScoredCandidate,
+    _discrepancy_grad,
     ScorerSpec,
     coreset_greedy,
     score_discrepancy,
@@ -361,6 +363,38 @@ def test_two_head_training_without_a_pool_warns_and_trains_supervised():
     step1 = sgd_step(model.params, grad(model, labeled, labels), 0.2)
     step2 = sgd_step(step1, grad(Model(model.arch, step1), labeled, labels), 0.2)
     assert np.array_equal(trained.params, step2)
+
+
+@pytest.mark.parametrize("minibatch", [None, 2])
+def test_two_head_training_equals_the_public_checked_loop_and_checks_once(minibatch, monkeypatch):
+    arch = MlpArchitecture((2, 8, 2), activation="tanh", dropout_rate=0.2, head_count=2)
+    model = Model(arch, init_params(arch, 5))
+    _, labeled, labels, unlabeled = _training_setup()
+    checks = []
+    real_check = nn_module.labeled_batch
+    monkeypatch.setattr(nn_module, "labeled_batch", lambda *a: checks.append(a) or real_check(*a))
+    trained = train_discrepancy_heads(model, labeled, labels, unlabeled, 0.3, 3, minibatch,
+                                      np.random.default_rng(4))
+    assert len(checks) == 1  # once per call, not once per step
+    monkeypatch.undo()
+
+    rng, params, n, u = np.random.default_rng(4), model.params, len(labels), len(unlabeled)
+    for _ in range(3):
+        if minibatch is None:
+            batches, u_perm = [np.arange(n)], None
+        else:
+            perm = rng.permutation(n)
+            batches = [perm[i:i + minibatch] for i in range(0, n, minibatch)]
+            u_perm = rng.permutation(u)
+        for step, batch in enumerate(batches):
+            current = Model(arch, params)
+            g = grad(current, labeled[batch], labels[batch], rng)
+            if u_perm is None:
+                u_batch = unlabeled
+            else:
+                u_batch = unlabeled[u_perm[np.arange(step * minibatch, (step + 1) * minibatch) % u]]
+            params = sgd_step(params, g + _discrepancy_grad(current, u_batch), 0.3)
+    assert trained.params.tobytes() == params.tobytes()
 
 
 def test_two_head_training_validation():
