@@ -10,11 +10,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=6, help="number of paired seeds (default 6)")
     parser.add_argument("--first-seed", type=int, default=1, help="first seed value (default 1)")
-    parser.add_argument("--no-il", action="store_true", help="skip the independent-training evaluation")
     args = parser.parse_args()
 
     seeds = range(args.first_seed, args.first_seed + args.seeds)
-    report = run_trend_benchmark(seeds, include_il=not args.no_il)
+    report = run_trend_benchmark(seeds)
     print(format_report(report))
 
 

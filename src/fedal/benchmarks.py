@@ -83,7 +83,7 @@ class TrendReport:
         return self.window_mean[better] - self.window_mean[worse]
 
 
-def run_trend_benchmark(seeds, include_il: bool = True) -> TrendReport:
+def run_trend_benchmark(seeds) -> TrendReport:
     """Run all strategies over paired ``seeds`` and aggregate the trends."""
     seeds = tuple(int(s) for s in seeds)
     curves: dict[str, dict[int, list[float]]] = {s: {} for s in AL_STRATEGIES}
@@ -96,9 +96,8 @@ def run_trend_benchmark(seeds, include_il: bool = True) -> TrendReport:
             train, test, pools, arch = build_world(cfg, seed)
             logs = run_strategy(strategy, train, test, pools, arch, al_config(cfg), cfg.fl, seed)
             curves[strategy][seed] = [log.test_accuracy for log in logs]
-            if include_il:
-                mean_acc, _ = run_independent_eval(train, test, pools, arch, cfg.independent, seed)
-                il_scores[strategy].append(mean_acc)
+            mean_acc, _ = run_independent_eval(train, test, pools, arch, cfg.independent, seed)
+            il_scores[strategy].append(mean_acc)
         cfg = benchmark_config("random")
         train, test, pools, arch = build_world(cfg, seed)
         log = run_full_budget(train, test, pools, arch, cfg.fl, seed)
@@ -111,8 +110,7 @@ def run_trend_benchmark(seeds, include_il: bool = True) -> TrendReport:
         window_vals = [np.mean([accs[k - 1] for k in report.window]) for accs in per_seed.values()]
         report.window_mean[strategy] = float(np.mean(window_vals))
         report.round1_mean[strategy] = float(np.mean([accs[0] for accs in per_seed.values()]))
-        if include_il and il_scores[strategy]:
-            report.il_mean[strategy] = float(np.mean(il_scores[strategy]))
+        report.il_mean[strategy] = float(np.mean(il_scores[strategy]))
     return report
 
 
@@ -123,17 +121,14 @@ def format_report(report: TrendReport) -> str:
         f"{'strategy':<10} {'round-1 acc':>12} {'window acc':>12} {'IL acc':>10}",
     ]
     for strategy in AL_STRATEGIES:
-        il = report.il_mean.get(strategy)
         lines.append(
             f"{strategy:<10} {report.round1_mean[strategy]:>12.4f} "
-            f"{report.window_mean[strategy]:>12.4f} "
-            f"{'-' if il is None else f'{il:.4f}':>10}"
+            f"{report.window_mean[strategy]:>12.4f} {report.il_mean[strategy]:>10.4f}"
         )
     lines.append(f"{'full':<10} {'-':>12} {report.full_budget_mean:>12.4f} {'-':>10}")
     lines.append("")
     lines.append(f"f_al - s_al   (global): {report.margin('f_al', 's_al'):+.4f}")
     lines.append(f"s_al - random (global): {report.margin('s_al', 'random'):+.4f}")
     lines.append(f"f_al - random (global): {report.margin('f_al', 'random'):+.4f}")
-    if "s_al" in report.il_mean and "f_al" in report.il_mean:
-        lines.append(f"s_al - f_al   (local IL): {report.il_mean['s_al'] - report.il_mean['f_al']:+.4f}")
+    lines.append(f"s_al - f_al   (local IL): {report.il_mean['s_al'] - report.il_mean['f_al']:+.4f}")
     return "\n".join(lines)

@@ -14,7 +14,6 @@ import yaml
 
 from .data import (
     EXTERNAL_FORMATS,
-    PARTITION_MODES,
     PartitionSpec,
     check_blob_params,
     check_label_fraction,
@@ -31,7 +30,7 @@ DATASET_KINDS = ("blobs",) + EXTERNAL_FORMATS
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Where the data comes from: synthetic blobs or an external file pair."""
+    """Where the data comes from: synthetic blobs or an external file pair; errors name the field."""
 
     kind: str
     train_size: int
@@ -45,6 +44,18 @@ class DatasetSpec:
     labels_path: str | None = None
     test_path: str | None = None
     test_labels_path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigError(f"kind: unknown dataset kind {self.kind!r}; expected one of {DATASET_KINDS}")
+        if self.kind == "blobs":
+            for size_key in ("train_size", "test_size"):
+                check_blob_params(getattr(self, size_key), self.classes, self.dim, self.spread,
+                                  self.layout, self.elongation, n_key=size_key)
+        else:
+            for path_key in ("path", "test_path"):
+                if getattr(self, path_key) is None:
+                    raise ConfigError(f"{path_key}: required for external datasets")
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class _Section:
     def _label(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def get(self, key: str, kind, default=..., allowed=None):
+    def get(self, key: str, kind, default=...):
         self.seen.add(key)
         if key not in self.mapping or self.mapping[key] is None:
             if default is ...:
@@ -113,8 +124,6 @@ class _Section:
             raise ConfigError(
                 f"{self._label(key)}: expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}"
             )
-        if allowed is not None and value not in allowed:
-            raise ConfigError(f"{self._label(key)}: {value!r} is not one of {sorted(allowed)}")
         return value
 
     def section(self, key: str) -> "_Section":
@@ -217,9 +226,8 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     root.get("preset", str, default=None)
 
     ds = root.section("dataset")
-    kind = ds.get("kind", str, allowed=DATASET_KINDS)
-    dataset = DatasetSpec(
-        kind=kind,
+    dataset_fields = dict(
+        kind=ds.get("kind", str),
         train_size=ds.get("train_size", int, default=3000),
         test_size=ds.get("test_size", int, default=1000),
         classes=ds.get("classes", int, default=8),
@@ -233,22 +241,14 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         test_labels_path=ds.get("test_labels_path", str, default=None),
     )
     ds.reject_unknown()
-    if kind == "blobs":
-        for size_key in ("train_size", "test_size"):
-            try:
-                check_blob_params(getattr(dataset, size_key), dataset.classes, dataset.dim,
-                                  dataset.spread, dataset.layout, dataset.elongation, n_key=size_key)
-            except ConfigError as exc:
-                raise ConfigError(f"dataset.{exc}") from None
-    else:
-        if dataset.path is None:
-            raise ConfigError("dataset.path: required for external datasets")
-        if dataset.test_path is None:
-            raise ConfigError("dataset.test_path: required for external datasets")
+    try:
+        dataset = DatasetSpec(**dataset_fields)
+    except ConfigError as exc:  # not _owner_error, whose "kind" is the scorer's
+        raise ConfigError(f"dataset.{exc}") from None
 
     part = root.section("partition")
     client_count = part.get("clients", int)
-    mode = part.get("mode", str, default="iid_disjoint", allowed=PARTITION_MODES)
+    mode = part.get("mode", str, default="iid_disjoint")
     classes_per_client = part.get("classes_per_client", int, default=None)
     part.reject_unknown()
     try:

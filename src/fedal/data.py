@@ -4,9 +4,10 @@ A :class:`Dataset` is immutable; clients never copy rows around.  Instead
 each client owns a :class:`ClientPools` record of dataset indices, split into
 an unlabeled pool and a labeled pool.  Annotation moves indices from one to
 the other and reveals the stored ground-truth label (the human oracle of a
-real deployment).  All training code materializes batches through
-:func:`gather`, which doubles as an audit point for tests that assert no
-operation ever touches rows outside a single client's shard.
+real deployment).  Labeled batches, features with their labels, are read
+through :func:`gather`.  Scoring and two-head training read a client's
+unlabeled rows straight from ``Dataset.features``, so they never see a
+label.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Dataset:
 
 
 def gather(dataset: Dataset, indices) -> tuple[Array, Array]:
-    """Materialize the rows at ``indices``; the single batch-access seam."""
+    """Materialize the features and labels of the rows at ``indices``."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("indices must be 1-D")

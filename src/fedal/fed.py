@@ -19,6 +19,12 @@ extra work, since the iteration's first gradient runs the forward pass at
 those parameters.  Minibatches, dropout or a custom ``local_fn`` take one
 deterministic loss pass per client and iteration.
 
+A ``local_fn(model, features, labels, unlabeled, lr, cfg, rng) -> Model``
+replaces the plain local update (the two-head scoring model trains with
+:func:`strategies.train_discrepancy_heads`).  It gets the client's checked
+labeled pair and the feature rows of the client's unlabeled pool, read once
+per run straight from the dataset: their labels stay hidden.
+
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  :func:`fedavg` and
 :func:`independent_train` check each client's labeled pair once per run,
@@ -56,16 +62,19 @@ class FedConfig:
     max_global_iters: int = 100
 
     def __post_init__(self):
-        if not (isinstance(self.local_epochs, int) and self.local_epochs >= 1):
+        if not _is_count(self.local_epochs):
             raise ConfigError(f"local_epochs: must be an int >= 1, got {self.local_epochs}")
-        if self.minibatch_size is not None and not (
-            isinstance(self.minibatch_size, int) and self.minibatch_size >= 1
-        ):
+        if self.minibatch_size is not None and not _is_count(self.minibatch_size):
             raise ConfigError(f"minibatch_size: must be 'full' (None) or an int >= 1, got {self.minibatch_size}")
         if not (np.isfinite(self.stop_loss_threshold) and self.stop_loss_threshold > 0):
             raise ConfigError(f"stop_loss_threshold: must be finite and > 0, got {self.stop_loss_threshold}")
-        if not (isinstance(self.max_global_iters, int) and self.max_global_iters >= 1):
+        if not _is_count(self.max_global_iters):
             raise ConfigError(f"max_global_iters: must be an int >= 1, got {self.max_global_iters}")
+
+
+def _is_count(value) -> bool:
+    """An int >= 1; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -144,13 +153,21 @@ def _local_update(arch, params: Array, x: Array, y: Array, lr: float, cfg: FedCo
     return params, start_loss
 
 
-def _client_update(local_fn, arch, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
-                   rng, client_id: int) -> tuple[Array, float]:
-    """One client's update as ``(params, training loss of params)``; see :func:`fedavg`."""
+def _client_rows(dataset: Dataset, pool: ClientPools, arch,
+                 local_fn) -> tuple[Array, Array, Array | None]:
+    """A client's checked labeled pair, plus its unlabeled feature rows if ``local_fn`` takes them."""
+    x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
+    return x, y, None if local_fn is None else dataset.features[pool.unlabeled]
+
+
+def _client_update(local_fn, arch, params: Array, rows, lr: float, cfg: FedConfig,
+                   rng) -> tuple[Array, float]:
+    """One client's update on its :func:`_client_rows` as ``(params, training loss of params)``."""
+    x, y, unlabeled = rows
     if local_fn is None:
         new_params, start_loss = _local_update(arch, params, x, y, lr, cfg, rng)
     else:
-        new_params, start_loss = local_fn(Model(arch, params), x, y, lr, cfg, rng, client_id), None
+        new_params, start_loss = local_fn(Model(arch, params), x, y, unlabeled, lr, cfg, rng).params, None
     if start_loss is None:
         start_loss = nn._loss(arch, params, x, y)
     return new_params, start_loss
@@ -195,35 +212,33 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
            seed, local_fn=None) -> FedRunReport:
     """Run FedAvg until the global model's training loss or the iteration cap stops it.
 
-    ``local_fn(model, features, labels, lr, cfg, rng, client_id) -> params``
-    replaces the plain supervised local update when given (used for
-    head-disagreement training of the two-head scoring model).  Client
-    ``m`` draws iteration ``t``'s randomness from ``rng_for(seed, "local", m, t)``;
-    the stream is built only when the update can draw from it: always for a
-    ``local_fn``, else as :func:`_update_draws` says.
+    ``local_fn`` replaces the plain supervised local update when given (see
+    the module docstring).  Client ``m`` draws iteration ``t``'s randomness
+    from ``rng_for(seed, "local", m, t)``; the stream is built only when the
+    update can draw from it: always for a ``local_fn``, else as
+    :func:`_update_draws` says.
     """
     if all(len(p.labeled) == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
     arch = init_model.arch
     # Clients without labels get weight zero: they only receive the global model.
-    clients = [(pool.client_id, *nn.labeled_batch(arch, *gather(dataset, pool.labeled)))
+    clients = [(pool.client_id, _client_rows(dataset, pool, arch, local_fn))
                for pool in pools if pool.labeled]
-    counts = [len(y) for _, _, y in clients]
+    counts = [len(rows[1]) for _, rows in clients]
     draws = [local_fn is not None or _update_draws(arch, cfg, n) for n in counts]
 
     def step(t, params):
         lr = cfg.schedule.lr(t)
         updated, losses = [], []
-        for (client_id, x, y), client_draws in zip(clients, draws):
+        for (client_id, rows), client_draws in zip(clients, draws):
             rng = rng_for(seed, "local", client_id, t) if client_draws else None
-            new_params, start_loss = _client_update(local_fn, arch, params, x, y, lr, cfg, rng,
-                                                    client_id)
+            new_params, start_loss = _client_update(local_fn, arch, params, rows, lr, cfg, rng)
             updated.append(new_params)
             losses.append(start_loss)
         return weighted_average(updated, counts), _mean_loss(losses, counts)
 
     def train_loss(params):
-        return _mean_loss([nn._loss(arch, params, x, y) for _, x, y in clients], counts)
+        return _mean_loss([nn._loss(arch, params, x, y) for _, (x, y, _) in clients], counts)
 
     return _train_to_threshold(init_model, cfg, step, train_loss)
 
@@ -242,14 +257,13 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
     if not pool.labeled:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
     arch = init_model.arch
-    x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
+    rows = _client_rows(dataset, pool, arch, local_fn)
     rng = rng_for(seed, pool.client_id)
 
     def step(t, params):
-        return _client_update(local_fn, arch, params, x, y, cfg.schedule.lr(t), cfg, rng,
-                              pool.client_id)
+        return _client_update(local_fn, arch, params, rows, cfg.schedule.lr(t), cfg, rng)
 
-    return _train_to_threshold(init_model, cfg, step, lambda params: nn._loss(arch, params, x, y))
+    return _train_to_threshold(init_model, cfg, step, lambda params: nn._loss(arch, params, *rows[:2]))
 
 
 def evaluate(model: Model, test: Dataset) -> float:

@@ -230,16 +230,6 @@ def hidden_features(model: Model, x) -> Array:
     return _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), None).inputs[-1]
 
 
-def forward_parts(model: Model, x, rng=None) -> tuple[Array, list[Array]]:
-    """(last hidden activation, per-head probabilities) for a batch.
-
-    Hook for callers that build custom objectives on top of the heads
-    (e.g. head-disagreement training) without re-deriving the trunk.
-    """
-    fwd = _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), rng)
-    return fwd.inputs[-1], fwd.probs
-
-
 def labeled_batch(arch: MlpArchitecture, features, labels) -> tuple[Array, Array]:
     """The checked (float64 batch, int64 labels) pair that the unchecked cores take."""
     batch = _as_batch(features, arch.input_dim)
@@ -335,12 +325,6 @@ def grad(model: Model, features, labels, rng=None) -> Array:
     """
     batch, y = labeled_batch(model.arch, features, labels)
     return _grad(model.arch, model.params, batch, y, rng, False)[1]
-
-
-def loss_and_grad(model: Model, features, labels, rng=None) -> tuple[float, Array]:
-    """:func:`loss` and :func:`grad` from one forward pass, each bit for bit."""
-    batch, y = labeled_batch(model.arch, features, labels)
-    return _grad(model.arch, model.params, batch, y, rng, True)
 
 
 def minibatches(x: Array, y: Array, size: int | None, rng) -> list[tuple[Array, Array]]:

@@ -140,19 +140,6 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
     return select_top_b(candidates, quota)
 
 
-def _disagreement_update(dataset: Dataset, pools: list[ClientPools]):
-    """Two-head local update: fit the labels, pull the heads apart on the client's own pool."""
-    unlabeled = [dataset.features[np.asarray(p.unlabeled, dtype=np.int64)] for p in pools]
-
-    def update(model, feats, labels, lr, cfg, rng, client_id):
-        return train_discrepancy_heads(
-            model, feats, labels, unlabeled[client_id], lr, cfg.local_epochs,
-            cfg.minibatch_size, rng,
-        ).params
-
-    return update
-
-
 def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
                     arch: MlpArchitecture, al_cfg: ALConfig, seed: int,
                     task_model: Model | None) -> dict[int, Model]:
@@ -164,8 +151,8 @@ def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
     if strategy == "f_al" and not scorer.needs_two_heads:
         return dict.fromkeys(clients, task_model)
     if scorer.needs_two_heads:
-        init = _init(replace(arch, head_count=2), seed, "twohead")
-        local_fn = _disagreement_update(dataset, pools)
+        # Read at call time, so a wrapper set on this module's binding sees every call.
+        init, local_fn = _init(replace(arch, head_count=2), seed, "twohead"), train_discrepancy_heads
     else:
         init, local_fn = _init(arch, seed, "task"), None
     if strategy == "f_al":

@@ -22,11 +22,11 @@ from . import nn
 from .errors import (
     BudgetError,
     ConfigError,
-    EmptyInputError,
     InvalidModelError,
     InvalidStateError,
     ShapeError,
 )
+from .fed import FedConfig
 from .nn import Model
 
 Array = np.ndarray
@@ -156,14 +156,14 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     return picked
 
 
-def _discrepancy_grad(model: Model, unlabeled: Array) -> Array:
-    """Gradient (head parameters only) of -mean L1 disagreement on ``unlabeled``.
+def _discrepancy_grad(arch, params: Array, unlabeled: Array) -> Array:
+    """Gradient (head parameters only) of -mean L1 disagreement on the checked batch ``unlabeled``.
 
     Descending this direction pushes the heads apart where the trunk allows
     it; the trunk itself receives no contribution from this term.
     """
-    arch = model.arch
-    hidden_act, (probs_a, probs_b) = nn.forward_parts(model, unlabeled)
+    fwd = nn._forward_cache(arch, params, unlabeled, None)
+    hidden_act, (probs_a, probs_b) = fwd.inputs[-1], fwd.probs
     count = unlabeled.shape[0]
     sign = np.sign(probs_a - probs_b)
     # d(-mean L1)/dz via the softmax Jacobian of each head.
@@ -177,30 +177,28 @@ def _discrepancy_grad(model: Model, unlabeled: Array) -> Array:
 
 
 def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabeled_feats,
-                            lr: float, epochs: int, minibatch_size, rng) -> Model:
+                            lr: float, cfg: FedConfig, rng) -> Model:
     """Train a two-head classifier to agree on labels and disagree off them.
 
-    Per step the loss is mean cross-entropy through both heads on the labeled
+    Runs ``cfg.local_epochs`` passes over the labeled rows in batches of
+    ``cfg.minibatch_size``, so it can serve as FedAvg's local update.  Per
+    step the loss is mean cross-entropy through both heads on the labeled
     batch minus the mean L1 head disagreement on an unlabeled batch; the
     disagreement term updates head parameters only.  With no unlabeled data
     the term is skipped (with a warning) and this is plain supervised
-    training.  ``epochs=0`` returns the model unchanged.
+    training.
     """
     arch = model.arch
     if arch.head_count != 2:
         raise InvalidModelError(f"discrepancy training needs exactly 2 heads, got {arch.head_count}")
-    feats = np.asarray(labeled_feats, dtype=np.float64)
-    if feats.size == 0:
-        raise EmptyInputError("discrepancy training needs labeled examples")
+    x, y = nn.labeled_batch(arch, labeled_feats, labeled_labels)
     unlab = np.asarray(unlabeled_feats, dtype=np.float64)
-    if unlab.size == 0 and epochs > 0:
+    if unlab.size == 0:
         warnings.warn("no unlabeled data: skipping the disagreement term", stacklevel=2)
-    if not (isinstance(epochs, int) and epochs >= 0):
-        raise ConfigError(f"epochs must be a non-negative int, got {epochs}")
-
-    x, y = nn.labeled_batch(arch, feats, labeled_labels)
-    params = model.params
-    for _ in range(epochs):
+    else:
+        unlab = nn._as_batch(unlab, arch.input_dim)
+    minibatch_size, params = cfg.minibatch_size, model.params
+    for _ in range(cfg.local_epochs):
         batches = nn.minibatches(x, y, minibatch_size, rng)
         u_shuffled = unlab.size and minibatch_size is not None and minibatch_size < unlab.shape[0]
         u_perm = rng.permutation(unlab.shape[0]) if u_shuffled else None
@@ -213,6 +211,6 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
                     start = (step * minibatch_size) % unlab.shape[0]
                     take = np.arange(start, start + minibatch_size) % unlab.shape[0]
                     u_batch = unlab[u_perm[take]]
-                g = g + _discrepancy_grad(Model(arch, params), u_batch)
+                g = g + _discrepancy_grad(arch, params, u_batch)
             params = params - lr * g
     return Model(arch, params)

@@ -33,17 +33,6 @@ def test_format_report_with_all_sections():
     assert "0.9500" in text
 
 
-def test_format_report_without_optional_measurements():
-    # the il pass is optional; the table prints '-' for it
-    text = format_report(_report())
-    assert "s_al - f_al   (local IL)" not in text
-    table_rows = [line for line in text.splitlines()
-                  if line.startswith(("random", "s_al", "f_al")) and "(" not in line]
-    assert len(table_rows) == 3
-    for line in table_rows:
-        assert line.rstrip().endswith("-")
-
-
 def test_benchmark_config_splits_the_budget_evenly():
     cfg = benchmark_config("f_al")
     assert cfg.strategy == "f_al"

@@ -145,7 +145,8 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("independent:\n  minibatch_size: 0\n", r"^independent\.minibatch_size: "),
         ("partition:\n  clients: 0\n", r"^partition\.clients: must be an int >= 1"),
         ("partition:\n  clients: 2\n  mode: label_skew\n", r"^partition\.classes_per_client: "),
-        ("partition:\n  clients: 2\n  mode: bogus\n", r"^partition\.mode: 'bogus' is not one of"),
+        ("partition:\n  clients: 2\n  mode: bogus\n", r"^partition\.mode: unknown partition mode 'bogus'"),
+        ("dataset:\n  kind: parquet\n", r"^dataset\.kind: unknown dataset kind 'parquet'; expected one of"),
         ("dataset:\n  kind: blobs\n  classes: 1\n", r"^dataset\.classes: "),
         ("dataset:\n  kind: blobs\n  dim: 1\n", r"^dataset\.dim: "),
         ("dataset:\n  kind: blobs\n  classes: 40\n  test_size: 30\n", r"^dataset\.test_size: "),
@@ -185,6 +186,15 @@ def test_missing_required_keys_are_named():
 def test_booleans_do_not_pass_as_integers():
     with pytest.raises(ConfigError, match="al.rounds"):
         _parse(MINIMAL.replace("budget: 40", "budget: 40\n  rounds: true"))
+
+
+@pytest.mark.parametrize("section", ["fl", "independent"])
+def test_a_boolean_minibatch_size_stops_the_run(section, tmp_path, capsys):
+    # The key takes an int or 'full'; `true` once trained on 1-row minibatches.
+    cfg = _write_cfg(tmp_path, MINIMAL + f"{section}:\n  minibatch_size: true\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config error: {section}.minibatch_size: must be 'full' (None) or an int >= 1, got True")
 
 
 def test_root_must_be_a_mapping():

@@ -270,8 +270,8 @@ def _global_loss(ds, pools, model):
     return value
 
 
-def _supervised_fn(model, feats, labels, lr, cfg, rng, client_id):
-    return local_update(model, feats, labels, lr, cfg, rng)[0]
+def _supervised_fn(model, feats, labels, unlabeled, lr, cfg, rng):
+    return Model(model.arch, local_update(model, feats, labels, lr, cfg, rng)[0])
 
 
 TRAIN_MODES = {
@@ -396,6 +396,36 @@ def test_bad_labels_in_one_pool_fail_before_any_update(bad, message, monkeypatch
     assert steps
 
 
+@pytest.mark.parametrize("runner", ["fedavg", "independent_train"])
+def test_local_fn_gets_its_clients_unlabeled_feature_rows_and_no_labels(runner, monkeypatch):
+    ds = _dataset(12)
+    pools = [ClientPools(client_id=0, unlabeled=[1, 4, 5], labeled=[0, 2, 3]),
+             ClientPools(client_id=1, unlabeled=[6, 9, 11], labeled=[7, 8, 10])]
+    seen = []
+
+    def spy(model, feats, labels, unlabeled, lr, cfg, rng):
+        seen.append(unlabeled)
+        return _supervised_fn(model, feats, labels, unlabeled, lr, cfg, rng)
+
+    gathered = _counting(monkeypatch, fed_module, "gather")
+    cfg = FedConfig(schedule=LrSchedule(0.3), stop_loss_threshold=1e-9, max_global_iters=2)
+    init = _init(MlpArchitecture((2, 3, 2)))
+    if runner == "fedavg":
+        fedavg(ds, pools, init, cfg, seed=0, local_fn=spy)
+        clients = [0, 1]
+    else:
+        independent_train(ds, pools, 1, init, cfg, seed=0, local_fn=spy)
+        clients = [1]
+    expected = [ds.features[pools[m].unlabeled] for _ in range(2) for m in clients]
+    assert len(seen) == len(expected)
+    for got, rows in zip(seen, expected):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == rows.shape == (3, 2)
+        assert np.array_equal(got, rows)
+    # Only labeled rows go through gather, the seam that also hands out labels.
+    assert [list(indices) for _, indices in gathered] == [pools[m].labeled for m in clients]
+
+
 def test_fedavg_requires_some_labeled_data():
     ds = _dataset(8)
     pools = [ClientPools(client_id=0, unlabeled=list(range(8)), labeled=[])]
@@ -438,10 +468,14 @@ def test_fedavg_is_deterministic_with_minibatches():
         {"stop_loss_threshold": float("nan")},
         {"max_global_iters": 0},
         {"stop_loss_threshold": float("inf")},
+        {"minibatch_size": True},  # a bool is an int to Python, but not a batch size
+        {"local_epochs": True},
+        {"max_global_iters": True},
     ],
 )
 def test_fed_config_validation(kwargs):
-    with pytest.raises(ConfigError):
+    field = next(iter(kwargs))
+    with pytest.raises(ConfigError, match=f"^{field}: "):
         FedConfig(schedule=LrSchedule(0.1), **kwargs)
 
 

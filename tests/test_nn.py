@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedal import nn
 from fedal.errors import ConfigError, EmptyInputError, ShapeError
 from fedal.nn import (
     LrSchedule,
@@ -15,7 +16,6 @@ from fedal.nn import (
     hidden_features,
     init_params,
     loss,
-    loss_and_grad,
     sgd_step,
 )
 
@@ -293,21 +293,23 @@ def test_small_gradient_step_does_not_increase_loss():
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("sizes", [(3, 4), (3, 5, 4), (3, 5, 6, 4)])
 @pytest.mark.parametrize("heads", [1, 2])
-def test_loss_and_grad_equal_loss_and_grad_bit_for_bit(activation, sizes, heads):
+def test_grad_core_with_loss_equals_loss_and_grad_bit_for_bit(activation, sizes, heads):
     model = _random_model(len(sizes) + heads, sizes, activation=activation, heads=heads, scale=2.0)
     rng = np.random.default_rng(7)
     feats = rng.normal(size=(9, 3))
     labels = rng.integers(0, 4, size=9)
-    value, g = loss_and_grad(model, feats, labels)
+    x, y = nn.labeled_batch(model.arch, feats, labels)
+    value, g = nn._grad(model.arch, model.params, x, y, None, want_loss=True)
     assert value == loss(model, feats, labels)
     assert np.array_equal(g, grad(model, feats, labels))
 
 
-def test_loss_and_grad_share_the_dropout_masks_of_one_stream():
+def test_grad_core_with_loss_shares_the_dropout_masks_of_one_stream():
     model = _random_model(4, (3, 6, 4), activation="tanh", dropout=0.3, heads=2)
     feats = np.random.default_rng(1).normal(size=(7, 3))
     labels = np.array([0, 1, 2, 3, 0, 1, 2])
-    value, g = loss_and_grad(model, feats, labels, np.random.default_rng(5))
+    x, y = nn.labeled_batch(model.arch, feats, labels)
+    value, g = nn._grad(model.arch, model.params, x, y, np.random.default_rng(5), want_loss=True)
     assert value == loss(model, feats, labels, np.random.default_rng(5))
     assert np.array_equal(g, grad(model, feats, labels, np.random.default_rng(5)))
 

@@ -15,7 +15,8 @@ from fedal.errors import (
     InvalidStateError,
     ShapeError,
 )
-from fedal.nn import MlpArchitecture, Model, forward, grad, init_params, sgd_step
+from fedal.fed import FedConfig
+from fedal.nn import LrSchedule, MlpArchitecture, Model, forward, grad, init_params, sgd_step
 from fedal.strategies import (
     ScoredCandidate,
     _discrepancy_grad,
@@ -312,11 +313,16 @@ def _training_setup(seed=5):
     return model, labeled, labels, unlabeled
 
 
+def _epochs(count, minibatch=None):
+    """The FedConfig whose epoch count and minibatch size two-head training reads."""
+    return FedConfig(LrSchedule(1.0), local_epochs=count, minibatch_size=minibatch)
+
+
 def test_two_head_training_raises_disagreement_on_the_pool():
     model, labeled, labels, unlabeled = _training_setup()
     before = float(np.mean(score_discrepancy(model, unlabeled)))
     trained = train_discrepancy_heads(
-        model, labeled, labels, unlabeled, 0.3, 40, None, np.random.default_rng(1)
+        model, labeled, labels, unlabeled, 0.3, _epochs(40), np.random.default_rng(1)
     )
     after = float(np.mean(score_discrepancy(trained, unlabeled)))
     assert after >= before
@@ -339,26 +345,18 @@ def test_disagreement_term_touches_only_the_heads():
     assert np.all(grad(model, labeled, labels) == 0.0)  # saturated fit
 
     trained = train_discrepancy_heads(
-        model, labeled, labels, np.array([[0.0]]), 0.1, 3, None, np.random.default_rng(0)
+        model, labeled, labels, np.array([[0.0]]), 0.1, _epochs(3), np.random.default_rng(0)
     )
     trunk = slice(0, head0.w.start)
     assert np.array_equal(trained.params[trunk], params[trunk])
     assert not np.array_equal(trained.params, params)
 
 
-def test_two_head_training_zero_epochs_changes_nothing():
-    model, labeled, labels, unlabeled = _training_setup()
-    trained = train_discrepancy_heads(
-        model, labeled, labels, unlabeled, 0.3, 0, None, np.random.default_rng(0)
-    )
-    assert np.array_equal(trained.params, model.params)
-
-
 def test_two_head_training_without_a_pool_warns_and_trains_supervised():
     model, labeled, labels, _ = _training_setup()
     with pytest.warns(UserWarning):
         trained = train_discrepancy_heads(
-            model, labeled, labels, np.empty((0, 2)), 0.2, 2, None, np.random.default_rng(0)
+            model, labeled, labels, np.empty((0, 2)), 0.2, _epochs(2), np.random.default_rng(0)
         )
     step1 = sgd_step(model.params, grad(model, labeled, labels), 0.2)
     step2 = sgd_step(step1, grad(Model(model.arch, step1), labeled, labels), 0.2)
@@ -373,7 +371,7 @@ def test_two_head_training_equals_the_public_checked_loop_and_checks_once(miniba
     checks = []
     real_check = nn_module.labeled_batch
     monkeypatch.setattr(nn_module, "labeled_batch", lambda *a: checks.append(a) or real_check(*a))
-    trained = train_discrepancy_heads(model, labeled, labels, unlabeled, 0.3, 3, minibatch,
+    trained = train_discrepancy_heads(model, labeled, labels, unlabeled, 0.3, _epochs(3, minibatch),
                                       np.random.default_rng(4))
     assert len(checks) == 1  # once per call, not once per step
     monkeypatch.undo()
@@ -393,20 +391,20 @@ def test_two_head_training_equals_the_public_checked_loop_and_checks_once(miniba
                 u_batch = unlabeled
             else:
                 u_batch = unlabeled[u_perm[np.arange(step * minibatch, (step + 1) * minibatch) % u]]
-            params = sgd_step(params, g + _discrepancy_grad(current, u_batch), 0.3)
+            params = sgd_step(params, g + _discrepancy_grad(arch, params, u_batch), 0.3)
     assert trained.params.tobytes() == params.tobytes()
 
 
 def test_two_head_training_validation():
     model, labeled, labels, unlabeled = _training_setup()
     with pytest.raises(InvalidModelError):
-        train_discrepancy_heads(_model(0), labeled, labels, unlabeled, 0.1, 1, None, None)
+        train_discrepancy_heads(_model(0), labeled, labels, unlabeled, 0.1, _epochs(1), None)
     with pytest.raises(EmptyInputError):
         train_discrepancy_heads(
-            model, np.empty((0, 2)), np.empty(0, dtype=np.int64), unlabeled, 0.1, 1, None, None
+            model, np.empty((0, 2)), np.empty(0, dtype=np.int64), unlabeled, 0.1, _epochs(1), None
         )
-    with pytest.raises(ConfigError):
-        train_discrepancy_heads(model, labeled, labels, unlabeled, 0.1, -1, None, None)
+    with pytest.raises(ShapeError, match="feature dimension 3"):
+        train_discrepancy_heads(model, labeled, labels, np.ones((4, 3)), 0.1, _epochs(1), None)
 
 
 # -- scorer specs -----------------------------------------------------------------------------
