@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ParseError, PoolIntegrityError, ShapeError
+from .errors import ConfigError, EmptyInputError, ParseError, PoolIntegrityError, ShapeError, is_count
 
 Array = np.ndarray
 
@@ -83,12 +83,12 @@ class PartitionSpec:
     classes_per_client: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.client_count, int) and self.client_count >= 1):
+        if not is_count(self.client_count):
             raise ConfigError(f"client_count: must be an int >= 1, got {self.client_count}")
         if self.mode not in PARTITION_MODES:
             raise ConfigError(f"mode: unknown partition mode {self.mode!r}; expected one of {PARTITION_MODES}")
         if self.mode == "label_skew":
-            if not (isinstance(self.classes_per_client, int) and self.classes_per_client >= 1):
+            if not is_count(self.classes_per_client):
                 raise ConfigError(f"classes_per_client: label_skew needs an int >= 1, got {self.classes_per_client}")
 
 

@@ -1,8 +1,13 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the count rule their owners check.
 
 Everything derives from ValueError/RuntimeError so callers that don't care
 about the fine-grained kind can still catch broadly.
 """
+
+
+def is_count(value, minimum: int = 1) -> bool:
+    """An int >= ``minimum``; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 class ShapeError(ValueError):

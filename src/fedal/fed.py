@@ -40,7 +40,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientPools, Dataset, gather
-from .errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError
+from .errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError, is_count
 from .nn import LrSchedule, Model
 from .seeding import rng_for
 
@@ -62,19 +62,14 @@ class FedConfig:
     max_global_iters: int = 100
 
     def __post_init__(self):
-        if not _is_count(self.local_epochs):
+        if not is_count(self.local_epochs):
             raise ConfigError(f"local_epochs: must be an int >= 1, got {self.local_epochs}")
-        if self.minibatch_size is not None and not _is_count(self.minibatch_size):
+        if self.minibatch_size is not None and not is_count(self.minibatch_size):
             raise ConfigError(f"minibatch_size: must be 'full' (None) or an int >= 1, got {self.minibatch_size}")
         if not (np.isfinite(self.stop_loss_threshold) and self.stop_loss_threshold > 0):
             raise ConfigError(f"stop_loss_threshold: must be finite and > 0, got {self.stop_loss_threshold}")
-        if not _is_count(self.max_global_iters):
+        if not is_count(self.max_global_iters):
             raise ConfigError(f"max_global_iters: must be an int >= 1, got {self.max_global_iters}")
-
-
-def _is_count(value) -> bool:
-    """An int >= 1; a bool is not one, though Python counts it as an int."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError
+from .errors import ConfigError, EmptyInputError, ShapeError, is_count
 
 Array = np.ndarray
 
@@ -66,7 +66,7 @@ class MlpArchitecture:
             raise ConfigError(f"activation: unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         if not (isinstance(self.dropout_rate, (int, float)) and 0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate: must lie in [0, 1), got {self.dropout_rate}")
-        if not (isinstance(self.head_count, int) and self.head_count >= 1):
+        if not is_count(self.head_count):
             raise ConfigError(f"head_count: must be an int >= 1, got {self.head_count}")
 
     @property

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientPools, Dataset, annotate, gather
-from .errors import BudgetError, ConfigError, InvalidStateError
+from .errors import BudgetError, ConfigError, InvalidStateError, is_count
 from .fed import FedConfig, FedRunReport, evaluate, fedavg, independent_train
 from .nn import MlpArchitecture, Model
 from .seeding import rng_for
@@ -61,7 +61,7 @@ class ALConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
+        if not is_count(self.rounds):
             raise ConfigError(f"rounds: must be an int >= 1, got {self.rounds}")
         for client, budget in enumerate(self.budgets):
             if budget < 0:
@@ -136,7 +136,7 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
         scores = score_mc_dropout(model, feats, scorer.mc_passes, rng)
     else:
         scores = score_discrepancy(model, feats)
-    candidates = [ScoredCandidate(int(i), float(s)) for i, s in zip(idx, scores)]
+    candidates = [ScoredCandidate(i, s) for i, s in zip(idx.tolist(), scores.tolist())]
     return select_top_b(candidates, quota)
 
 

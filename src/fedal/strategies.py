@@ -11,11 +11,11 @@ scores from the selection stream directly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import entr
 
 from . import nn
@@ -25,6 +25,7 @@ from .errors import (
     InvalidModelError,
     InvalidStateError,
     ShapeError,
+    is_count,
 )
 from .fed import FedConfig
 from .nn import Model
@@ -44,7 +45,7 @@ class ScorerSpec:
     def __post_init__(self):
         if self.kind not in SCORER_KINDS:
             raise ConfigError(f"kind: unknown scorer {self.kind!r}; expected one of {SCORER_KINDS}")
-        if not (isinstance(self.mc_passes, int) and self.mc_passes >= 1):
+        if not is_count(self.mc_passes):
             raise ConfigError(f"mc_passes: must be an int >= 1, got {self.mc_passes}")
 
     @property
@@ -60,7 +61,7 @@ class ScoredCandidate:
     score: float
 
     def __post_init__(self):
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ShapeError(f"score for index {self.index} is not finite")
 
 
@@ -84,8 +85,8 @@ def score_mc_dropout(model: Model, x, passes: int, rng):
     to exactly :func:`score_entropy` (computed with a single deterministic
     pass).
     """
-    if not (isinstance(passes, int) and passes >= 1):
-        raise ConfigError(f"mc_dropout needs passes >= 1, got {passes}")
+    if not is_count(passes):
+        raise ConfigError(f"passes: mc_dropout needs an int >= 1, got {passes}")
     if model.arch.dropout_rate == 0.0:
         return score_entropy(model, x)
     acc = None
@@ -109,12 +110,81 @@ def select_top_b(candidates, b: int) -> list[int]:
     Ties break toward the lowest index; the result is sorted by index.
     """
     cands = list(candidates)
-    if not (isinstance(b, int) and b >= 0):
-        raise BudgetError(f"selection size must be a non-negative int, got {b}")
+    if not is_count(b, minimum=0):
+        raise BudgetError(f"b: selection size must be a non-negative int, got {b}")
     if b > len(cands):
-        raise BudgetError(f"cannot select {b} of {len(cands)} candidates")
-    ranked = sorted(cands, key=lambda c: (-c.score, c.index))
-    return sorted(c.index for c in ranked[:b])
+        raise BudgetError(f"b: cannot select {b} of {len(cands)} candidates")
+    index = np.array([c.index for c in cands], dtype=np.int64)
+    score = np.array([c.score for c in cands], dtype=np.float64)
+    return sorted(index[np.lexsort((index, -score))[:b]].tolist())
+
+
+# Pool rows per block of distance estimates, and floats per chunk of exact differences.
+_BLOCK_ROWS = 1024
+_CHUNK_FLOATS = 1 << 19
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _slack(dim: int, norm_sum):
+    """Bound on |exact - estimate| for squared distances between vectors whose norms sum to ``norm_sum``.
+
+    The sequential sum and the BLAS form ``|u|^2 + |v|^2 - 2 u.v`` each stay
+    within (dim + 2) * eps/2 * (|u| + |v|)^2 of the true value, in any
+    summation order, plus a few subnormals once values underflow.  This is
+    four times the sum of the two bounds, so it holds for any BLAS kernel or
+    thread count.  Squaring ``2 * norm_sum`` makes it overflow before any
+    estimate can (no partial sum of an estimate exceeds (|u| + |v|)^2 by more
+    than rounding), so an overflowed estimate always meets an infinite slack.
+    """
+    return (dim + 2) * (_EPS * (2.0 * norm_sum) ** 2 + 4.0 * _TINY)
+
+
+def _sq_dists(a, b):
+    """Squared distances between matching columns of ``a`` and ``b`` (dim x pairs; ``b`` may be dim x 1).
+
+    Sums the squared differences one dimension at a time, in order, which
+    is how ``scipy.spatial.distance.cdist`` sums them, so the square roots
+    equal its distances bit for bit.
+    """
+    diff = a - b
+    diff *= diff
+    total = diff[0].copy()
+    for term in diff[1:]:
+        total += term
+    return total
+
+
+def _nearest_sq(pool, pool_t, pool_sq, lab):
+    """Exact squared distance from each pool row to its nearest labeled row, without the n x m matrix.
+
+    ``pool_t`` is ``pool`` transposed (C-contiguous) and ``pool_sq`` its
+    squared row norms.  Per block of pool rows, one GEMM estimates every
+    squared distance; only the pairs whose estimate lies within twice the
+    slack of their row's smallest estimate can hold the row's minimum, and
+    only those are summed exactly.  A NaN or infinite estimate makes its row's window NaN or
+    infinite, which keeps the whole row.
+    """
+    dim = pool.shape[1]
+    lab_sq, lab_t = (lab * lab).sum(axis=1), np.ascontiguousarray(lab.T)
+    lab_reach, minus_twice_lab_t = np.sqrt(lab_sq.max()), -2.0 * lab_t
+    step = max(1, _CHUNK_FLOATS // dim)
+    out = np.empty(pool.shape[0])
+    for start in range(0, pool.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        est = pool[block] @ minus_twice_lab_t
+        est += pool_sq[block, None]
+        est += lab_sq
+        window = est.min(axis=1) + 2.0 * _slack(dim, np.sqrt(pool_sq[block]) + lab_reach)
+        rows, cols = np.divmod(np.flatnonzero(~(est > window[:, None])), lab.shape[0])
+        rows += start
+        exact = np.empty(rows.size)
+        for at in range(0, rows.size, step):
+            take = slice(at, at + step)
+            exact[take] = _sq_dists(pool_t[:, rows[take]], lab_t[:, cols[take]])
+        # Every row keeps at least its smallest estimate, and the pairs come row by row.
+        out[block] = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
+    return out
 
 
 def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list[int]:
@@ -125,34 +195,52 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     the unlabeled rows (defaults to 0..n-1); ties break toward the lowest
     index value, which makes the output independent of row order.  Returns
     indices in pick order.
+
+    Distances equal ``scipy.spatial.distance.cdist``'s bit for bit.  BLAS
+    estimates with a rounding slack (:func:`_slack`) decide which pairs could
+    change a nearest distance, and only those are summed exactly, so the
+    picks do not depend on the BLAS kernel or thread count.
     """
     lab = np.atleast_2d(np.asarray(labeled_feats, dtype=np.float64))
     unlab = np.atleast_2d(np.asarray(unlabeled_feats, dtype=np.float64))
     if lab.size == 0:
         raise InvalidStateError("core-set selection needs at least one labeled point")
     if unlab.size == 0:
-        if b == 0:
+        if is_count(b, minimum=0) and b == 0:
             return []
-        raise BudgetError(f"cannot select {b} points from an empty pool")
+        raise BudgetError(f"b: cannot select {b} points from an empty pool")
     if lab.shape[1] != unlab.shape[1]:
         raise ShapeError(f"labeled dim {lab.shape[1]} != unlabeled dim {unlab.shape[1]}")
-    n = unlab.shape[0]
-    if not (isinstance(b, int) and 0 <= b <= n):
-        raise BudgetError(f"cannot select {b} of {n} pool points")
+    if not (np.isfinite(lab).all() and np.isfinite(unlab).all()):
+        raise ShapeError("core-set features must be finite")
+    n, dim = unlab.shape
+    if not (is_count(b, minimum=0) and b <= n):
+        raise BudgetError(f"b: cannot select {b} of {n} pool points")
     idx = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
     if idx.shape != (n,):
         raise ShapeError(f"indices must align with the {n} unlabeled rows")
 
-    min_dist = cdist(unlab, lab).min(axis=1)
-    available = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    for _ in range(b):
-        best = min_dist[available].max()
-        tied = np.flatnonzero(available & (min_dist == best))
-        pos = tied[np.argmin(idx[tied])]
-        picked.append(int(idx[pos]))
-        available[pos] = False
-        min_dist = np.minimum(min_dist, cdist(unlab, unlab[pos:pos + 1]).ravel())
+    # Rows in index order, so argmax's first maximum is the lowest-index tie.
+    order = np.argsort(idx, kind="stable")
+    ids, pool = idx[order], unlab[order]
+    # Overflow only makes a slack infinite or an estimate NaN, which sends rows to the exact path.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pool_t, pool_sq = np.ascontiguousarray(pool.T), (pool * pool).sum(axis=1)
+        norms = np.sqrt(pool_sq)
+        min_sq = _nearest_sq(pool, pool_t, pool_sq, lab)
+        min_dist = np.sqrt(min_sq)
+        available = np.ones(n, dtype=bool)
+        picked: list[int] = []
+        for _ in range(b):
+            pos = int(np.argmax(min_dist))
+            picked.append(int(ids[pos]))
+            available[pos] = False
+            min_dist[pos] = -np.inf
+            lower = pool_sq + pool_sq[pos] - 2.0 * (pool @ pool[pos]) - _slack(dim, norms + norms[pos])
+            rows = np.flatnonzero(available & ~(lower >= min_sq))
+            nearer = np.minimum(min_sq[rows], _sq_dists(pool_t[:, rows], pool_t[:, pos:pos + 1]))
+            min_sq[rows] = nearer
+            min_dist[rows] = np.sqrt(nearer)
     return picked
 
 

@@ -347,6 +347,13 @@ def test_partition_spec_validation():
         PartitionSpec(client_count=2, mode="label_skew")  # classes_per_client required
 
 
+def test_partition_spec_counts_reject_a_bool_and_name_the_field():
+    with pytest.raises(ConfigError, match="^client_count: "):
+        PartitionSpec(client_count=True)
+    with pytest.raises(ConfigError, match="^classes_per_client: "):
+        PartitionSpec(client_count=2, mode="label_skew", classes_per_client=True)
+
+
 # -- initial labels -------------------------------------------------------------
 
 def _fresh_pools(n=30, clients=3, seed=0):

@@ -80,6 +80,11 @@ def test_architecture_validation(kwargs):
         MlpArchitecture(**kwargs)
 
 
+def test_architecture_head_count_rejects_a_bool_and_names_the_field():
+    with pytest.raises(ConfigError, match="^head_count: "):
+        MlpArchitecture((3, 2), head_count=True)
+
+
 def test_model_rejects_wrong_parameter_shapes():
     arch = MlpArchitecture((2, 3))
     with pytest.raises(ShapeError):

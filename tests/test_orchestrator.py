@@ -40,6 +40,7 @@ def test_al_config_computes_per_round_quotas():
         ({"rounds": 0, "budgets": (4,)}, "rounds"),
         ({"rounds": 2, "budgets": (7,)}, "not divisible"),
         ({"rounds": 2, "budgets": (-2,)}, ">= 0"),
+        ({"rounds": True, "budgets": (4,)}, "^rounds: "),  # a bool is an int to Python, not a count
     ],
 )
 def test_al_config_validation(kwargs, fragment):

@@ -1,5 +1,12 @@
 """Tests for acquisition scorers, top-b selection, and k-center selection."""
 
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from fedal import nn as nn_module
+from fedal import strategies as strategies_module
 from fedal.errors import (
     BudgetError,
     ConfigError,
@@ -266,6 +274,10 @@ def test_coreset_validation():
         coreset_greedy(np.zeros((1, 2)), np.empty((0, 2)), 1)
     with pytest.raises(ShapeError):
         coreset_greedy(np.zeros((1, 3)), np.zeros((2, 2)), 1)
+    with pytest.raises(ShapeError, match="finite"):
+        coreset_greedy(np.zeros((1, 2)), [[0.0, np.nan], [1.0, 1.0]], 1)
+    with pytest.raises(ShapeError, match="finite"):
+        coreset_greedy([[np.inf, 0.0]], np.ones((2, 2)), 1)
     assert coreset_greedy(np.zeros((1, 2)), np.empty((0, 2)), 0) == []
     assert coreset_greedy(np.zeros((1, 2)), np.ones((2, 2)), 0) == []
 
@@ -296,6 +308,147 @@ def test_coreset_matches_the_exhaustive_oracle_on_small_pools():
         indices = rng.choice(100, size=unlabeled.shape[0], replace=False).astype(np.int64)
         got = coreset_greedy(labeled, unlabeled, b, indices=indices)
         assert got == _coreset_oracle(labeled, unlabeled, b, indices)
+
+
+def _cdist_coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list[int]:
+    """The all-pairs ``cdist`` implementation of greedy k-center, kept as the bit-for-bit reference."""
+    lab = np.atleast_2d(np.asarray(labeled_feats, dtype=np.float64))
+    unlab = np.atleast_2d(np.asarray(unlabeled_feats, dtype=np.float64))
+    if lab.size == 0:
+        raise InvalidStateError("core-set selection needs at least one labeled point")
+    if unlab.size == 0:
+        if b == 0:
+            return []
+        raise BudgetError(f"cannot select {b} points from an empty pool")
+    if lab.shape[1] != unlab.shape[1]:
+        raise ShapeError(f"labeled dim {lab.shape[1]} != unlabeled dim {unlab.shape[1]}")
+    n = unlab.shape[0]
+    if not (isinstance(b, int) and 0 <= b <= n):
+        raise BudgetError(f"cannot select {b} of {n} pool points")
+    idx = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
+    if idx.shape != (n,):
+        raise ShapeError(f"indices must align with the {n} unlabeled rows")
+
+    min_dist = cdist(unlab, lab).min(axis=1)
+    available = np.ones(n, dtype=bool)
+    picked: list[int] = []
+    for _ in range(b):
+        best = min_dist[available].max()
+        tied = np.flatnonzero(available & (min_dist == best))
+        pos = tied[np.argmin(idx[tied])]
+        picked.append(int(idx[pos]))
+        available[pos] = False
+        min_dist = np.minimum(min_dist, cdist(unlab, unlab[pos:pos + 1]).ravel())
+    return picked
+
+
+def _kcenter_case(seed: int, dim: int, kind: str, labeled: int, pool: int):
+    """Seeded labeled and pool features: ``grid`` ties exactly, ``offset`` cancels in the BLAS estimate."""
+    rng = np.random.default_rng([seed, dim, labeled, pool])
+    shape = (labeled + pool, dim)
+    if kind == "grid":
+        feats = rng.integers(-2, 3, size=shape).astype(np.float64)
+    elif kind == "offset":
+        feats = 1e6 + 1e-3 * rng.normal(size=shape)
+    else:
+        feats = rng.normal(size=shape)
+    indices = rng.permutation(3 * pool)[:pool]
+    return feats[:labeled], feats[labeled:], indices, rng
+
+
+@pytest.mark.parametrize("dim", [1, 2, 32, 70])
+@pytest.mark.parametrize("kind", ["grid", "offset", "normal"])
+def test_coreset_equals_the_cdist_reference_bit_for_bit(dim, kind):
+    sizes = [(1, 1), (3, 17), (40, 90), (1100, 12), (7, 1100)]
+    if kind != "offset":  # every offset pair goes to the exact path, so keep those sets smaller
+        sizes.append((1030, 1300))
+    for case, (labeled_rows, pool_rows) in enumerate(sizes):
+        labeled, pool, indices, rng = _kcenter_case(case, dim, kind, labeled_rows, pool_rows)
+        for b in sorted({0, min(pool_rows, 25), int(rng.integers(0, pool_rows + 1)) % 60}):
+            for names in (None, indices):
+                expected = _cdist_coreset_greedy(labeled, pool, b, indices=names)
+                assert coreset_greedy(labeled, pool, b, indices=names) == expected
+        if pool_rows <= 100:
+            assert coreset_greedy(labeled, pool, pool_rows, indices=indices) == \
+                _cdist_coreset_greedy(labeled, pool, pool_rows, indices=indices)
+
+
+def test_coreset_picks_every_pool_row_past_the_block_edge_like_cdist():
+    labeled, pool, indices, _ = _kcenter_case(0, 2, "grid", 5, 1030)
+    expected = _cdist_coreset_greedy(labeled, pool, 1030, indices=indices)
+    assert coreset_greedy(labeled, pool, 1030, indices=indices) == expected
+
+
+def test_coreset_sends_overflowing_estimates_to_the_exact_path_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # |u|^2 overflows, so the BLAS estimate for the first row is inf - inf = NaN;
+        # exactly, that row sits on a labeled point and the second row is 1 away.
+        assert coreset_greedy([[1e160, 0.0], [0.0, 0.0]], [[1e160, 0.0], [1.0, 0.0]], 1) == [1]
+        # The first pick is at an overflowing distance, and so is its estimate to row 1,
+        # which lies 1 away from it: row 1 must drop to 1, below row 2's 5.
+        pool = [[1e160, 0.0], [1e160, 1.0], [5.0, 0.0]]
+        assert coreset_greedy([[0.0, 0.0]], pool, 2) == [0, 2]
+        assert _cdist_coreset_greedy([[0.0, 0.0]], pool, 2) == [0, 2]
+
+
+def test_coreset_decides_on_rounded_distances_exactly_as_cdist_does():
+    labeled = np.zeros((1, 16))
+    # Summed in order, 1 + 15 * 2**-54 rounds to 1 at every step, tying the two rows;
+    # a pairwise or blocked sum ends above 1 and would pick row 1.
+    pool = np.zeros((2, 16))
+    pool[:, 0] = 1.0
+    pool[1, 1:] = 2.0 ** -27
+    assert coreset_greedy(labeled, pool, 1) == _cdist_coreset_greedy(labeled, pool, 1) == [0]
+    # Squared distances 1 and 1 + 2**-52 have the same square root, 1: a tie that
+    # the lower index wins, though the squared values differ.
+    pool = np.array([[1.0, 0.0], [1.0, 2.0 ** -26]])
+    assert coreset_greedy(np.zeros((1, 2)), pool, 1) == _cdist_coreset_greedy(np.zeros((1, 2)), pool, 1) == [0]
+
+
+_THREAD_PICKS = """
+import json
+import numpy as np
+from fedal.strategies import coreset_greedy
+rng = np.random.default_rng(7)
+centers = 3.0 * rng.normal(size=(6, 32))
+labeled = centers[rng.integers(0, 6, 300)] + rng.normal(size=(300, 32))
+pool = centers[rng.integers(0, 6, 1500)] + rng.normal(size=(1500, 32))
+print(json.dumps(coreset_greedy(labeled, pool, 60, indices=rng.permutation(1500))))
+"""
+
+
+def test_coreset_picks_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(strategies_module.__file__).resolve().parent.parent)
+    picks = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PICKS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        picks.append(json.loads(proc.stdout))
+    assert len(picks[0]) == 60
+    assert picks[0] == picks[1]
+
+
+# -- counts that are bools ---------------------------------------------------------------------
+
+def test_selection_sizes_reject_a_bool_and_name_b():
+    with pytest.raises(BudgetError, match="^b: "):
+        select_top_b(_cands([0.1, 0.9]), True)
+    with pytest.raises(BudgetError, match="^b: "):
+        coreset_greedy(np.zeros((1, 2)), np.ones((3, 2)), True)
+    with pytest.raises(BudgetError, match="^b: "):
+        coreset_greedy(np.zeros((1, 2)), np.empty((0, 2)), False)
+
+
+def test_mc_dropout_passes_reject_a_bool_and_name_the_field():
+    with pytest.raises(ConfigError, match="^mc_passes: "):
+        ScorerSpec("mc_dropout", mc_passes=True)
+    with pytest.raises(ConfigError, match="^passes: "):
+        score_mc_dropout(_model(1, dropout=0.5), np.zeros((2, 2)), True, np.random.default_rng(0))
 
 
 # -- two-head training -------------------------------------------------------------------------
