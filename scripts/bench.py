@@ -9,7 +9,8 @@ that ``BENCHMARK.json`` sets, and keeps the JSON object on the last line of
 each run.  The file holds, per workload, the median and the range of every
 untraced end-to-end metric, the traced per-layer metrics, and the failed and
 attempted operation counts; plus the host (nproc, Python and NumPy versions,
-BLAS vendor) and the git SHA of the code measured.  Compare two files only
+BLAS vendor) and the git SHA of the code measured, with ``-dirty`` appended
+when the working tree holds uncommitted changes.  Compare two files only
 when they were written on the same host.
 """
 
@@ -48,9 +49,14 @@ def _blas_vendor() -> str:
 
 
 def _git_sha() -> str:
+    """HEAD's SHA, with ``-dirty`` appended when the working tree differs from it."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True, check=False)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    if proc.returncode != 0:
+        return "unknown"
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True,
+                            text=True, check=False)
+    return proc.stdout.strip() + ("-dirty" if status.returncode != 0 or status.stdout.strip() else "")
 
 
 def bench_workload(name: str, seconds: float) -> dict:

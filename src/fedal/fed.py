@@ -28,8 +28,9 @@ per run straight from the dataset: their labels stay hidden.
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  :func:`fedavg` and
 :func:`independent_train` check each client's labeled pair once per run,
-where they gather it, and then run nn's unchecked cores; :func:`local_update`
-checks its arguments on every call.
+where they gather it and build the client's :class:`nn.Workspace`, and then
+run nn's unchecked cores in that workspace; :func:`local_update` checks its
+arguments on every call.
 """
 
 from __future__ import annotations
@@ -102,12 +103,16 @@ def weighted_average(param_vectors, sample_counts) -> Array:
     if any(not np.isfinite(c) or c < 1 for c in counts):
         raise ConfigError(f"sample counts must be >= 1, got {sample_counts}")
     total = sum(counts)
-    acc = np.zeros_like(vectors[0])
+    acc, scaled = np.zeros_like(vectors[0]), np.empty_like(vectors[0])
+    low, high = vectors[0].copy(), vectors[0].copy()
     for vec, count in zip(vectors, counts):
-        acc += count * vec
+        acc += np.multiply(count, vec, out=scaled)
+        np.minimum(low, vec, out=low)
+        np.maximum(high, vec, out=high)
     acc /= total
-    stacked = np.stack(vectors)
-    return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
+    # Clamp in np.clip's order (lower bound first): the same bits, without its wrapper.
+    np.maximum(acc, low, out=acc)
+    return np.minimum(acc, high, out=acc)
 
 
 def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
@@ -132,39 +137,40 @@ def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
     if np.size(features) == 0:
         raise EmptyInputError("client has no labeled examples")
     x, y = nn.labeled_batch(model.arch, features, labels)
-    return _local_update(model.arch, model.params, x, y, lr, cfg, rng)
+    return _local_update(nn.Workspace(model.arch), model.params, x, y, lr, cfg, rng)
 
 
-def _local_update(arch, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
+def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
                   rng) -> tuple[Array, float | None]:
-    """:func:`local_update` on a pair checked by :func:`nn.labeled_batch`."""
-    start_loss, first = None, not _update_draws(arch, cfg, y.shape[0])
+    """:func:`local_update` on a pair checked by :func:`nn.labeled_batch`, in ``ws``'s buffers."""
+    start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[0])
     for _ in range(cfg.local_epochs):
         for xb, yb in nn.minibatches(x, y, cfg.minibatch_size, rng):
-            value, g = nn._grad(arch, params, xb, yb, rng, first)
+            value, g = nn._grad(ws, params, xb, yb, rng, first)
             if first:
                 start_loss = value
-            params, first = params - lr * g, False
+            g *= lr
+            params, first = params - g, False
     return params, start_loss
 
 
 def _client_rows(dataset: Dataset, pool: ClientPools, arch,
-                 local_fn) -> tuple[Array, Array, Array | None]:
-    """A client's checked labeled pair, plus its unlabeled feature rows if ``local_fn`` takes them."""
+                 local_fn) -> tuple[nn.Workspace, Array, Array, Array | None]:
+    """A client's workspace and checked labeled pair, plus its unlabeled feature rows if ``local_fn`` takes them."""
     x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
-    return x, y, None if local_fn is None else dataset.features[pool.unlabeled]
+    return nn.Workspace(arch), x, y, None if local_fn is None else dataset.features[pool.unlabeled]
 
 
-def _client_update(local_fn, arch, params: Array, rows, lr: float, cfg: FedConfig,
+def _client_update(local_fn, params: Array, rows, lr: float, cfg: FedConfig,
                    rng) -> tuple[Array, float]:
     """One client's update on its :func:`_client_rows` as ``(params, training loss of params)``."""
-    x, y, unlabeled = rows
+    ws, x, y, unlabeled = rows
     if local_fn is None:
-        new_params, start_loss = _local_update(arch, params, x, y, lr, cfg, rng)
+        new_params, start_loss = _local_update(ws, params, x, y, lr, cfg, rng)
     else:
-        new_params, start_loss = local_fn(Model(arch, params), x, y, unlabeled, lr, cfg, rng).params, None
+        new_params, start_loss = local_fn(Model(ws.arch, params), x, y, unlabeled, lr, cfg, rng).params, None
     if start_loss is None:
-        start_loss = nn._loss(arch, params, x, y)
+        start_loss = nn._loss(ws, params, x, y)
     return new_params, start_loss
 
 
@@ -219,7 +225,7 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     # Clients without labels get weight zero: they only receive the global model.
     clients = [(pool.client_id, _client_rows(dataset, pool, arch, local_fn))
                for pool in pools if pool.labeled]
-    counts = [len(rows[1]) for _, rows in clients]
+    counts = [len(rows[2]) for _, rows in clients]
     draws = [local_fn is not None or _update_draws(arch, cfg, n) for n in counts]
 
     def step(t, params):
@@ -227,13 +233,13 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
         updated, losses = [], []
         for (client_id, rows), client_draws in zip(clients, draws):
             rng = rng_for(seed, "local", client_id, t) if client_draws else None
-            new_params, start_loss = _client_update(local_fn, arch, params, rows, lr, cfg, rng)
+            new_params, start_loss = _client_update(local_fn, params, rows, lr, cfg, rng)
             updated.append(new_params)
             losses.append(start_loss)
         return weighted_average(updated, counts), _mean_loss(losses, counts)
 
     def train_loss(params):
-        return _mean_loss([nn._loss(arch, params, x, y) for _, (x, y, _) in clients], counts)
+        return _mean_loss([nn._loss(ws, params, x, y) for _, (ws, x, y, _) in clients], counts)
 
     return _train_to_threshold(init_model, cfg, step, train_loss)
 
@@ -251,14 +257,14 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
     pool = pools[client]
     if not pool.labeled:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
-    arch = init_model.arch
-    rows = _client_rows(dataset, pool, arch, local_fn)
+    rows = _client_rows(dataset, pool, init_model.arch, local_fn)
+    ws, x, y, _ = rows
     rng = rng_for(seed, pool.client_id)
 
     def step(t, params):
-        return _client_update(local_fn, arch, params, rows, cfg.schedule.lr(t), cfg, rng)
+        return _client_update(local_fn, params, rows, cfg.schedule.lr(t), cfg, rng)
 
-    return _train_to_threshold(init_model, cfg, step, lambda params: nn._loss(arch, params, *rows[:2]))
+    return _train_to_threshold(init_model, cfg, step, lambda params: nn._loss(ws, params, x, y))
 
 
 def evaluate(model: Model, test: Dataset) -> float:

@@ -15,6 +15,7 @@ after the per-repeat rows.  Identical configs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,8 @@ def load_csv(path) -> ResultTable:
             acc = float(acc_s)
         except ValueError:
             raise ParseError(f"{path} line {lineno}: non-numeric field") from None
+        if not (math.isfinite(frac) and math.isfinite(acc)):
+            raise ParseError(f"{path} line {lineno}: labeled_fraction and test_accuracy must be finite")
         if repeat_s in ("mean", "std"):
             summary.append(ResultRow(strategy, scorer, round_index, repeat_s, frac, acc))
         else:
@@ -174,5 +177,7 @@ def load_csv(path) -> ResultTable:
                 repeat = int(repeat_s)
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad repeat field {repeat_s!r}") from None
+            if repeat < 1:
+                raise ParseError(f"{path} line {lineno}: repeat must be >= 1, got {repeat}")
             rows.append(ResultRow(strategy, scorer, round_index, repeat, frac, acc))
     return ResultTable(rows=tuple(rows), summary=tuple(summary))

@@ -9,6 +9,11 @@ public function checks its own inputs; training loops check a labeled pair
 once per run (:func:`labeled_batch`), then call the unchecked cores
 ``_loss`` and ``_grad`` that :func:`loss` and :func:`grad` share.
 
+There is one forward/backward core.  It writes its intermediates into the
+buffers of a :class:`Workspace`, which a training loop builds once per run
+and reuses on every step; the public functions build one for their batch and
+return its buffers.
+
 Parameters live in a single flat float64 vector.  Storage order: for each
 hidden layer a weight matrix (fan_in x fan_out, row-major) followed by its
 bias, then for each output head its weight matrix and bias.  Networks with
@@ -18,6 +23,7 @@ linear layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -57,11 +63,13 @@ class MlpArchitecture:
     head_count: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
         if len(self.layer_sizes) < 2:
             raise ConfigError("layer_sizes: needs at least an input and an output size")
-        if min(self.layer_sizes) < 1:
-            raise ConfigError(f"layer_sizes: sizes must be >= 1, got {min(self.layer_sizes)}")
+        for size in self.layer_sizes:
+            if not is_count(size):
+                rule = "be >= 1" if is_count(size, minimum=-math.inf) else "be ints"
+                raise ConfigError(f"layer_sizes: sizes must {rule}, got {size!r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation: unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         if not (isinstance(self.dropout_rate, (int, float)) and 0.0 <= self.dropout_rate < 1.0):
@@ -142,73 +150,140 @@ def _as_batch(x, input_dim: int) -> Array:
     return arr
 
 
-def _split_params(arch: MlpArchitecture, params: Array):
-    """Views of the flat vector as per-layer (W, b) pairs: hidden list + head list."""
-    layout = arch.layout
-    hidden = [(params[block.w].reshape(block.shape), params[block.b]) for block in layout.hidden]
-    heads = [(params[block.w].reshape(block.shape), params[block.b]) for block in layout.heads]
-    return hidden, heads
+def _layer_views(flat: Array, blocks) -> tuple[tuple[Array, Array], ...]:
+    """Per-layer ``(W, b)`` views of a flat vector stored in ``blocks``' layout."""
+    return tuple((flat[block.w].reshape(block.shape), flat[block.b]) for block in blocks)
 
 
-def _activate(name: str, z: Array) -> Array:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+class _Layer(NamedTuple):
+    """One hidden layer's buffers, each ``(rows, fan_out)``."""
+
+    act: Array              # activation, before dropout
+    dropped: Array | None   # activation after dropout (dropout architectures only)
+    scale: Array | None     # dropout mask / (1 - p) (dropout architectures only)
+    deriv: Array            # derivative of the activation
+    delta: Array            # loss gradient with respect to the layer's output
+
+
+class _Head(NamedTuple):
+    """One output head's buffers; ``*_col`` and ``*_flat`` are views of the array before them."""
+
+    logits: Array
+    logits_flat: Array
+    columns: tuple[Array, ...]  # logits[:, c], for the row max
+    probs: Array                # exp(logits - row max), then the softmax, then dL/dlogits
+    probs_flat: Array
+    row_max: Array
+    row_max_col: Array
+    row_sum: Array              # row sums of exp(logits - row max)
+    row_sum_col: Array
+
+
+class _Rows(NamedTuple):
+    """The buffers of one pass over a batch of a fixed row count."""
+
+    hidden: tuple[_Layer, ...]
+    heads: tuple[_Head, ...]
+    spare: Array | None  # dz @ W.T of the second head, when there is one and hidden layers
+    offsets: Array       # row * class_count: adding a row's label indexes its logit
+    picks: Array
+    lse: Array           # per-row log-sum-exp, then per-row loss
+
+
+def _row_buffers(arch: MlpArchitecture, count: int) -> _Rows:
+    def buf(width):
+        return np.empty((count, width))
+
+    dropout = arch.dropout_rate > 0.0
+    hidden = tuple(_Layer(buf(w), buf(w) if dropout else None, buf(w) if dropout else None, buf(w), buf(w))
+                   for w in arch.layer_sizes[1:-1])
+    heads = []
+    for _ in range(arch.head_count):
+        logits, probs = buf(arch.class_count), buf(arch.class_count)
+        row_max, row_sum = np.empty(count), np.empty(count)
+        heads.append(_Head(logits, logits.ravel(), tuple(logits.T), probs, probs.ravel(),
+                           row_max, row_max[:, None], row_sum, row_sum[:, None]))
+    spare = buf(arch.layer_sizes[-2]) if hidden and arch.head_count > 1 else None
+    return _Rows(hidden, tuple(heads), spare, np.arange(count) * arch.class_count,
+                 np.empty(count, dtype=np.int64), np.empty(count))
+
+
+class Workspace:
+    """The buffers the forward/backward core writes into, reused from call to call.
+
+    Built for one architecture: the flat parameter and gradient vectors with
+    their per-layer ``(W, b)`` views, and for each batch row count it serves
+    one set of row buffers, made on first use.  Each call of the core
+    overwrites what the previous one left (the gradient, the probabilities),
+    so a caller uses a result before its next call on the same workspace.
+    """
+
+    def __init__(self, arch: MlpArchitecture):
+        layout = arch.layout
+        self.arch = arch
+        self.params = np.empty(layout.size)
+        self.grad = np.empty(layout.size)
+        self.hidden = _layer_views(self.params, layout.hidden)
+        self.heads = _layer_views(self.params, layout.heads)
+        self.grad_hidden = _layer_views(self.grad, layout.hidden)
+        self.grad_heads = _layer_views(self.grad, layout.heads)
+        self._rows: dict[int, _Rows] = {}
+
+    def rows(self, count: int) -> _Rows:
+        """The buffers for a batch of ``count`` rows."""
+        rows = self._rows.get(count)
+        if rows is None:
+            rows = self._rows[count] = _row_buffers(self.arch, count)
+        return rows
 
 
 class _Pass(NamedTuple):
-    """Everything one forward pass keeps for the loss and for backprop.
+    """One forward pass: its row buffers, and what each layer consumed (``inputs[-1]`` feeds the heads)."""
 
-    ``layers`` holds the (W, b) views.  ``inputs[j]`` is what layer j consumed
-    (the post-dropout activation of the previous layer).  Per head: the
-    logits, their row maxima and the row sums of ``exp(logits - row max)``
-    (both ``(rows, 1)``), and the softmax, unless the pass is logits-only.
-    """
-
-    layers: tuple[list, list]
+    rows: _Rows
     inputs: list[Array]
-    pre_dropout: list[Array]
-    masks: list[Array | None]
-    logits: list[Array]
-    row_max: list[Array]
-    row_sum: list[Array]
-    probs: list[Array]
+    dropout: bool
 
 
-def _forward_cache(arch: MlpArchitecture, params: Array, x: Array, rng, probs: bool = True) -> _Pass:
-    """Run the network, keeping what the loss and backprop need; ``probs=False`` is logits-only."""
-    hidden, heads = layers = _split_params(arch, params)
+def _forward(ws: Workspace, params: Array, x: Array, rng, probs: bool = True) -> _Pass:
+    """Run the network on ``x`` into ``ws``; ``probs=False`` stops at the softmax row sums."""
+    arch = ws.arch
+    np.copyto(ws.params, params)
+    rows = ws.rows(x.shape[0])
     p = arch.dropout_rate
+    dropout = p > 0.0 and rng is not None
+    relu = arch.activation == "relu"
     inputs = [x]
-    pre_dropout = []
-    masks = []
     a = x
-    for w, b in hidden:
-        z = a @ w + b
-        act = _activate(arch.activation, z)
-        pre_dropout.append(act)
-        if p > 0.0 and rng is not None:
+    for (w, b), layer in zip(ws.hidden, rows.hidden):
+        a = np.matmul(a, w, out=layer.act)
+        a += b
+        if relu:
+            np.maximum(a, 0.0, out=a)
+        else:
+            np.tanh(a, out=a)
+        if dropout:
             # Inverted dropout: zero a unit with probability p, scale the
             # survivors by 1/(1-p) so the expected activation is unchanged.
-            mask = rng.random(act.shape) >= p
-            act = act * (mask / (1.0 - p))
-        else:
-            mask = None
-        masks.append(mask)
-        inputs.append(act)
-        a = act
-    out = _Pass(layers, inputs, pre_dropout, masks, [], [], [], [])
-    for w, b in heads:
-        z = a @ w + b
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        sums = e.sum(axis=1, keepdims=True)
-        out.logits.append(z)
-        out.row_max.append(zmax)
-        out.row_sum.append(sums)
+            scale = rng.random(out=layer.scale)
+            np.greater_equal(scale, p, out=scale)
+            scale /= 1.0 - p
+            a = np.multiply(a, scale, out=layer.dropped)
+        inputs.append(a)
+    for (w, b), head in zip(ws.heads, rows.heads):
+        z = np.matmul(a, w, out=head.logits)
+        z += b
+        # A running maximum over the columns is z.max(axis=1) at a fraction of the cost.
+        columns, zmax = head.columns, head.row_max
+        np.maximum(columns[0], columns[-1], out=zmax)
+        for column in columns[1:-1]:
+            np.maximum(zmax, column, out=zmax)
+        e = np.subtract(z, head.row_max_col, out=head.probs)
+        np.exp(e, out=e)
+        np.add.reduce(e, axis=1, out=head.row_sum)
         if probs:
-            out.probs.append(e / sums)
-    return out
+            e /= head.row_sum_col
+    return _Pass(rows, inputs, dropout)
 
 
 def forward(model: Model, x, rng=None) -> list[Array]:
@@ -218,7 +293,8 @@ def forward(model: Model, x, rng=None) -> list[Array]:
     dropout masks (training mode); with ``dropout_rate == 0`` the rng is
     ignored entirely.
     """
-    return _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), rng).probs
+    fwd = _forward(Workspace(model.arch), model.params, _as_batch(x, model.arch.input_dim), rng)
+    return [head.probs for head in fwd.rows.heads]
 
 
 def hidden_features(model: Model, x) -> Array:
@@ -227,7 +303,8 @@ def hidden_features(model: Model, x) -> Array:
     For an architecture without hidden layers this is the raw input, which is
     what the final linear layer consumes.
     """
-    return _forward_cache(model.arch, model.params, _as_batch(x, model.arch.input_dim), None).inputs[-1]
+    batch = _as_batch(x, model.arch.input_dim)
+    return _forward(Workspace(model.arch), model.params, batch, None, probs=False).inputs[-1]
 
 
 def labeled_batch(arch: MlpArchitecture, features, labels) -> tuple[Array, Array]:
@@ -251,70 +328,83 @@ def labeled_batch(arch: MlpArchitecture, features, labels) -> tuple[Array, Array
     return batch, y
 
 
-def _cross_entropy(fwd: _Pass, picks: Array) -> float:
-    """Mean cross-entropy over the batch, averaged over heads; ``picks`` index the label logits."""
+def _cross_entropy(rows: _Rows) -> float:
+    """Mean cross-entropy over the batch, averaged over heads, at the labels ``rows.picks`` indexes."""
+    picks, lse = rows.picks, rows.lse
     total = 0.0
-    for z, zmax, sums in zip(fwd.logits, fwd.row_max, fwd.row_sum):
-        logsumexp = zmax[:, 0] + np.log(sums[:, 0])
+    for head in rows.heads:
+        np.log(head.row_sum, out=lse)
+        np.add(head.row_max, lse, out=lse)
+        lse -= head.logits_flat[picks]
         # Sum, then divide by the row count: the same bits as np.mean.
-        total += float(np.add.reduce(logsumexp - z.ravel()[picks]) / picks.shape[0])
-    return total / len(fwd.logits)
+        total += float(np.add.reduce(lse) / picks.shape[0])
+    return total / len(rows.heads)
 
 
-def _backward(arch: MlpArchitecture, picks: Array, fwd: _Pass) -> Array:
-    """Gradient of the mean cross-entropy of ``fwd`` (whose probs it overwrites) in flat layout."""
-    hidden, heads = fwd.layers
-    inputs, pre_dropout, masks = fwd.inputs, fwd.pre_dropout, fwd.masks
-    p = arch.dropout_rate
-    layout = arch.layout
-    out = np.empty(layout.size, dtype=np.float64)
+def _backward(ws: Workspace, fwd: _Pass) -> Array:
+    """Gradient of the mean cross-entropy of ``fwd`` into ``ws.grad`` (the probs become dL/dlogits)."""
+    arch, rows, inputs = ws.arch, fwd.rows, fwd.inputs
+    picks = rows.picks
     last_hidden = inputs[-1]
 
-    # dL/dz for each head; CE averaged over batch and heads.  (0.0 adds like a zero array.)
-    d_last = 0.0
-    for block, (w, _), dz in zip(layout.heads, heads, fwd.probs):
-        dz.ravel()[picks] -= 1.0
+    # dL/dz for each head; CE averaged over batch and heads.
+    d_last = rows.hidden[-1].delta if rows.hidden else None
+    for k, (head, (w, _), (gw, gb)) in enumerate(zip(rows.heads, ws.heads, ws.grad_heads)):
+        dz = head.probs
+        np.subtract.at(head.probs_flat, picks, 1.0)
         dz /= picks.shape[0] * arch.head_count
-        np.matmul(last_hidden.T, dz, out=out[block.w].reshape(block.shape))
-        np.add.reduce(dz, axis=0, out=out[block.b])
-        if hidden:
-            d_last = d_last + dz @ w.T
+        np.matmul(last_hidden.T, dz, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)
+        if d_last is None:
+            continue
+        if k == 0:
+            np.matmul(dz, w.T, out=d_last)
+            d_last += 0.0  # as 0.0 + dz @ W.T: a -0.0 sum becomes +0.0
+        else:
+            d_last += np.matmul(dz, w.T, out=rows.spare)
 
     # Walk the hidden stack backwards; the raw input needs no gradient.
     d_act = d_last
-    for j, block in reversed(tuple(enumerate(layout.hidden))):
-        if masks[j] is not None:
-            d_act *= masks[j] / (1.0 - p)
+    for j in reversed(range(len(rows.hidden))):
+        layer, (gw, gb) = rows.hidden[j], ws.grad_hidden[j]
+        if fwd.dropout:
+            d_act *= layer.scale
         if arch.activation == "relu":
-            d_act *= pre_dropout[j] > 0.0
+            np.greater(layer.act, 0.0, out=layer.deriv)
         else:
-            d_act *= 1.0 - pre_dropout[j] ** 2
-        np.matmul(inputs[j].T, d_act, out=out[block.w].reshape(block.shape))
-        np.add.reduce(d_act, axis=0, out=out[block.b])
+            np.square(layer.act, out=layer.deriv)
+            np.subtract(1.0, layer.deriv, out=layer.deriv)
+        d_act *= layer.deriv
+        np.matmul(inputs[j].T, d_act, out=gw)
+        np.add.reduce(d_act, axis=0, out=gb)
         if j:
-            d_act = d_act @ hidden[j][0].T
-    return out
+            d_act = np.matmul(d_act, ws.hidden[j][0].T, out=rows.hidden[j - 1].delta)
+    return ws.grad
 
 
-def _loss(arch: MlpArchitecture, params: Array, x: Array, y: Array, rng=None) -> float:
+def _loss(ws: Workspace, params: Array, x: Array, y: Array, rng=None) -> float:
     """:func:`loss` on a checked pair (see :func:`labeled_batch`), from a logits-only pass."""
-    picks = np.arange(y.shape[0]) * arch.class_count + y
-    return _cross_entropy(_forward_cache(arch, params, x, rng, probs=False), picks)
+    rows = _forward(ws, params, x, rng, probs=False).rows
+    np.add(rows.offsets, y, out=rows.picks)
+    return _cross_entropy(rows)
 
 
-def _grad(arch: MlpArchitecture, params: Array, x: Array, y: Array, rng,
+def _grad(ws: Workspace, params: Array, x: Array, y: Array, rng,
           want_loss: bool) -> tuple[float | None, Array]:
-    """(:func:`loss` or None, :func:`grad`) on a checked pair, from one forward pass."""
-    fwd = _forward_cache(arch, params, x, rng)
-    picks = np.arange(y.shape[0]) * arch.class_count + y
-    value = _cross_entropy(fwd, picks) if want_loss else None
-    return value, _backward(arch, picks, fwd)
+    """(:func:`loss` or None, :func:`grad`) on a checked pair, from one forward pass.
+
+    The gradient is ``ws.grad``, which the next call on ``ws`` overwrites.
+    """
+    fwd = _forward(ws, params, x, rng)
+    np.add(fwd.rows.offsets, y, out=fwd.rows.picks)
+    value = _cross_entropy(fwd.rows) if want_loss else None
+    return value, _backward(ws, fwd)
 
 
 def loss(model: Model, features, labels, rng=None) -> float:
     """Mean cross-entropy over the batch, averaged over heads."""
     batch, y = labeled_batch(model.arch, features, labels)
-    return _loss(model.arch, model.params, batch, y, rng)
+    return _loss(Workspace(model.arch), model.params, batch, y, rng)
 
 
 def grad(model: Model, features, labels, rng=None) -> Array:
@@ -324,7 +414,7 @@ def grad(model: Model, features, labels, rng=None) -> Array:
     backward pass, exactly as a single stochastic training step requires.
     """
     batch, y = labeled_batch(model.arch, features, labels)
-    return _grad(model.arch, model.params, batch, y, rng, False)[1]
+    return _grad(Workspace(model.arch), model.params, batch, y, rng, False)[1]
 
 
 def minibatches(x: Array, y: Array, size: int | None, rng) -> list[tuple[Array, Array]]:

@@ -22,6 +22,7 @@ pipeline materializes a cross-client union of labeled data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,12 +61,13 @@ class ALConfig:
     aux_train: FedConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(self.budgets))
         if not is_count(self.rounds):
             raise ConfigError(f"rounds: must be an int >= 1, got {self.rounds}")
         for client, budget in enumerate(self.budgets):
-            if budget < 0:
-                raise ConfigError(f"budgets[{client}]: must be >= 0, got {budget}")
+            if not is_count(budget, minimum=0):
+                rule = "be >= 0" if is_count(budget, minimum=-math.inf) else "be an int"
+                raise ConfigError(f"budgets[{client}]: must {rule}, got {budget!r}")
             if budget % self.rounds != 0:
                 raise ConfigError(
                     f"budgets[{client}]: budget {budget} is not divisible by rounds={self.rounds}; "

@@ -244,14 +244,15 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     return picked
 
 
-def _discrepancy_grad(arch, params: Array, unlabeled: Array) -> Array:
+def _discrepancy_grad(ws: nn.Workspace, params: Array, unlabeled: Array) -> Array:
     """Gradient (head parameters only) of -mean L1 disagreement on the checked batch ``unlabeled``.
 
     Descending this direction pushes the heads apart where the trunk allows
-    it; the trunk itself receives no contribution from this term.
+    it; the trunk itself receives no contribution from this term.  The
+    forward pass runs in ``ws``; the gradient is a new vector.
     """
-    fwd = nn._forward_cache(arch, params, unlabeled, None)
-    hidden_act, (probs_a, probs_b) = fwd.inputs[-1], fwd.probs
+    arch, fwd = ws.arch, nn._forward(ws, params, unlabeled, None)
+    hidden_act, (probs_a, probs_b) = fwd.inputs[-1], [head.probs for head in fwd.rows.heads]
     count = unlabeled.shape[0]
     sign = np.sign(probs_a - probs_b)
     # d(-mean L1)/dz via the softmax Jacobian of each head.
@@ -285,13 +286,13 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
         warnings.warn("no unlabeled data: skipping the disagreement term", stacklevel=2)
     else:
         unlab = nn._as_batch(unlab, arch.input_dim)
-    minibatch_size, params = cfg.minibatch_size, model.params
+    ws, minibatch_size, params = nn.Workspace(arch), cfg.minibatch_size, model.params
     for _ in range(cfg.local_epochs):
         batches = nn.minibatches(x, y, minibatch_size, rng)
         u_shuffled = unlab.size and minibatch_size is not None and minibatch_size < unlab.shape[0]
         u_perm = rng.permutation(unlab.shape[0]) if u_shuffled else None
         for step, (xb, yb) in enumerate(batches):
-            g = nn._grad(arch, params, xb, yb, rng, False)[1]
+            g = nn._grad(ws, params, xb, yb, rng, False)[1]
             if unlab.size:
                 if u_perm is None:
                     u_batch = unlab
@@ -299,6 +300,7 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
                     start = (step * minibatch_size) % unlab.shape[0]
                     take = np.arange(start, start + minibatch_size) % unlab.shape[0]
                     u_batch = unlab[u_perm[take]]
-                g = g + _discrepancy_grad(arch, params, u_batch)
-            params = params - lr * g
+                g += _discrepancy_grad(ws, params, u_batch)
+            g *= lr
+            params = params - g
     return Model(arch, params)

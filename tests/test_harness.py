@@ -211,6 +211,11 @@ def test_csv_values_use_six_decimals(tmp_path):
         (None, "6 fields"),
         ("WRONG", "non-numeric"),
         ("BADREP", "repeat"),
+        (CSV_HEADER + "\nrandom,random,1,1,0.5,0.5\nrandom,random,1,2,nan,0.5\n", "line 3: .*finite"),
+        (CSV_HEADER + "\nrandom,random,1,1,inf,0.5\n", "line 2: .*finite"),
+        (CSV_HEADER + "\nrandom,random,1,1,0.5,nan\n", "line 2: .*finite"),
+        (CSV_HEADER + "\nrandom,random,1,mean,0.5,-inf\n", "line 2: .*finite"),
+        (CSV_HEADER + "\nrandom,random,1,-3,0.5,0.5\n", r"line 2: repeat must be >= 1, got -3"),
     ],
 )
 def test_load_csv_diagnoses_malformed_files(tmp_path, body, fragment):

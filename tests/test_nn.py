@@ -1,11 +1,14 @@
 """Unit tests for the dense-network engine (forward/loss/grad/SGD/init)."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedal import nn
+from fedal import fed, nn, strategies
+from fedal.data import ClientPools, synth_blobs
 from fedal.errors import ConfigError, EmptyInputError, ShapeError
 from fedal.nn import (
     LrSchedule,
@@ -18,6 +21,8 @@ from fedal.nn import (
     loss,
     sgd_step,
 )
+
+Array = np.ndarray
 
 
 def _random_model(seed, sizes=(3, 5, 4), activation="relu", dropout=0.0, heads=1, scale=1.0):
@@ -73,10 +78,13 @@ def test_param_blocks_tile_the_flat_vector():
         {"layer_sizes": (3, 2), "activation": "selu"},
         {"layer_sizes": (3, 2), "dropout_rate": 1.0},
         {"layer_sizes": (3, 2), "head_count": 0},
+        {"layer_sizes": (2.7, 2)},  # not truncated to 2
+        {"layer_sizes": (3, True)},  # a bool is an int to Python, not a size
+        {"layer_sizes": (3, 2.0)},
     ],
 )
 def test_architecture_validation(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^(layer_sizes|activation|dropout_rate|head_count): "):
         MlpArchitecture(**kwargs)
 
 
@@ -304,7 +312,7 @@ def test_grad_core_with_loss_equals_loss_and_grad_bit_for_bit(activation, sizes,
     feats = rng.normal(size=(9, 3))
     labels = rng.integers(0, 4, size=9)
     x, y = nn.labeled_batch(model.arch, feats, labels)
-    value, g = nn._grad(model.arch, model.params, x, y, None, want_loss=True)
+    value, g = nn._grad(nn.Workspace(model.arch), model.params, x, y, None, want_loss=True)
     assert value == loss(model, feats, labels)
     assert np.array_equal(g, grad(model, feats, labels))
 
@@ -314,7 +322,7 @@ def test_grad_core_with_loss_shares_the_dropout_masks_of_one_stream():
     feats = np.random.default_rng(1).normal(size=(7, 3))
     labels = np.array([0, 1, 2, 3, 0, 1, 2])
     x, y = nn.labeled_batch(model.arch, feats, labels)
-    value, g = nn._grad(model.arch, model.params, x, y, np.random.default_rng(5), want_loss=True)
+    value, g = nn._grad(nn.Workspace(model.arch), model.params, x, y, np.random.default_rng(5), want_loss=True)
     assert value == loss(model, feats, labels, np.random.default_rng(5))
     assert np.array_equal(g, grad(model, feats, labels, np.random.default_rng(5)))
 
@@ -364,3 +372,257 @@ def test_init_params_reproducible_scaled_and_zero_biased():
     for block in (*arch.layout.hidden, *arch.layout.heads):
         assert np.all(a[block.b] == 0.0)
         assert np.max(np.abs(a[block.w])) <= 1.0 / np.sqrt(block.shape[0])
+
+
+# -- the workspace core against the allocate-per-call reference ----------------
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _edge_params(arch, seed):
+    """Random params with a dead relu unit (hidden unit 0) and an all-zero weight row in head 0."""
+    params = np.random.default_rng(seed).normal(scale=1.5, size=arch.param_count)
+    if arch.layout.hidden:
+        first = arch.layout.hidden[0]
+        params[first.w].reshape(first.shape)[:, 0] = 0.0
+        params[first.b][0] = -1.0
+    head = arch.layout.heads[0]
+    params[head.w].reshape(head.shape)[1, :] = 0.0
+    return params
+
+
+def _reference_local_update(arch, params, x, y, lr, cfg, rng):
+    """``fed._local_update`` as it ran on the reference core."""
+    start_loss, first = None, not fed._update_draws(arch, cfg, y.shape[0])
+    for _ in range(cfg.local_epochs):
+        for xb, yb in nn.minibatches(x, y, cfg.minibatch_size, rng):
+            value, g = _grad(arch, params, xb, yb, rng, first)
+            if first:
+                start_loss = value
+            params, first = params - lr * g, False
+    return params, start_loss
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("minibatch", [None, 4])
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_training_on_one_workspace_equals_the_reference_core_byte_for_byte(
+        activation, hidden, heads, dropout, minibatch, epochs):
+    arch = MlpArchitecture((3, *hidden, 4), activation=activation, dropout_rate=dropout, head_count=heads)
+    data = np.random.default_rng(len(hidden))
+    x, y = nn.labeled_batch(arch, data.normal(size=(9, 3)), data.integers(0, 4, size=9))
+    cfg = fed.FedConfig(LrSchedule(0.5), local_epochs=epochs, minibatch_size=minibatch)
+    ws = nn.Workspace(arch)
+    new = ref = _edge_params(arch, heads)
+    for t in range(3):  # every update reuses ws; 9 rows in batches of 4 give two row counts
+        new, new_loss = fed._local_update(ws, new, x, y, 0.5, cfg, np.random.default_rng(t))
+        ref, ref_loss = _reference_local_update(arch, ref, x, y, 0.5, cfg, np.random.default_rng(t))
+        assert new.tobytes() == ref.tobytes()
+        assert _bits(new_loss) == _bits(ref_loss)
+        assert _bits(nn._loss(ws, new, x, y)) == _bits(_loss(arch, ref, x, y))
+        masks = (np.random.default_rng(10 + t), np.random.default_rng(10 + t))
+        assert _bits(nn._loss(ws, new, x, y, masks[0])) == _bits(_loss(arch, ref, x, y, masks[1]))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_public_functions_equal_the_reference_core_byte_for_byte(activation, hidden, heads, dropout):
+    arch = MlpArchitecture((3, *hidden, 4), activation=activation, dropout_rate=dropout, head_count=heads)
+    model = Model(arch, _edge_params(arch, 7))
+    data = np.random.default_rng(8)
+    feats, labels = data.normal(size=(7, 3)), data.integers(0, 4, size=7)
+    x, y = nn.labeled_batch(arch, feats, labels)
+    for seed in (None, 3):  # deterministic, then with dropout masks when the model has dropout
+        def rng():
+            return None if seed is None else np.random.default_rng(seed)
+
+        got, want = forward(model, feats, rng()), _forward_cache(arch, model.params, x, rng()).probs
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert _bits(loss(model, feats, labels, rng())) == _bits(_loss(arch, model.params, x, y, rng()))
+        want_g = _grad(arch, model.params, x, y, rng(), False)[1]
+        assert grad(model, feats, labels, rng()).tobytes() == want_g.tobytes()
+        value, g = nn._grad(nn.Workspace(arch), model.params, x, y, rng(), want_loss=True)
+        ref_value, ref_g = _grad(arch, model.params, x, y, rng(), True)
+        assert (_bits(value), g.tobytes()) == (_bits(ref_value), ref_g.tobytes())
+    want_hidden = _forward_cache(arch, model.params, x, None).inputs[-1]
+    assert hidden_features(model, feats).tobytes() == want_hidden.tobytes()
+
+
+def test_core_results_stay_independent_of_later_calls():
+    arch = MlpArchitecture((3, 6, 4), head_count=2)
+    model = Model(arch, _edge_params(arch, 1))
+    data = np.random.default_rng(2)
+    x1, x2 = data.normal(size=(5, 3)), data.normal(size=(5, 3))
+    first = forward(model, x1)
+    kept = [p.copy() for p in first]
+    second = forward(model, x2)
+    assert [p.tobytes() for p in first] == [p.tobytes() for p in kept]
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    assert not np.shares_memory(first[0], first[1])
+    g1 = grad(model, x1, [0, 1, 2, 3, 0])
+    kept_g = g1.copy()
+    grad(model, x2, [3, 2, 1, 0, 3])
+    assert g1.tobytes() == kept_g.tobytes()
+
+
+def test_mc_dropout_scores_are_unchanged():
+    arch = MlpArchitecture((3, 6, 5, 4), activation="tanh", dropout_rate=0.3)
+    model = Model(arch, _edge_params(arch, 4))
+    x = np.random.default_rng(5).normal(size=(8, 3))
+    got = strategies.score_mc_dropout(model, x, 4, np.random.default_rng(6))
+    rng, acc = np.random.default_rng(6), None
+    for _ in range(4):  # score_mc_dropout's own loop, over the reference core
+        probs = _forward_cache(arch, model.params, x, rng).probs[0]
+        acc = probs if acc is None else acc + probs
+    assert got.tobytes() == strategies._entropy_of(acc / 4).tobytes()
+
+
+def test_two_fedavg_runs_from_one_init_agree_and_leave_it_untouched():
+    ds = synth_blobs(30, 3, 2, 0.8, seed=0)
+    pools = [ClientPools(client_id=c, unlabeled=[], labeled=list(range(c, 30, 3))) for c in range(3)]
+    arch = MlpArchitecture((2, 6, 3))
+    init = Model(arch, init_params(arch, 1))
+    before = init.params.tobytes()
+    cfg = fed.FedConfig(LrSchedule(0.5), stop_loss_threshold=1e-9, max_global_iters=6)
+    a, b = (fed.fedavg(ds, pools, init, cfg, seed=0) for _ in range(2))
+    assert a.final_model.params.tobytes() == b.final_model.params.tobytes()
+    assert (a.global_iters_used, a.loss_trace) == (b.global_iters_used, b.loss_trace)
+    assert init.params.tobytes() == before
+    assert not np.shares_memory(a.final_model.params, b.final_model.params)
+
+
+# The allocate-per-call core that nn ran before its workspace core, verbatim.
+
+def _split_params(arch: MlpArchitecture, params: Array):
+    """Views of the flat vector as per-layer (W, b) pairs: hidden list + head list."""
+    layout = arch.layout
+    hidden = [(params[block.w].reshape(block.shape), params[block.b]) for block in layout.hidden]
+    heads = [(params[block.w].reshape(block.shape), params[block.b]) for block in layout.heads]
+    return hidden, heads
+
+
+def _activate(name: str, z: Array) -> Array:
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    return np.tanh(z)
+
+
+class _Pass(NamedTuple):
+    """Everything one forward pass keeps for the loss and for backprop.
+
+    ``layers`` holds the (W, b) views.  ``inputs[j]`` is what layer j consumed
+    (the post-dropout activation of the previous layer).  Per head: the
+    logits, their row maxima and the row sums of ``exp(logits - row max)``
+    (both ``(rows, 1)``), and the softmax, unless the pass is logits-only.
+    """
+
+    layers: tuple[list, list]
+    inputs: list[Array]
+    pre_dropout: list[Array]
+    masks: list[Array | None]
+    logits: list[Array]
+    row_max: list[Array]
+    row_sum: list[Array]
+    probs: list[Array]
+
+
+def _forward_cache(arch: MlpArchitecture, params: Array, x: Array, rng, probs: bool = True) -> _Pass:
+    """Run the network, keeping what the loss and backprop need; ``probs=False`` is logits-only."""
+    hidden, heads = layers = _split_params(arch, params)
+    p = arch.dropout_rate
+    inputs = [x]
+    pre_dropout = []
+    masks = []
+    a = x
+    for w, b in hidden:
+        z = a @ w + b
+        act = _activate(arch.activation, z)
+        pre_dropout.append(act)
+        if p > 0.0 and rng is not None:
+            # Inverted dropout: zero a unit with probability p, scale the
+            # survivors by 1/(1-p) so the expected activation is unchanged.
+            mask = rng.random(act.shape) >= p
+            act = act * (mask / (1.0 - p))
+        else:
+            mask = None
+        masks.append(mask)
+        inputs.append(act)
+        a = act
+    out = _Pass(layers, inputs, pre_dropout, masks, [], [], [], [])
+    for w, b in heads:
+        z = a @ w + b
+        zmax = z.max(axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        sums = e.sum(axis=1, keepdims=True)
+        out.logits.append(z)
+        out.row_max.append(zmax)
+        out.row_sum.append(sums)
+        if probs:
+            out.probs.append(e / sums)
+    return out
+
+
+def _cross_entropy(fwd: _Pass, picks: Array) -> float:
+    """Mean cross-entropy over the batch, averaged over heads; ``picks`` index the label logits."""
+    total = 0.0
+    for z, zmax, sums in zip(fwd.logits, fwd.row_max, fwd.row_sum):
+        logsumexp = zmax[:, 0] + np.log(sums[:, 0])
+        # Sum, then divide by the row count: the same bits as np.mean.
+        total += float(np.add.reduce(logsumexp - z.ravel()[picks]) / picks.shape[0])
+    return total / len(fwd.logits)
+
+
+def _backward(arch: MlpArchitecture, picks: Array, fwd: _Pass) -> Array:
+    """Gradient of the mean cross-entropy of ``fwd`` (whose probs it overwrites) in flat layout."""
+    hidden, heads = fwd.layers
+    inputs, pre_dropout, masks = fwd.inputs, fwd.pre_dropout, fwd.masks
+    p = arch.dropout_rate
+    layout = arch.layout
+    out = np.empty(layout.size, dtype=np.float64)
+    last_hidden = inputs[-1]
+
+    # dL/dz for each head; CE averaged over batch and heads.  (0.0 adds like a zero array.)
+    d_last = 0.0
+    for block, (w, _), dz in zip(layout.heads, heads, fwd.probs):
+        dz.ravel()[picks] -= 1.0
+        dz /= picks.shape[0] * arch.head_count
+        np.matmul(last_hidden.T, dz, out=out[block.w].reshape(block.shape))
+        np.add.reduce(dz, axis=0, out=out[block.b])
+        if hidden:
+            d_last = d_last + dz @ w.T
+
+    # Walk the hidden stack backwards; the raw input needs no gradient.
+    d_act = d_last
+    for j, block in reversed(tuple(enumerate(layout.hidden))):
+        if masks[j] is not None:
+            d_act *= masks[j] / (1.0 - p)
+        if arch.activation == "relu":
+            d_act *= pre_dropout[j] > 0.0
+        else:
+            d_act *= 1.0 - pre_dropout[j] ** 2
+        np.matmul(inputs[j].T, d_act, out=out[block.w].reshape(block.shape))
+        np.add.reduce(d_act, axis=0, out=out[block.b])
+        if j:
+            d_act = d_act @ hidden[j][0].T
+    return out
+
+
+def _loss(arch: MlpArchitecture, params: Array, x: Array, y: Array, rng=None) -> float:
+    """:func:`loss` on a checked pair (see :func:`labeled_batch`), from a logits-only pass."""
+    picks = np.arange(y.shape[0]) * arch.class_count + y
+    return _cross_entropy(_forward_cache(arch, params, x, rng, probs=False), picks)
+
+
+def _grad(arch: MlpArchitecture, params: Array, x: Array, y: Array, rng,
+          want_loss: bool) -> tuple[float | None, Array]:
+    """(:func:`loss` or None, :func:`grad`) on a checked pair, from one forward pass."""
+    fwd = _forward_cache(arch, params, x, rng)
+    picks = np.arange(y.shape[0]) * arch.class_count + y
+    value = _cross_entropy(fwd, picks) if want_loss else None
+    return value, _backward(arch, picks, fwd)

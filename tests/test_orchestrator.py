@@ -41,6 +41,9 @@ def test_al_config_computes_per_round_quotas():
         ({"rounds": 2, "budgets": (7,)}, "not divisible"),
         ({"rounds": 2, "budgets": (-2,)}, ">= 0"),
         ({"rounds": True, "budgets": (4,)}, "^rounds: "),  # a bool is an int to Python, not a count
+        ({"rounds": 1, "budgets": (2.7, 2)}, r"^budgets\[0\]: must be an int, got 2.7"),  # not truncated
+        ({"rounds": 1, "budgets": (2, True)}, r"^budgets\[1\]: must be an int, got True"),
+        ({"rounds": 1, "budgets": (2, 2.0)}, r"^budgets\[1\]: "),
     ],
 )
 def test_al_config_validation(kwargs, fragment):

@@ -544,7 +544,7 @@ def test_two_head_training_equals_the_public_checked_loop_and_checks_once(miniba
                 u_batch = unlabeled
             else:
                 u_batch = unlabeled[u_perm[np.arange(step * minibatch, (step + 1) * minibatch) % u]]
-            params = sgd_step(params, g + _discrepancy_grad(arch, params, u_batch), 0.3)
+            params = sgd_step(params, g + _discrepancy_grad(nn_module.Workspace(arch), params, u_batch), 0.3)
     assert trained.params.tobytes() == params.tobytes()
 
 
