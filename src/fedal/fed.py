@@ -35,6 +35,7 @@ arguments on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def weighted_average(param_vectors, sample_counts) -> Array:
     counts = [float(c) for c in sample_counts]
     if len(counts) != len(vectors):
         raise ShapeError(f"{len(vectors)} vectors but {len(counts)} sample counts")
-    if any(not np.isfinite(c) or c < 1 for c in counts):
+    if any(not math.isfinite(c) or c < 1 for c in counts):
         raise ConfigError(f"sample counts must be >= 1, got {sample_counts}")
     total = sum(counts)
     acc, scaled = np.zeros_like(vectors[0]), np.empty_like(vectors[0])

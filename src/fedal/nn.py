@@ -158,10 +158,9 @@ def _layer_views(flat: Array, blocks) -> tuple[tuple[Array, Array], ...]:
 class _Layer(NamedTuple):
     """One hidden layer's buffers, each ``(rows, fan_out)``."""
 
-    act: Array              # activation, before dropout
+    act: Array              # activation before dropout; backprop overwrites it with its derivative
     dropped: Array | None   # activation after dropout (dropout architectures only)
     scale: Array | None     # dropout mask / (1 - p) (dropout architectures only)
-    deriv: Array            # derivative of the activation
     delta: Array            # loss gradient with respect to the layer's output
 
 
@@ -195,7 +194,7 @@ def _row_buffers(arch: MlpArchitecture, count: int) -> _Rows:
         return np.empty((count, width))
 
     dropout = arch.dropout_rate > 0.0
-    hidden = tuple(_Layer(buf(w), buf(w) if dropout else None, buf(w) if dropout else None, buf(w), buf(w))
+    hidden = tuple(_Layer(buf(w), buf(w) if dropout else None, buf(w) if dropout else None, buf(w))
                    for w in arch.layer_sizes[1:-1])
     heads = []
     for _ in range(arch.head_count):
@@ -363,18 +362,20 @@ def _backward(ws: Workspace, fwd: _Pass) -> Array:
         else:
             d_last += np.matmul(dz, w.T, out=rows.spare)
 
-    # Walk the hidden stack backwards; the raw input needs no gradient.
+    # Walk the hidden stack backwards; the raw input needs no gradient.  Layer
+    # j's activation has fed its last product by now, so its buffer takes the derivative.
     d_act = d_last
     for j in reversed(range(len(rows.hidden))):
         layer, (gw, gb) = rows.hidden[j], ws.grad_hidden[j]
         if fwd.dropout:
             d_act *= layer.scale
+        deriv = layer.act
         if arch.activation == "relu":
-            np.greater(layer.act, 0.0, out=layer.deriv)
+            np.greater(deriv, 0.0, out=deriv)
         else:
-            np.square(layer.act, out=layer.deriv)
-            np.subtract(1.0, layer.deriv, out=layer.deriv)
-        d_act *= layer.deriv
+            np.square(deriv, out=deriv)
+            np.subtract(1.0, deriv, out=deriv)
+        d_act *= deriv
         np.matmul(inputs[j].T, d_act, out=gw)
         np.add.reduce(d_act, axis=0, out=gb)
         if j:

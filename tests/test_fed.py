@@ -95,6 +95,32 @@ def test_weighted_average_stays_inside_the_coordinate_envelope(seed, m, dim):
     assert np.all(avg <= stacked.max(axis=0))
 
 
+def _reference_weighted_average(vectors, counts):
+    """weighted_average's combination and clamp as they were written with np.stack and np.clip."""
+    total = sum(counts)
+    acc = np.zeros_like(vectors[0])
+    for vec, count in zip(vectors, counts):
+        acc += count * vec
+    acc /= total
+    stacked = np.stack(vectors)
+    return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 5),
+    dim=st.integers(1, 40),
+)
+def test_weighted_average_equals_the_stack_and_clip_reference_bit_for_bit(seed, m, dim):
+    # Few distinct values, signed zeros among them, so ties and clamps at the envelope are common.
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 0.1, 1 / 3, -2.5, 7.0, 5e-324, -5e-324, -1e300])
+    vectors = [rng.choice(values, size=dim) for _ in range(m)]
+    counts = [float(c) for c in rng.integers(1, 500, size=m)]
+    got = weighted_average(vectors, counts)
+    assert got.tobytes() == _reference_weighted_average(vectors, counts).tobytes()
+
+
 # -- local updates ---------------------------------------------------------------
 
 def test_local_update_one_full_batch_epoch_is_one_sgd_step():
