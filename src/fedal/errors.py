@@ -4,10 +4,12 @@ Everything derives from ValueError/RuntimeError so callers that don't care
 about the fine-grained kind can still catch broadly.
 """
 
+import numbers
+
 
 def is_count(value, minimum: int = 1) -> bool:
-    """An int >= ``minimum``; a bool is not one, though Python counts it as an int."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+    """An integer (Python's or NumPy's) >= ``minimum``; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 class ShapeError(ValueError):

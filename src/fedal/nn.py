@@ -63,13 +63,14 @@ class MlpArchitecture:
     head_count: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
-        if len(self.layer_sizes) < 2:
+        sizes = tuple(self.layer_sizes)
+        if len(sizes) < 2:
             raise ConfigError("layer_sizes: needs at least an input and an output size")
-        for size in self.layer_sizes:
+        for size in sizes:
             if not is_count(size):
                 rule = "be >= 1" if is_count(size, minimum=-math.inf) else "be ints"
                 raise ConfigError(f"layer_sizes: sizes must {rule}, got {size!r}")
+        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in sizes))
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation: unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         if not (isinstance(self.dropout_rate, (int, float)) and 0.0 <= self.dropout_rate < 1.0):

@@ -61,10 +61,10 @@ class ALConfig:
     aux_train: FedConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(self.budgets))
         if not is_count(self.rounds):
             raise ConfigError(f"rounds: must be an int >= 1, got {self.rounds}")
-        for client, budget in enumerate(self.budgets):
+        budgets = tuple(self.budgets)
+        for client, budget in enumerate(budgets):
             if not is_count(budget, minimum=0):
                 rule = "be >= 0" if is_count(budget, minimum=-math.inf) else "be an int"
                 raise ConfigError(f"budgets[{client}]: must {rule}, got {budget!r}")
@@ -73,6 +73,7 @@ class ALConfig:
                     f"budgets[{client}]: budget {budget} is not divisible by rounds={self.rounds}; "
                     "the per-round quota budget/rounds must be an integer"
                 )
+        object.__setattr__(self, "budgets", tuple(int(b) for b in budgets))
 
     @property
     def quotas(self) -> tuple[int, ...]:

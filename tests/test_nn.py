@@ -88,6 +88,12 @@ def test_architecture_validation(kwargs):
         MlpArchitecture(**kwargs)
 
 
+def test_architecture_takes_numpy_integer_sizes_as_ints():
+    arch = MlpArchitecture((np.int64(3), 5, np.int32(2)))
+    assert arch.layer_sizes == (3, 5, 2)
+    assert all(type(size) is int for size in arch.layer_sizes)
+
+
 def test_architecture_head_count_rejects_a_bool_and_names_the_field():
     with pytest.raises(ConfigError, match="^head_count: "):
         MlpArchitecture((3, 2), head_count=True)
