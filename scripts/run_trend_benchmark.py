@@ -4,6 +4,7 @@
 import argparse
 
 from fedal.benchmarks import format_report, run_trend_benchmark
+from fedal.errors import ConfigError
 
 
 def main() -> None:
@@ -13,7 +14,10 @@ def main() -> None:
     args = parser.parse_args()
 
     seeds = range(args.first_seed, args.first_seed + args.seeds)
-    report = run_trend_benchmark(seeds)
+    try:
+        report = run_trend_benchmark(seeds)
+    except ConfigError as exc:
+        parser.error(str(exc))
     print(format_report(report))
 
 

@@ -19,9 +19,9 @@ from .data import (
     seed_initial_labels,
     synth_blobs,
 )
-from .fed import FedConfig, FedRunReport, evaluate, fedavg, independent_train, local_update, weighted_average
-from .harness import ResultRow, ResultTable, emit_csv, load_csv, run_experiment
-from .nn import LrSchedule, MlpArchitecture, Model, forward, grad, hidden_features, init_params, loss, sgd_step
+from .fed import FedConfig, FedRunReport, evaluate, fedavg, independent_train, weighted_average
+from .harness import ResultRow, ResultTable, emit_csv, run_experiment
+from .nn import LrSchedule, MlpArchitecture, Model, forward, grad, hidden_features, init_params, loss
 from .orchestrator import (
     ALConfig,
     RoundLog,

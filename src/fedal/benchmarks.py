@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import DatasetSpec, ExperimentConfig, ModelSpec, al_config
 from .data import PartitionSpec
+from .errors import ConfigError, is_count
 from .fed import FedConfig
 from .harness import build_world
 from .nn import LrSchedule
@@ -84,7 +85,9 @@ class TrendReport:
 
 
 def run_trend_benchmark(seeds) -> TrendReport:
-    """Run all strategies over paired ``seeds`` and aggregate the trends."""
+    """Run all strategies over paired ``seeds``, distinct ints >= 0, and aggregate the trends."""
+    if not (len(seeds) > 0 and all(is_count(s, minimum=0) for s in seeds) and len(set(seeds)) == len(seeds)):
+        raise ConfigError(f"seeds: need one or more distinct ints >= 0, got {list(seeds)}")
     seeds = tuple(int(s) for s in seeds)
     curves: dict[str, dict[int, list[float]]] = {s: {} for s in AL_STRATEGIES}
     il_scores: dict[str, list[float]] = {s: [] for s in AL_STRATEGIES}
@@ -96,8 +99,7 @@ def run_trend_benchmark(seeds) -> TrendReport:
             train, test, pools, arch = build_world(cfg, seed)
             logs = run_strategy(strategy, train, test, pools, arch, al_config(cfg), cfg.fl, seed)
             curves[strategy][seed] = [log.test_accuracy for log in logs]
-            mean_acc, _ = run_independent_eval(train, test, pools, arch, cfg.independent, seed)
-            il_scores[strategy].append(mean_acc)
+            il_scores[strategy].append(run_independent_eval(train, test, pools, arch, cfg.independent, seed))
         cfg = benchmark_config("random")
         train, test, pools, arch = build_world(cfg, seed)
         log = run_full_budget(train, test, pools, arch, cfg.fl, seed)

@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the count rule their owners check.
+"""Error types shared across the package, and the count and number rules their owners check.
 
 Everything derives from ValueError/RuntimeError so callers that don't care
 about the fine-grained kind can still catch broadly.
@@ -10,6 +10,11 @@ import numbers
 def is_count(value, minimum: int = 1) -> bool:
     """An integer (Python's or NumPy's) >= ``minimum``; a bool is not one, though Python counts it as an int."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
+def is_real(value) -> bool:
+    """A real number (Python's or NumPy's); a bool is not one, nor is a numeric string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ShapeError(ValueError):

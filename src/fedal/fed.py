@@ -29,8 +29,7 @@ Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  :func:`fedavg` and
 :func:`independent_train` check each client's labeled pair once per run,
 where they gather it and build the client's :class:`nn.Workspace`, and then
-run nn's unchecked cores in that workspace; :func:`local_update` checks its
-arguments on every call.
+run nn's unchecked cores in that workspace.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientPools, Dataset, gather
-from .errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError, is_count
+from .errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError, is_count, is_real
 from .nn import LrSchedule, Model
 from .seeding import rng_for
 
@@ -68,8 +67,8 @@ class FedConfig:
             raise ConfigError(f"local_epochs: must be an int >= 1, got {self.local_epochs}")
         if self.minibatch_size is not None and not is_count(self.minibatch_size):
             raise ConfigError(f"minibatch_size: must be 'full' (None) or an int >= 1, got {self.minibatch_size}")
-        if not (np.isfinite(self.stop_loss_threshold) and self.stop_loss_threshold > 0):
-            raise ConfigError(f"stop_loss_threshold: must be finite and > 0, got {self.stop_loss_threshold}")
+        if not (is_real(self.stop_loss_threshold) and 0 < self.stop_loss_threshold < math.inf):
+            raise ConfigError(f"stop_loss_threshold: must be a finite number > 0, got {self.stop_loss_threshold!r}")
         if not is_count(self.max_global_iters):
             raise ConfigError(f"max_global_iters: must be an int >= 1, got {self.max_global_iters}")
 
@@ -126,24 +125,9 @@ def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
     return arch.dropout_rate > 0.0 or (cfg.minibatch_size is not None and cfg.minibatch_size < n)
 
 
-def local_update(model: Model, features, labels, lr: float, cfg: FedConfig,
-                 rng) -> tuple[Array, float | None]:
-    """``cfg.local_epochs`` passes of SGD at a fixed learning rate.
-
-    Each pass is one full batch in stored order, or shuffled minibatches.
-    Returns the new params and the training loss of ``model`` on the whole
-    labeled set, read from the first gradient's forward pass.  That loss is
-    None when the update draws randomness (:func:`_update_draws`).
-    """
-    if np.size(features) == 0:
-        raise EmptyInputError("client has no labeled examples")
-    x, y = nn.labeled_batch(model.arch, features, labels)
-    return _local_update(nn.Workspace(model.arch), model.params, x, y, lr, cfg, rng)
-
-
 def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
                   rng) -> tuple[Array, float | None]:
-    """:func:`local_update` on a pair checked by :func:`nn.labeled_batch`, in ``ws``'s buffers."""
+    """``cfg.local_epochs`` SGD passes in ``ws``'s buffers: (new params, loss of ``params`` or None)."""
     start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[0])
     for _ in range(cfg.local_epochs):
         for xb, yb in nn.minibatches(x, y, cfg.minibatch_size, rng):

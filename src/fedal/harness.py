@@ -15,14 +15,13 @@ after the per-repeat rows.  Identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, al_config
 from .data import Dataset, load_external, partition, seed_initial_labels, synth_blobs
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .nn import MlpArchitecture
 from .orchestrator import RoundLog, run_strategy
 from .seeding import rng_for
@@ -147,37 +146,3 @@ def emit_csv(table: ResultTable, path) -> None:
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_csv(path) -> ResultTable:
-    """Parse a file produced by :func:`emit_csv` back into a table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"{path}: missing or malformed header")
-    rows: list[ResultRow] = []
-    summary: list[ResultRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"{path} line {lineno}: expected 6 fields, got {len(parts)}")
-        strategy, scorer, round_s, repeat_s, frac_s, acc_s = parts
-        try:
-            round_index = int(round_s)
-            frac = float(frac_s)
-            acc = float(acc_s)
-        except ValueError:
-            raise ParseError(f"{path} line {lineno}: non-numeric field") from None
-        if not (math.isfinite(frac) and math.isfinite(acc)):
-            raise ParseError(f"{path} line {lineno}: labeled_fraction and test_accuracy must be finite")
-        if repeat_s in ("mean", "std"):
-            summary.append(ResultRow(strategy, scorer, round_index, repeat_s, frac, acc))
-        else:
-            try:
-                repeat = int(repeat_s)
-            except ValueError:
-                raise ParseError(f"{path} line {lineno}: bad repeat field {repeat_s!r}") from None
-            if repeat < 1:
-                raise ParseError(f"{path} line {lineno}: repeat must be >= 1, got {repeat}")
-            rows.append(ResultRow(strategy, scorer, round_index, repeat, frac, acc))
-    return ResultTable(rows=tuple(rows), summary=tuple(summary))

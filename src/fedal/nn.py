@@ -1,4 +1,4 @@
-"""Small dense-network engine: forward pass, cross-entropy, analytic gradients, SGD.
+"""Small dense-network engine: forward pass, cross-entropy, analytic gradients.
 
 All arithmetic is float64 and accumulated in a fixed order so that identical
 inputs produce bit-identical outputs.  Models are plain values; every
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError, is_count
+from .errors import ConfigError, EmptyInputError, ShapeError, is_count, is_real
 
 Array = np.ndarray
 
@@ -131,10 +131,10 @@ class LrSchedule:
     decay: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.initial_lr) and self.initial_lr > 0):
-            raise ConfigError(f"initial_lr: must be positive, got {self.initial_lr}")
-        if not (0.0 < self.decay <= 1.0):
-            raise ConfigError(f"decay: must lie in (0, 1], got {self.decay}")
+        if not (is_real(self.initial_lr) and 0 < self.initial_lr < math.inf):
+            raise ConfigError(f"initial_lr: must be positive and a real number, got {self.initial_lr!r}")
+        if not (is_real(self.decay) and 0.0 < self.decay <= 1.0):
+            raise ConfigError(f"decay: must lie in (0, 1] and be a real number, got {self.decay!r}")
 
     def lr(self, t: int) -> float:
         if t < 1:
@@ -431,17 +431,6 @@ def minibatches(x: Array, y: Array, size: int | None, rng) -> list[tuple[Array, 
         return [(x, y)]
     perm = rng.permutation(n)
     return [(x[rows], y[rows]) for rows in (perm[i:i + size] for i in range(0, n, size))]
-
-
-def sgd_step(params: Array, gradient: Array, lr: float) -> Array:
-    """One descent step: ``params - lr * gradient`` as a new vector."""
-    p = np.asarray(params, dtype=np.float64)
-    g = np.asarray(gradient, dtype=np.float64)
-    if p.ndim != 1 or g.ndim != 1 or p.shape != g.shape:
-        raise ShapeError(f"params and gradient must be equal-length vectors, got {p.shape} vs {g.shape}")
-    if not np.isfinite(lr):
-        raise ConfigError(f"lr must be finite, got {lr}")
-    return p - lr * g
 
 
 def init_params(arch: MlpArchitecture, seed) -> Array:

@@ -207,13 +207,12 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
 
 
 def run_independent_eval(dataset: Dataset, test: Dataset, pools: list[ClientPools],
-                         arch: MlpArchitecture, aux_cfg: FedConfig, seed: int) -> tuple[float, list[float]]:
-    """Per-client independent training + evaluation on the shared test set."""
+                         arch: MlpArchitecture, aux_cfg: FedConfig, seed: int) -> float:
+    """Mean test accuracy of per-client independent training on the shared test set."""
     accuracies: list[float] = []
     init = _init(arch, seed, "task")
     for client in range(len(pools)):
         report = independent_train(dataset, pools, client, init, aux_cfg,
                                    (seed, "il-eval", "independent"))
         accuracies.append(evaluate(report.final_model, test))
-    mean = float(np.mean(accuracies))
-    return mean, accuracies
+    return float(np.mean(accuracies))

@@ -108,6 +108,11 @@ def world_factory():
     return make_world
 
 
+def descend(params, gradient, lr):
+    """One plain SGD step, ``params - lr * gradient``: the update of the tests' reference loops."""
+    return params - lr * gradient
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

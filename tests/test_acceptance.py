@@ -21,7 +21,7 @@ from fedal.benchmarks import run_trend_benchmark
 from fedal.cli import main as cli_main
 from fedal.data import ClientPools, synth_blobs
 from fedal.fed import FedConfig, fedavg, weighted_average
-from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, loss, sgd_step
+from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, loss
 from fedal.orchestrator import ALConfig, run_strategy
 from fedal.presets import (
     PROVENANCE_NOTE,
@@ -38,7 +38,7 @@ from fedal.strategies import (
     select_top_b,
 )
 
-from conftest import make_world
+from conftest import descend, make_world
 
 
 # -- criterion 1: gradient oracle ---------------------------------------------------
@@ -105,7 +105,7 @@ def test_single_client_fedavg_is_centralized_descent(acceptance_note):
     params = init.params
     feats, labels = train.features, train.labels
     for t in range(1, 51):
-        params = sgd_step(params, grad(Model(arch, params), feats, labels), cfg.schedule.lr(t))
+        params = descend(params, grad(Model(arch, params), feats, labels), cfg.schedule.lr(t))
 
     gap = float(np.max(np.abs(report.final_model.params - params)))
     elapsed = time.perf_counter() - started

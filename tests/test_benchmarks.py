@@ -4,9 +4,11 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fedal import orchestrator
-from fedal.benchmarks import AL_STRATEGIES, TrendReport, benchmark_config, format_report
+from fedal import benchmarks, orchestrator
+from fedal.benchmarks import AL_STRATEGIES, TrendReport, benchmark_config, format_report, run_trend_benchmark
+from fedal.errors import ConfigError
 
 
 def _report(**extra):
@@ -31,6 +33,13 @@ def test_format_report_with_all_sections():
     assert "f_al - s_al   (global): +0.0100" in text
     assert "s_al - f_al   (local IL): +0.0400" in text
     assert "0.9500" in text
+
+
+@pytest.mark.parametrize("seeds", [(), [1.5], [1, 2, 1], [True], [-1], ["1"], [np.int64(2), 2]])
+def test_bad_seed_lists_are_rejected_before_any_run(seeds, monkeypatch):
+    monkeypatch.setattr(benchmarks, "build_world", pytest.fail)
+    with pytest.raises(ConfigError, match=r"^seeds: "):
+        run_trend_benchmark(seeds)
 
 
 def test_benchmark_config_splits_the_budget_evenly():

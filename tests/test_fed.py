@@ -14,11 +14,12 @@ from fedal.fed import (
     evaluate,
     fedavg,
     independent_train,
-    local_update,
     weighted_average,
 )
-from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, loss, sgd_step
+from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, loss
 from fedal.seeding import rng_for
+
+from conftest import descend
 
 
 def _dataset(n=12, classes=2, seed=0):
@@ -36,6 +37,12 @@ def _full_pools(n, clients=1):
 
 def _init(arch, seed=3):
     return Model(arch, init_params(arch, seed))
+
+
+def _plain_update(model, feats, labels, lr, cfg, rng):
+    """fed._local_update on a freshly checked pair: one client's plain local update."""
+    x, y = nn_module.labeled_batch(model.arch, feats, labels)
+    return fed_module._local_update(nn_module.Workspace(model.arch), model.params, x, y, lr, cfg, rng)
 
 
 # -- weighted averaging --------------------------------------------------------
@@ -129,8 +136,8 @@ def test_local_update_one_full_batch_epoch_is_one_sgd_step():
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.3))
-    updated, start_loss = local_update(model, feats, labels, 0.3, cfg, rng=None)
-    manual = sgd_step(model.params, grad(model, feats, labels), 0.3)
+    updated, start_loss = _plain_update(model, feats, labels, 0.3, cfg, rng=None)
+    manual = descend(model.params, grad(model, feats, labels), 0.3)
     assert np.array_equal(updated, manual)
     assert start_loss == loss(model, feats, labels)
 
@@ -142,7 +149,7 @@ def test_local_update_reads_the_loss_only_from_a_deterministic_full_batch(miniba
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=minibatch)
-    _, start_loss = local_update(model, feats, labels, 0.3, cfg, np.random.default_rng(0))
+    _, start_loss = _plain_update(model, feats, labels, 0.3, cfg, np.random.default_rng(0))
     if minibatch is not None and minibatch >= ds.size:  # one batch of every row
         assert start_loss == loss(model, feats, labels)
     else:
@@ -156,11 +163,11 @@ def test_local_update_epochs_chain():
     feats, labels = gather(ds, list(range(ds.size)))
     two = FedConfig(schedule=LrSchedule(0.3), local_epochs=2)
     one = FedConfig(schedule=LrSchedule(0.3), local_epochs=1)
-    chained, _ = local_update(
-        Model(arch, local_update(model, feats, labels, 0.3, one, None)[0]),
+    chained, _ = _plain_update(
+        Model(arch, _plain_update(model, feats, labels, 0.3, one, None)[0]),
         feats, labels, 0.3, one, None,
     )
-    assert np.array_equal(local_update(model, feats, labels, 0.3, two, None)[0], chained)
+    assert np.array_equal(_plain_update(model, feats, labels, 0.3, two, None)[0], chained)
 
 
 def test_local_update_zero_rate_is_an_identity():
@@ -169,14 +176,7 @@ def test_local_update_zero_rate_is_an_identity():
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.3))
-    assert np.array_equal(local_update(model, feats, labels, 0.0, cfg, None)[0], model.params)
-
-
-def test_local_update_rejects_empty_batches():
-    arch = MlpArchitecture((2, 2))
-    cfg = FedConfig(schedule=LrSchedule(0.1))
-    with pytest.raises(EmptyInputError):
-        local_update(_init(arch), np.empty((0, 2)), np.empty(0, dtype=np.int64), 0.1, cfg, None)
+    assert np.array_equal(_plain_update(model, feats, labels, 0.0, cfg, None)[0], model.params)
 
 
 def test_local_update_is_pure():
@@ -185,14 +185,14 @@ def test_local_update_is_pure():
     model = _init(arch)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.2), minibatch_size=4)
-    a, _ = local_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
-    b, _ = local_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
+    a, _ = _plain_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
+    b, _ = _plain_update(model, feats, labels, 0.2, cfg, np.random.default_rng(5))
     assert np.array_equal(a, b)
     assert np.array_equal(model.params, _init(arch).params)  # input untouched
 
 
 def _reference_update(model, feats, labels, lr, cfg, rng):
-    """local_update from the public checked nn.loss, nn.grad and sgd_step only."""
+    """A plain local update from the public checked nn.loss and nn.grad only."""
     n = len(labels)
     size = cfg.minibatch_size
     draws = model.arch.dropout_rate > 0 or (size is not None and size < n)
@@ -205,7 +205,7 @@ def _reference_update(model, feats, labels, lr, cfg, rng):
             perm = rng.permutation(n)
             batches = [perm[i:i + size] for i in range(0, n, size)]
         for batch in batches:
-            params = sgd_step(params, grad(Model(model.arch, params), feats[batch], labels[batch], rng), lr)
+            params = descend(params, grad(Model(model.arch, params), feats[batch], labels[batch], rng), lr)
     return params, start_loss
 
 
@@ -222,7 +222,7 @@ def test_local_update_equals_the_public_checked_loop_bit_for_bit(activation, hid
     model = Model(arch, init_params(arch, 7) * 3.0)
     feats, labels = gather(ds, list(range(ds.size)))
     cfg = FedConfig(schedule=LrSchedule(0.4), local_epochs=2, minibatch_size=minibatch)
-    params, start_loss = local_update(model, feats, labels, 0.4, cfg, np.random.default_rng(3))
+    params, start_loss = _plain_update(model, feats, labels, 0.4, cfg, np.random.default_rng(3))
     expected, expected_loss = _reference_update(model, feats, labels, 0.4, cfg,
                                                 np.random.default_rng(3))
     assert params.tobytes() == expected.tobytes()
@@ -244,7 +244,7 @@ def test_fedavg_single_client_is_plain_gradient_descent():
     feats, labels = gather(ds, pools[0].labeled)
     params = init.params
     for t in range(1, 21):
-        params = sgd_step(params, grad(Model(arch, params), feats, labels), cfg.schedule.lr(t))
+        params = descend(params, grad(Model(arch, params), feats, labels), cfg.schedule.lr(t))
     assert report.global_iters_used == 20
     assert np.array_equal(report.final_model.params, params)
 
@@ -297,7 +297,7 @@ def _global_loss(ds, pools, model):
 
 
 def _supervised_fn(model, feats, labels, unlabeled, lr, cfg, rng):
-    return Model(model.arch, local_update(model, feats, labels, lr, cfg, rng)[0])
+    return Model(model.arch, _plain_update(model, feats, labels, lr, cfg, rng)[0])
 
 
 TRAIN_MODES = {
@@ -494,6 +494,8 @@ def test_fedavg_is_deterministic_with_minibatches():
         {"stop_loss_threshold": float("nan")},
         {"max_global_iters": 0},
         {"stop_loss_threshold": float("inf")},
+        {"stop_loss_threshold": True},  # a bool is a number to Python, but not a threshold
+        {"stop_loss_threshold": "1e-3"},
         {"minibatch_size": True},  # a bool is an int to Python, but not a batch size
         {"local_epochs": True},
         {"max_global_iters": True},
@@ -555,7 +557,7 @@ def test_independent_train_runs_local_epochs_per_iteration_on_one_stream():
     params = init.params
     for t in range(1, 4):
         for _ in range(2):
-            params, _ = local_update(Model(arch, params), feats, labels, two.schedule.lr(t), one, rng)
+            params, _ = _plain_update(Model(arch, params), feats, labels, two.schedule.lr(t), one, rng)
     assert report.global_iters_used == 3
     assert np.array_equal(report.final_model.params, params)
 

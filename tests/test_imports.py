@@ -8,15 +8,24 @@ includes the base of an attribute chain such as ``np.asarray``.  The package
 A private (``_``-prefixed) top-level name counts as referenced when some
 other top-level statement of the package names it, as a ``Name`` (``_loss``)
 or as an attribute (``nn._loss``); a helper that only calls itself is dead.
+
+A public top-level function or class must be referenced the same way from
+the package (its ``__init__`` export aside), from ``scripts/`` or from
+``perfbench/``, where a ``"fedal.<module>:<name>"`` binding string also
+counts.  Tests do not count: public API that only tests call is dead.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedal"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fedal"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+API = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+BINDING = re.compile(r"fedal\.\w+:(\w+)")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -45,30 +54,50 @@ def test_the_scan_finds_an_unused_import():
 
 def _top_level_names(stmt) -> set[str]:
     """The names a top-level statement binds."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(stmt, API):
         return {stmt.name}
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
     return {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+def _referenced_names(node, skip=frozenset()) -> set[str]:
+    """Names that ``node`` mentions as a ``Name``, an attribute, an import or a binding string."""
+    referenced = set()
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+        if name is not None and name not in skip:
+            referenced.add(name)
+        if isinstance(sub, ast.alias):
+            referenced.add(sub.name)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            referenced.update(BINDING.findall(sub.value))
+    return referenced
+
+
+def _unreferenced_names(sources: dict[str, str], public: bool = False, callers=()) -> list[str]:
+    """Top-level names of ``sources`` that no other statement there or in ``callers`` references.
+
+    Private names by default; with ``public``, the public functions and
+    classes, and the package ``__init__`` neither defines nor references any.
+    """
     defined, referenced = {}, set()
     for module, source in sources.items():
+        if public and module == "__init__.py":
+            continue
         for stmt in ast.parse(source).body:
-            names = {n for n in _top_level_names(stmt) if n.startswith("_") and not n.startswith("__")}
+            names = {n for n in _top_level_names(stmt) if n.startswith("_") != public and not n.startswith("__")}
+            if public and not isinstance(stmt, API):
+                names = set()
             defined.update((name, f"{module}: {name}") for name in names)
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name is not None and name not in names:
-                    referenced.add(name)
-                if isinstance(node, ast.alias):
-                    referenced.add(node.name)
+            referenced |= _referenced_names(stmt, skip=names)
+    for source in callers:
+        referenced |= _referenced_names(ast.parse(source))
     return sorted(label for name, label in defined.items() if name not in referenced)
 
 
 def test_every_private_top_level_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert _unreferenced_private_names(sources) == []
+    assert _unreferenced_names(sources) == []
 
 
 def test_the_scan_finds_a_dead_private_helper():
@@ -76,4 +105,21 @@ def test_the_scan_finds_a_dead_private_helper():
         "a.py": "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\ndef _dead(n):\n    return _dead(n - 1)\n",
         "b.py": "from . import a\nfrom .a import _LIMIT\n\ndef run():\n    return a._used()\n",
     }
-    assert _unreferenced_private_names(sources) == ["a.py: _dead"]
+    assert _unreferenced_names(sources) == ["a.py: _dead"]
+
+
+def test_every_public_function_and_class_is_referenced_outside_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8")
+               for directory in ("scripts", "perfbench") for p in (ROOT / directory).glob("*.py")]
+    assert _unreferenced_names(sources, public=True, callers=callers) == []
+
+
+def test_the_scan_finds_an_unused_public_name():
+    sources = {
+        "__init__.py": "from .a import LIMIT, TABLE, run, export_only\n",
+        "a.py": "LIMIT = 3\nTABLE = (1, 2)\n\ndef run():\n    return LIMIT\n\ndef traced():\n    pass\n\n"
+                "def export_only(n):\n    return export_only(n - 1)\n",
+    }
+    callers = ["from fedal.a import run\nTARGET = 'fedal.a:traced'\n"]
+    assert _unreferenced_names(sources, public=True, callers=callers) == ["a.py: export_only"]

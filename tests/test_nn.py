@@ -19,8 +19,9 @@ from fedal.nn import (
     hidden_features,
     init_params,
     loss,
-    sgd_step,
 )
+
+from conftest import descend
 
 Array = np.ndarray
 
@@ -305,7 +306,7 @@ def test_small_gradient_step_does_not_increase_loss():
         feats = rng.normal(size=(8, 2))
         labels = rng.integers(0, arch.class_count, size=8)
         before = loss(model, feats, labels)
-        stepped = sgd_step(model.params, grad(model, feats, labels), 1e-3)
+        stepped = descend(model.params, grad(model, feats, labels), 1e-3)
         assert loss(Model(arch, stepped), feats, labels) <= before + 1e-12
 
 
@@ -333,29 +334,7 @@ def test_grad_core_with_loss_shares_the_dropout_masks_of_one_stream():
     assert np.array_equal(g, grad(model, feats, labels, np.random.default_rng(5)))
 
 
-# -- sgd / schedule / init ----------------------------------------------------
-
-def test_sgd_step_worked_examples():
-    assert np.array_equal(sgd_step(np.array([1.0]), np.array([2.0]), 0.5), np.array([0.0]))
-    params = np.array([0.3, -1.2])
-    assert np.array_equal(sgd_step(params, np.zeros(2), 0.7), params)
-
-
-def test_sgd_step_is_linear_in_the_rate():
-    params = np.array([1.0, 2.0])
-    g = np.array([0.25, -0.5])
-    stepped = sgd_step(sgd_step(params, g, 0.25), g, 0.5)
-    assert np.array_equal(stepped, params - 0.75 * g)
-
-
-def test_sgd_step_validation():
-    with pytest.raises(ShapeError):
-        sgd_step(np.zeros(3), np.zeros(4), 0.1)
-    with pytest.raises(ShapeError):
-        sgd_step(np.zeros((2, 2)), np.zeros(4), 0.1)
-    with pytest.raises(ConfigError):
-        sgd_step(np.zeros(3), np.zeros(3), float("inf"))
-
+# -- schedule / init ---------------------------------------------------------
 
 def test_lr_schedule_is_geometric():
     sched = LrSchedule(0.5, 0.9)
@@ -364,10 +343,25 @@ def test_lr_schedule_is_geometric():
     assert LrSchedule(0.1).lr(50) == 0.1
     with pytest.raises(ConfigError):
         sched.lr(0)
-    with pytest.raises(ConfigError):
-        LrSchedule(0.0)
-    with pytest.raises(ConfigError):
-        LrSchedule(0.1, 1.5)
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        ((0.0,), "initial_lr"),
+        ((float("inf"),), "initial_lr"),
+        ((float("nan"),), "initial_lr"),
+        ((True, True), "initial_lr"),  # a bool is a number to Python, but not a rate
+        (("0.1",), "initial_lr"),
+        ((0.1, 1.5), "decay"),
+        ((0.1, 0.0), "decay"),
+        ((0.1, True), "decay"),
+        ((0.1, "0.9"), "decay"),
+    ],
+)
+def test_lr_schedule_validation(args, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        LrSchedule(*args)
 
 
 def test_init_params_reproducible_scaled_and_zero_biased():

@@ -6,7 +6,7 @@ import pytest
 from fedal import orchestrator
 from fedal.data import ClientPools, Dataset
 from fedal.errors import BudgetError, ConfigError, InvalidStateError
-from fedal.fed import FedConfig, evaluate, fedavg
+from fedal.fed import FedConfig, evaluate, fedavg, independent_train
 from fedal.nn import LrSchedule, MlpArchitecture, Model
 from fedal.orchestrator import (
     ALConfig,
@@ -300,20 +300,21 @@ def test_run_strategy_dispatches_full_budget_to_a_single_round(world_factory):
 
 def test_independent_eval_with_one_client_matches_global_evaluation(world_factory):
     train, test, pools, arch = world_factory(clients=1, n=50, initial_fraction=0.3)
-    mean, accs = run_independent_eval(train, test, pools, arch, QUICK_FL, seed=5)
+    mean = run_independent_eval(train, test, pools, arch, QUICK_FL, seed=5)
     report = _train_task_model(train, pools, arch, QUICK_FL, 5)
     # one client: the federated task model IS that client's local model and
     # full-batch training ignores the rng stream, so the accuracies coincide
-    assert accs == [evaluate(report.final_model, test)]
-    assert mean == accs[0]
+    assert mean == evaluate(report.final_model, test)
 
 
-def test_independent_eval_reports_one_accuracy_per_client(world_factory):
+def test_independent_eval_is_the_mean_of_one_accuracy_per_client(world_factory):
     train, test, pools, arch = world_factory(clients=3, n=90, initial_fraction=0.2)
-    mean, accs = run_independent_eval(train, test, pools, arch, QUICK_FL, seed=2)
-    assert len(accs) == 3
-    assert mean == pytest.approx(float(np.mean(accs)), abs=1e-15)
-    assert all(0.0 <= a <= 1.0 for a in accs)
+    mean = run_independent_eval(train, test, pools, arch, QUICK_FL, seed=2)
+    init = _init(arch, 2, "task")
+    accs = [evaluate(independent_train(train, pools, client, init, QUICK_FL, (2, "il-eval", "independent"))
+                     .final_model, test) for client in range(3)]
+    assert type(mean) is float
+    assert mean == float(np.mean(accs))
 
 
 def test_task_init_is_deterministic(world_factory):

@@ -24,7 +24,7 @@ from fedal.errors import (
     ShapeError,
 )
 from fedal.fed import FedConfig
-from fedal.nn import LrSchedule, MlpArchitecture, Model, forward, grad, init_params, sgd_step
+from fedal.nn import LrSchedule, MlpArchitecture, Model, forward, grad, init_params
 from fedal.strategies import (
     ScoredCandidate,
     _discrepancy_grad,
@@ -36,6 +36,8 @@ from fedal.strategies import (
     select_top_b,
     train_discrepancy_heads,
 )
+
+from conftest import descend
 
 
 def _model(seed=0, sizes=(2, 6, 3), dropout=0.0, heads=1, scale=1.0):
@@ -511,8 +513,8 @@ def test_two_head_training_without_a_pool_warns_and_trains_supervised():
         trained = train_discrepancy_heads(
             model, labeled, labels, np.empty((0, 2)), 0.2, _epochs(2), np.random.default_rng(0)
         )
-    step1 = sgd_step(model.params, grad(model, labeled, labels), 0.2)
-    step2 = sgd_step(step1, grad(Model(model.arch, step1), labeled, labels), 0.2)
+    step1 = descend(model.params, grad(model, labeled, labels), 0.2)
+    step2 = descend(step1, grad(Model(model.arch, step1), labeled, labels), 0.2)
     assert np.array_equal(trained.params, step2)
 
 
@@ -544,7 +546,7 @@ def test_two_head_training_equals_the_public_checked_loop_and_checks_once(miniba
                 u_batch = unlabeled
             else:
                 u_batch = unlabeled[u_perm[np.arange(step * minibatch, (step + 1) * minibatch) % u]]
-            params = sgd_step(params, g + _discrepancy_grad(nn_module.Workspace(arch), params, u_batch), 0.3)
+            params = descend(params, g + _discrepancy_grad(nn_module.Workspace(arch), params, u_batch), 0.3)
     assert trained.params.tobytes() == params.tobytes()
 
 
