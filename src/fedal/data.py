@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ParseError, PoolIntegrityError, ShapeError, is_count
+from .errors import ConfigError, EmptyInputError, ParseError, PoolIntegrityError, ShapeError, is_count, is_real
 
 Array = np.ndarray
 
@@ -124,6 +124,12 @@ def check_blob_params(n: int, classes: int, dim: int, spread: float, layout: str
 
     ``n_key`` is the name to report for ``n``.
     """
+    for key, value in (("classes", classes), (n_key, n), ("dim", dim)):
+        if not is_count(value, minimum=-math.inf):
+            raise ConfigError(f"{key}: must be an int, got {value!r}")
+    for key, value in (("spread", spread), ("elongation", elongation)):
+        if not is_real(value):
+            raise ConfigError(f"{key}: must be a real number, got {value!r}")
     if classes < 2:
         raise ConfigError(f"classes: need at least 2, got {classes}")
     if n < classes:
@@ -334,7 +340,7 @@ def partition(dataset: Dataset, spec: PartitionSpec, seed) -> list[ClientPools]:
 
 def check_label_fraction(fraction: float) -> None:
     """The share of each shard labeled before the first round lies in (0, 1]."""
-    if not (0.0 < fraction <= 1.0):
+    if not (is_real(fraction) and 0.0 < fraction <= 1.0):
         raise ConfigError(f"initial_label_fraction: must lie in (0, 1], got {fraction}")
 
 

@@ -73,8 +73,10 @@ class MlpArchitecture:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in sizes))
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation: unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
-        if not (isinstance(self.dropout_rate, (int, float)) and 0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate: must lie in [0, 1), got {self.dropout_rate}")
+        if not (is_real(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
+            rule = "lie in [0, 1)" if is_real(self.dropout_rate) else "be a real number"
+            raise ConfigError(f"dropout_rate: must {rule}, got {self.dropout_rate}")
+        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))
         if not is_count(self.head_count):
             raise ConfigError(f"head_count: must be an int >= 1, got {self.head_count}")
 

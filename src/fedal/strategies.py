@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 from . import nn
 from .errors import (
@@ -66,8 +65,18 @@ class ScoredCandidate:
 
 
 def _entropy_of(probs: Array):
-    # entr(p) = -p*log(p) with entr(0) = 0, summed over classes.
-    return entr(probs).sum(axis=-1)
+    """-sum p log p over the last axis (the classes) of ``probs``.
+
+    A zero probability adds exactly +0.0 and warns nothing, and a one-hot
+    row scores +0.0, not -0.0.  A NaN probability makes its row NaN, so a
+    diverged model fails :class:`ScoredCandidate`'s finiteness check
+    instead of scoring as certain.
+    """
+    nonzero = probs != 0
+    terms = np.zeros_like(probs)
+    np.log(probs, out=terms, where=nonzero)
+    np.multiply(-probs, terms, out=terms, where=nonzero)
+    return terms.sum(axis=-1)
 
 
 def score_entropy(model: Model, x):

@@ -121,13 +121,24 @@ def test_line_layout_places_centers_on_the_first_axis():
         {"n": 20, "classes": 3, "spread": float("inf")},
         {"n": 20, "classes": 3, "layout": "line", "elongation": float("nan")},
         {"n": 20, "classes": 3, "layout": "line", "elongation": float("inf")},
+        {"n": 20, "classes": 3, "spread": True},  # a bool is a number to Python, not a spread
+        {"n": 20, "classes": 3, "layout": "line", "elongation": True},
+        {"n": 20, "classes": 3, "spread": "0.5"},
+        {"n": 20.0, "classes": 3},
+        {"n": 20, "classes": 3.0},
+        {"n": 20, "classes": 3, "dim": 2.0},
     ],
 )
 def test_blobs_validation(kwargs):
     full = {"n": 20, "classes": 3, "dim": 2, "spread": 0.5, "seed": 0}
     full.update(kwargs)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^(n|classes|dim|spread|layout|elongation): "):
         synth_blobs(**full)
+
+
+def test_blobs_take_numpy_numbers():
+    ds = synth_blobs(np.int64(20), np.int32(3), np.int64(2), np.float32(0.5), 0, elongation=np.float64(2.0))
+    assert ds.size == 20 and ds.class_count == 3 and ds.dim == 2
 
 
 # -- CSV loader ---------------------------------------------------------------
@@ -403,6 +414,14 @@ def test_seed_initial_labels_rejects_fractions_that_round_to_zero():
     _, pools = _fresh_pools(30, 3)
     with pytest.raises(ConfigError):
         seed_initial_labels(pools, 0.01, seed=0)  # round(0.01 * 10) == 0
+
+
+@pytest.mark.parametrize("fraction", [True, "0.5", None])
+def test_seed_initial_labels_rejects_a_fraction_that_is_not_a_real_number(fraction):
+    _, pools = _fresh_pools(30, 3)
+    with pytest.raises(ConfigError, match="^initial_label_fraction: "):
+        seed_initial_labels(pools, fraction, seed=0)
+    assert all(p.labeled == [] for p in pools)
 
 
 # -- annotation -----------------------------------------------------------------

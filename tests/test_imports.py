@@ -13,10 +13,17 @@ A public top-level function or class must be referenced the same way from
 the package (its ``__init__`` export aside), from ``scripts/`` or from
 ``perfbench/``, where a ``"fedal.<module>:<name>"`` binding string also
 counts.  Tests do not count: public API that only tests call is dead.
+
+The third-party modules the package imports are exactly the runtime
+dependencies in ``pyproject.toml``, and ``import fedal`` loads no test-only
+dependency such as scipy.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +130,41 @@ def test_the_scan_finds_an_unused_public_name():
     }
     callers = ["from fedal.a import run\nTARGET = 'fedal.a:traced'\n"]
     assert _unreferenced_names(sources, public=True, callers=callers) == ["a.py: export_only"]
+
+
+# Import names of runtime distributions whose name differs from the module's.
+MODULE_OF_DISTRIBUTION = {"pyyaml": "yaml"}
+
+
+def _third_party_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source`` that are neither stdlib nor fedal."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"fedal"}
+
+
+def test_the_scan_finds_third_party_imports():
+    source = "import os.path\nimport numpy as np\nfrom scipy.special import entr\nfrom . import nn\nfrom fedal import data\n"
+    assert _third_party_modules(source) == {"numpy", "scipy"}
+
+
+def test_the_package_imports_exactly_its_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = set()
+    for requirement in project["dependencies"]:
+        name = re.match(r"[A-Za-z0-9._-]+", requirement).group(0).lower()
+        declared.add(MODULE_OF_DISTRIBUTION.get(name, name))
+    imported = set().union(*(_third_party_modules(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    assert imported == declared
+
+
+def test_importing_fedal_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import fedal, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -82,6 +82,8 @@ def test_param_blocks_tile_the_flat_vector():
         {"layer_sizes": (2.7, 2)},  # not truncated to 2
         {"layer_sizes": (3, True)},  # a bool is an int to Python, not a size
         {"layer_sizes": (3, 2.0)},
+        {"layer_sizes": (3, 2), "dropout_rate": False},  # a bool is a number to Python, not a rate
+        {"layer_sizes": (3, 2), "dropout_rate": "0.1"},
     ],
 )
 def test_architecture_validation(kwargs):
@@ -93,6 +95,12 @@ def test_architecture_takes_numpy_integer_sizes_as_ints():
     arch = MlpArchitecture((np.int64(3), 5, np.int32(2)))
     assert arch.layer_sizes == (3, 5, 2)
     assert all(type(size) is int for size in arch.layer_sizes)
+
+
+def test_architecture_takes_a_numpy_dropout_rate_as_a_float():
+    arch = MlpArchitecture((3, 2), dropout_rate=np.float32(0.1))
+    assert type(arch.dropout_rate) is float
+    assert arch.dropout_rate == float(np.float32(0.1))
 
 
 def test_architecture_head_count_rejects_a_bool_and_names_the_field():

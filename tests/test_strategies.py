@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+from scipy.special import entr
 
 from fedal import nn as nn_module
 from fedal import strategies as strategies_module
@@ -28,6 +29,7 @@ from fedal.nn import LrSchedule, MlpArchitecture, Model, forward, grad, init_par
 from fedal.strategies import (
     ScoredCandidate,
     _discrepancy_grad,
+    _entropy_of,
     ScorerSpec,
     coreset_greedy,
     score_discrepancy,
@@ -95,6 +97,35 @@ def test_entropy_is_bounded_by_log_class_count(seed):
     scores = score_entropy(model, x)
     assert np.all(scores >= 0.0)
     assert np.all(scores <= np.log(3) + 1e-12)
+
+
+def _softmax_rows(rng, rows, classes, scale):
+    logits = scale * rng.normal(size=(rows, classes))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_entropy_matches_scipys_entr_within_4_ulp():
+    # NumPy's log and the libm log that entr calls may differ in the last bits.
+    rng = np.random.default_rng(0)
+    softmax = [_softmax_rows(rng, 300, classes, scale)
+               for classes in range(2, 11) for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+    assert any((probs == 0).any() for probs in softmax)  # large logit scales underflow to exactly 0
+    one_hot = [np.eye(classes) for classes in range(2, 11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probs in softmax + one_hot:
+            np.testing.assert_array_max_ulp(_entropy_of(probs), entr(probs).sum(axis=-1), maxulp=4)
+
+
+def test_entropy_of_a_nan_probability_is_nan_and_nothing_warns():
+    probs = np.array([[np.nan, 0.5, 0.5], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = _entropy_of(probs)
+    assert np.isnan(scores[0])
+    assert scores[1] == pytest.approx(np.log(2), abs=1e-15)
+    assert scores[2] == 0.0
 
 
 # -- MC dropout ---------------------------------------------------------------------
