@@ -30,7 +30,6 @@ from .orchestrator import (
     run_strategy,
 )
 from .strategies import (
-    ScoredCandidate,
     ScorerSpec,
     coreset_greedy,
     score_discrepancy,

@@ -34,7 +34,6 @@ from .fed import FedConfig, FedRunReport, evaluate, fedavg, independent_train
 from .nn import MlpArchitecture, Model
 from .seeding import rng_for
 from .strategies import (
-    ScoredCandidate,
     ScorerSpec,
     coreset_greedy,
     score_discrepancy,
@@ -139,8 +138,7 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
         scores = score_mc_dropout(model, feats, scorer.mc_passes, rng)
     else:
         scores = score_discrepancy(model, feats)
-    candidates = [ScoredCandidate(i, s) for i, s in zip(idx.tolist(), scores.tolist())]
-    return select_top_b(candidates, quota)
+    return select_top_b(np.rec.fromarrays([idx, scores], names="index,score"), quota)
 
 
 def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],

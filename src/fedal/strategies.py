@@ -11,7 +11,6 @@ scores from the selection stream directly.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,25 +51,13 @@ class ScorerSpec:
         return self.kind == "discrepancy"
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A pool index paired with its acquisition score."""
-
-    index: int
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ShapeError(f"score for index {self.index} is not finite")
-
-
 def _entropy_of(probs: Array):
     """-sum p log p over the last axis (the classes) of ``probs``.
 
     A zero probability adds exactly +0.0 and warns nothing, and a one-hot
     row scores +0.0, not -0.0.  A NaN probability makes its row NaN, so a
-    diverged model fails :class:`ScoredCandidate`'s finiteness check
-    instead of scoring as certain.
+    diverged model fails :func:`select_top_b`'s finiteness check instead of
+    scoring as certain.
     """
     nonzero = probs != 0
     terms = np.zeros_like(probs)
@@ -116,15 +103,20 @@ def score_discrepancy(model: Model, x):
 def select_top_b(candidates, b: int) -> list[int]:
     """Indices of the ``b`` highest-scoring candidates.
 
-    Ties break toward the lowest index; the result is sorted by index.
+    ``candidates`` is a NumPy record array with one record per pool point:
+    an integer ``index`` field and a finite ``score`` field.  Ties break
+    toward the lowest index; the result is sorted by index.
     """
-    cands = list(candidates)
+    index, score = candidates.index, candidates.score
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"candidate indices must be integers, got dtype {index.dtype}")
+    not_finite = np.flatnonzero(~np.isfinite(score))
+    if not_finite.size:
+        raise ShapeError(f"score for index {index[not_finite[0]]} is not finite")
     if not is_count(b, minimum=0):
         raise BudgetError(f"b: selection size must be a non-negative int, got {b}")
-    if b > len(cands):
-        raise BudgetError(f"b: cannot select {b} of {len(cands)} candidates")
-    index = np.array([c.index for c in cands], dtype=np.int64)
-    score = np.array([c.score for c in cands], dtype=np.float64)
+    if b > len(index):
+        raise BudgetError(f"b: cannot select {b} of {len(index)} candidates")
     return sorted(index[np.lexsort((index, -score))[:b]].tolist())
 
 

@@ -29,7 +29,6 @@ from fedal.presets import (
     REFERENCE_TEST_ACCURACY,
 )
 from fedal.strategies import (
-    ScoredCandidate,
     ScorerSpec,
     coreset_greedy,
     score_discrepancy,
@@ -186,7 +185,7 @@ def test_selection_matches_independent_oracles(acceptance_note):
         b = int(rng.integers(0, n + 1))
         scores = np.round(rng.normal(size=n), 1)  # coarse grid to force ties
         indices = rng.choice(10_000, size=n, replace=False)
-        candidates = [ScoredCandidate(int(i), float(s)) for i, s in zip(indices, scores)]
+        candidates = np.rec.fromarrays([indices, scores], names="index,score")
         order = np.lexsort((indices, -scores))
         expected = sorted(int(indices[j]) for j in order[:b])
         assert select_top_b(candidates, b) == expected

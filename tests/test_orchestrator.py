@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from fedal import nn as nn_module
 from fedal import orchestrator
 from fedal.data import ClientPools, Dataset
-from fedal.errors import BudgetError, ConfigError, InvalidStateError
+from fedal.errors import BudgetError, ConfigError, InvalidStateError, ShapeError
 from fedal.fed import FedConfig, evaluate, fedavg, independent_train
 from fedal.nn import LrSchedule, MlpArchitecture, Model
 from fedal.orchestrator import (
@@ -204,6 +205,16 @@ def test_an_uninformative_model_falls_back_to_low_indices(world_factory):
     chosen = _score_pool(pools[0], train, ScorerSpec("entropy"), model, 4, rng=None)
     assert chosen == sorted(pools[0].unlabeled)[:4]  # all scores tie
 
+
+
+def test_a_diverged_task_model_stops_federated_annotation_before_any_label(world_factory,
+                                                                          monkeypatch):
+    # NaN parameters give NaN entropies; selection must refuse them, not rank them.
+    monkeypatch.setattr(nn_module, "init_params", lambda arch, seed: np.full(arch.param_count, np.nan))
+    train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
+    with pytest.raises(ShapeError, match=r"^score for index \d+ is not finite$"):
+        run_strategy("f_al", train, test, pools, arch, _al(1, (4, 4)), QUICK_FL, 3)
+    assert all(p.history == {} for p in pools)
 
 # -- federated annotation internals ---------------------------------------------------
 

@@ -27,7 +27,6 @@ from fedal.errors import (
 from fedal.fed import FedConfig
 from fedal.nn import LrSchedule, MlpArchitecture, Model, forward, grad, init_params
 from fedal.strategies import (
-    ScoredCandidate,
     _discrepancy_grad,
     _entropy_of,
     ScorerSpec,
@@ -203,7 +202,8 @@ def test_discrepancy_lies_in_the_l1_ball(seed):
 
 def _cands(scores, indices=None):
     indices = range(len(scores)) if indices is None else indices
-    return [ScoredCandidate(int(i), float(s)) for i, s in zip(indices, scores)]
+    return np.rec.fromarrays([np.asarray(indices, dtype=np.int64), np.asarray(scores, dtype=np.float64)],
+                             names="index,score")
 
 
 def test_select_top_b_picks_the_highest_score():
@@ -253,11 +253,17 @@ def test_select_top_b_matches_a_sort_based_oracle():
         assert select_top_b(_cands(scores, indices), b) == expected
 
 
-def test_scored_candidate_rejects_non_finite_scores():
-    with pytest.raises(ShapeError):
-        ScoredCandidate(0, float("nan"))
-    with pytest.raises(ShapeError):
-        ScoredCandidate(0, float("inf"))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_top_b_rejects_non_finite_scores_naming_the_first(bad):
+    cands = _cands([0.1, bad, 0.3, bad], indices=[3, 7, 5, 2])
+    with pytest.raises(ShapeError, match="^score for index 7 is not finite$"):
+        select_top_b(cands, 1)
+
+
+def test_select_top_b_rejects_a_non_integer_index_field():
+    cands = np.rec.fromarrays([np.array([0.0, 1.7]), np.array([0.2, 0.9])], names="index,score")
+    with pytest.raises(ShapeError, match="integer"):
+        select_top_b(cands, 1)
 
 
 # -- k-center selection ----------------------------------------------------------------------
