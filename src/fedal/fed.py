@@ -97,11 +97,13 @@ def weighted_average(param_vectors, sample_counts) -> Array:
     for v in vectors:
         if v.ndim != 1 or v.shape != length:
             raise ShapeError("all parameter vectors must be flat and equal-length")
-    counts = [float(c) for c in sample_counts]
+    counts = list(sample_counts)
     if len(counts) != len(vectors):
         raise ShapeError(f"{len(vectors)} vectors but {len(counts)} sample counts")
-    if any(not math.isfinite(c) or c < 1 for c in counts):
-        raise ConfigError(f"sample counts must be >= 1, got {sample_counts}")
+    for client, count in enumerate(counts):
+        if not is_count(count):
+            raise ConfigError(f"sample_counts[{client}]: must be an int >= 1, got {count!r}")
+    counts = [float(c) for c in counts]
     total = sum(counts)
     acc, scaled = np.zeros_like(vectors[0]), np.empty_like(vectors[0])
     low, high = vectors[0].copy(), vectors[0].copy()

@@ -85,6 +85,13 @@ def test_weighted_average_validation():
         weighted_average([np.zeros(2)], [1, 2])
     with pytest.raises(ConfigError):
         weighted_average([np.zeros(2), np.zeros(2)], [1, 0])
+    # A bool, a fraction or a numeric string is not a count, though float() would take each.
+    for counts, named in (([True, 2], r"\[0\]: .* True"), ([1, 1.5], r"\[1\]: .* 1\.5"),
+                          (["1", 2], r"\[0\]: .* '1'")):
+        with pytest.raises(ConfigError, match=r"^sample_counts" + named + "$"):
+            weighted_average([np.ones(2), np.zeros(2)], counts)
+    assert np.array_equal(weighted_average([np.ones(2), np.zeros(2)], [np.int64(1), np.int32(3)]),
+                          [0.25, 0.25])
 
 
 @given(
@@ -123,7 +130,7 @@ def test_weighted_average_equals_the_stack_and_clip_reference_bit_for_bit(seed, 
     rng = np.random.default_rng(seed)
     values = np.array([0.0, -0.0, 0.1, 1 / 3, -2.5, 7.0, 5e-324, -5e-324, -1e300])
     vectors = [rng.choice(values, size=dim) for _ in range(m)]
-    counts = [float(c) for c in rng.integers(1, 500, size=m)]
+    counts = [int(c) for c in rng.integers(1, 500, size=m)]
     got = weighted_average(vectors, counts)
     assert got.tobytes() == _reference_weighted_average(vectors, counts).tobytes()
 
