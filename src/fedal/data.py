@@ -66,11 +66,40 @@ class Dataset:
         return self.features.shape[1]
 
 
-def gather(dataset: Dataset, indices) -> tuple[Array, Array]:
-    """Materialize the features and labels of the rows at ``indices``."""
-    idx = np.asarray(indices, dtype=np.int64)
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def as_indices(values) -> Array:
+    """``values`` as a 1-D integer array of dataset indices; an empty one is int64.
+
+    Raises :class:`ShapeError` naming the first entry that is a bool or not
+    an integer, where NumPy would truncate it or read it as 0 or 1.  An
+    array's dtype decides; a list is also checked for bools, which NumPy
+    reads as integers among integers.  Range is the caller's to check.
+    """
+    idx = np.asarray(values)
     if idx.ndim != 1:
         raise ShapeError("indices must be 1-D")
+    if idx.size == 0:
+        return idx.astype(np.int64)
+    from_array = isinstance(values, np.ndarray)
+    if np.issubdtype(idx.dtype, np.integer) and (from_array or _BOOLS.isdisjoint(map(type, values))):
+        return idx
+    entries = idx.tolist() if from_array else list(values)
+    bad = next((v for v in entries if not is_count(v, minimum=-math.inf)), entries[0])
+    raise ShapeError(f"index {bad!r} is not an integer")
+
+
+def gather(dataset: Dataset, indices) -> tuple[Array, Array]:
+    """Materialize the features and labels of the rows at ``indices``.
+
+    Raises :class:`ShapeError` naming the first index that is a bool, not an
+    integer, negative or past the last row.
+    """
+    idx = as_indices(indices)
+    outside = np.flatnonzero((idx < 0) | (idx >= dataset.size))
+    if outside.size:
+        raise ShapeError(f"index {idx[outside[0]]} is out of range for {dataset.size} rows")
     return dataset.features[idx], dataset.labels[idx]
 
 
@@ -371,14 +400,15 @@ def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list
 def annotate(pools: list[ClientPools], client: int, selected, round_index: int, dataset: Dataset) -> Array:
     """Move ``selected`` from a client's unlabeled pool to its labeled pool.
 
-    Returns the revealed ground-truth labels.  Raises
-    :class:`PoolIntegrityError` if any index is not currently unlabeled for
-    that client (already annotated, or foreign to the shard).
+    Returns the revealed ground-truth labels.  Raises :class:`ShapeError`
+    for a bool or non-integer entry, and :class:`PoolIntegrityError` if any
+    index is not currently unlabeled for that client (already annotated, or
+    foreign to the shard).
     """
     if not 0 <= client < len(pools):
         raise ConfigError(f"client index {client} out of range for {len(pools)} pools")
     pool = pools[client]
-    sel = [int(i) for i in selected]
+    sel = as_indices(selected).tolist()
     if len(sel) != len(set(sel)):
         raise PoolIntegrityError(f"client {client}: duplicate indices in selection")
     if not sel:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .data import as_indices
 from .errors import (
     BudgetError,
     ConfigError,
@@ -107,9 +108,7 @@ def select_top_b(candidates, b: int) -> list[int]:
     an integer ``index`` field and a finite ``score`` field.  Ties break
     toward the lowest index; the result is sorted by index.
     """
-    index, score = candidates.index, candidates.score
-    if not np.issubdtype(index.dtype, np.integer):
-        raise ShapeError(f"candidate indices must be integers, got dtype {index.dtype}")
+    index, score = as_indices(candidates.index), candidates.score
     not_finite = np.flatnonzero(~np.isfinite(score))
     if not_finite.size:
         raise ShapeError(f"score for index {index[not_finite[0]]} is not finite")
@@ -217,13 +216,15 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     n, dim = unlab.shape
     if not (is_count(b, minimum=0) and b <= n):
         raise BudgetError(f"b: cannot select {b} of {n} pool points")
-    idx = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64) if indices is None else as_indices(indices)
     if idx.shape != (n,):
         raise ShapeError(f"indices must align with the {n} unlabeled rows")
-
     # Rows in index order, so argmax's first maximum is the lowest-index tie.
     order = np.argsort(idx, kind="stable")
     ids, pool = idx[order], unlab[order]
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ShapeError(f"indices must not repeat; {repeated[0]} does")
     # Overflow only makes a slack infinite or an estimate NaN, which sends rows to the exact path.
     with np.errstate(over="ignore", invalid="ignore"):
         pool_t, pool_sq = np.ascontiguousarray(pool.T), (pool * pool).sum(axis=1)

@@ -1,5 +1,6 @@
 """Tests for dataset containers, loaders, partitioning, and pool bookkeeping."""
 
+import re
 import struct
 
 import numpy as np
@@ -60,6 +61,30 @@ def test_gather_returns_selected_rows():
     assert np.array_equal(labels, ds.labels[[4, 1]])
     with pytest.raises(ShapeError):
         gather(ds, np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "indices,message",
+    [
+        ([2, True], "index True is not an integer"),          # NumPy would read row 1
+        (np.array([True]), "index True is not an integer"),
+        ([1.7], "index 1.7 is not an integer"),               # NumPy would truncate to row 1
+        (np.array([3.0, 1.0]), "index 3.0 is not an integer"),
+        (["1"], "index '1' is not an integer"),
+        ([0, -1], "index -1 is out of range for 6 rows"),     # NumPy would read the last row
+        ([6, 7], "index 6 is out of range for 6 rows"),
+    ],
+)
+def test_gather_rejects_bad_indices_naming_the_first(indices, message):
+    ds = Dataset(np.arange(12, dtype=np.float64).reshape(6, 2), np.arange(6) % 3, 3)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        gather(ds, indices)
+
+
+def test_gather_of_no_indices_is_empty():
+    ds = Dataset(np.arange(12, dtype=np.float64).reshape(6, 2), np.arange(6) % 3, 3)
+    feats, labels = gather(ds, [])
+    assert feats.shape == (0, 2) and labels.shape == (0,)
 
 
 # -- synthetic blobs ----------------------------------------------------------
@@ -482,6 +507,14 @@ def test_annotate_rejects_rows_outside_the_client_pool():
     ds, pools = _one_client_world()
     with pytest.raises(PoolIntegrityError, match="not in this client's pool"):
         annotate([pools], 0, [99], round_index=1, dataset=ds)
+
+
+@pytest.mark.parametrize("selected,named", [([0.5], "0.5"), ([True], "True"), ([1, np.float64(2.0)], "2.0")])
+def test_annotate_rejects_bool_and_non_integer_entries(selected, named):
+    ds, pools = _one_client_world()
+    with pytest.raises(ShapeError, match=f"^index .*{re.escape(named)}.* is not an integer$"):
+        annotate([pools], 0, selected, round_index=1, dataset=ds)
+    assert pools.unlabeled == [1, 2, 3] and pools.history == {}
 
 
 def test_annotate_rejects_unknown_clients():

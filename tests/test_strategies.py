@@ -317,6 +317,13 @@ def test_coreset_validation():
         coreset_greedy(np.zeros((1, 2)), [[0.0, np.nan], [1.0, 1.0]], 1)
     with pytest.raises(ShapeError, match="finite"):
         coreset_greedy([[np.inf, 0.0]], np.ones((2, 2)), 1)
+    # Index names are integers, one per row: no truncated fractions, no bools, no repeats.
+    with pytest.raises(ShapeError, match="^index 0.5 is not an integer$"):
+        coreset_greedy(np.zeros((1, 2)), np.ones((3, 2)), 1, indices=[0.5, 1.7, 2.2])
+    with pytest.raises(ShapeError, match="^index True is not an integer$"):
+        coreset_greedy(np.zeros((1, 2)), np.ones((3, 2)), 1, indices=[True, False, 7])
+    with pytest.raises(ShapeError, match="^indices must not repeat; 4 does$"):
+        coreset_greedy(np.zeros((1, 2)), np.ones((3, 2)), 2, indices=[4, 4, 4])
     assert coreset_greedy(np.zeros((1, 2)), np.empty((0, 2)), 0) == []
     assert coreset_greedy(np.zeros((1, 2)), np.ones((2, 2)), 0) == []
 
