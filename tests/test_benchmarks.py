@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedal import benchmarks, orchestrator
+from fedal import benchmarks, harness, orchestrator
 from fedal.benchmarks import AL_STRATEGIES, TrendReport, benchmark_config, format_report, run_trend_benchmark
+from fedal.config import parse_config
 from fedal.errors import ConfigError
 
 
@@ -60,3 +61,33 @@ def test_perfbench_tracer_bindings_resolve(monkeypatch):
     with tracing.Tracer(traced=True):
         assert orchestrator.fedavg is not original
     assert orchestrator.fedavg is original
+
+
+_TRACED_WORLD = """
+dataset: {{kind: blobs, train_size: 240, test_size: 60, classes: 3, spread: 0.6}}
+partition: {{clients: 3}}
+model: {{hidden: [6], activation: tanh, dropout: 0.2}}
+al: {{strategy: {strategy}, scorer: {scorer}, budget: 12, rounds: 2, initial_label_fraction: 0.1}}
+fl: {{lr: 0.3, minibatch_size: 8, max_global_iters: 5}}
+independent: {{lr: 0.3, minibatch_size: 8, max_global_iters: 5}}
+run: {{repeats: 1, seed: 2}}
+"""
+
+
+def test_perfbench_hooks_accept_every_traced_call(monkeypatch):
+    # Under the traced benchmark every wrapped fedal call also runs a hook
+    # that reads the call's arguments by name (select_top_b's candidates,
+    # coreset_greedy's indices, ...) and checks its result.  One run of each
+    # strategy and scorer kind on a tiny world exercises all of those hooks,
+    # so a signature or argument change that breaks one fails here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    runs = [("random", "random"), ("s_al", "entropy"), ("f_al", "coreset"),
+            ("s_al", "mc_dropout"), ("f_al", "discrepancy"), ("full_budget", "entropy")]
+    with tracing.Tracer(traced=True) as tracer:
+        for strategy, scorer in runs:
+            harness.run_experiment(parse_config(_TRACED_WORLD.format(strategy=strategy, scorer=scorer)))
+    assert tracer.problems == []
+    for counter in ("strategies.select_top_b.candidates", "strategies.coreset_greedy.picks",
+                    "data.annotate.labels", "fed.fedavg.iters", "fed.independent_train.iters"):
+        assert tracer.counters[counter] > 0, counter
