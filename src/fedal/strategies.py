@@ -192,9 +192,9 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
 
     Repeatedly picks the unlabeled point farthest (max-min distance) from the
     labeled set plus everything already picked.  ``indices`` optionally names
-    the unlabeled rows (defaults to 0..n-1); ties break toward the lowest
-    index value, which makes the output independent of row order.  Returns
-    indices in pick order.
+    the unlabeled rows with distinct integers (defaults to 0..n-1); ties break
+    toward the lowest index value, which makes the output independent of row
+    order.  Returns indices in pick order.
 
     Distances equal ``scipy.spatial.distance.cdist``'s bit for bit.  BLAS
     estimates with a rounding slack (:func:`_slack`) decide which pairs could

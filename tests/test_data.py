@@ -59,6 +59,8 @@ def test_gather_returns_selected_rows():
     feats, labels = gather(ds, [4, 1])
     assert np.array_equal(feats, ds.features[[4, 1]])
     assert np.array_equal(labels, ds.labels[[4, 1]])
+    feats, labels = gather(ds, [])
+    assert feats.shape == (0, 2) and labels.shape == (0,)
     with pytest.raises(ShapeError):
         gather(ds, np.array([[0, 1]]))
 
@@ -79,13 +81,6 @@ def test_gather_rejects_bad_indices_naming_the_first(indices, message):
     ds = Dataset(np.arange(12, dtype=np.float64).reshape(6, 2), np.arange(6) % 3, 3)
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         gather(ds, indices)
-
-
-def test_gather_of_no_indices_is_empty():
-    ds = Dataset(np.arange(12, dtype=np.float64).reshape(6, 2), np.arange(6) % 3, 3)
-    feats, labels = gather(ds, [])
-    assert feats.shape == (0, 2) and labels.shape == (0,)
-
 
 # -- synthetic blobs ----------------------------------------------------------
 
