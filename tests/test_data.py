@@ -82,6 +82,7 @@ def test_gather_rejects_bad_indices_naming_the_first(indices, message):
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         gather(ds, indices)
 
+
 # -- synthetic blobs ----------------------------------------------------------
 
 def test_blobs_balance_classes_as_evenly_as_possible():

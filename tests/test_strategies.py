@@ -202,8 +202,7 @@ def test_discrepancy_lies_in_the_l1_ball(seed):
 
 def _cands(scores, indices=None):
     indices = range(len(scores)) if indices is None else indices
-    return np.rec.fromarrays([np.asarray(indices, dtype=np.int64), np.asarray(scores, dtype=np.float64)],
-                             names="index,score")
+    return np.rec.fromarrays([indices, scores], names="index,score")
 
 
 def test_select_top_b_picks_the_highest_score():
