@@ -259,8 +259,6 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
 
     mdl = root.section("model")
     hidden_raw = mdl.get("hidden", list, default=[32])
-    if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden_raw):
-        raise ConfigError("model.hidden: expected a list of ints")
     model_spec = ModelSpec(
         hidden=tuple(hidden_raw),
         activation=mdl.get("activation", str, default="relu"),
@@ -286,9 +284,6 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("al.budget and al.budgets are mutually exclusive")
         if len(budgets_raw) != clients:
             raise ConfigError(f"al.budgets: expected {clients} entries, got {len(budgets_raw)}")
-        for client, budget in enumerate(budgets_raw):
-            if not isinstance(budget, int) or isinstance(budget, bool):
-                raise ConfigError(f"al.budgets[{client}]: expected int, got {type(budget).__name__}")
         budgets = tuple(budgets_raw)
     else:
         if budget_total is None:

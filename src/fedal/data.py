@@ -400,13 +400,17 @@ def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list
 def annotate(pools: list[ClientPools], client: int, selected, round_index: int, dataset: Dataset) -> Array:
     """Move ``selected`` from a client's unlabeled pool to its labeled pool.
 
-    Returns the revealed ground-truth labels.  Raises :class:`ShapeError`
-    for a bool or non-integer entry, and :class:`PoolIntegrityError` if any
-    index is not currently unlabeled for that client (already annotated, or
-    foreign to the shard).
+    Returns the revealed ground-truth labels.  Raises :class:`ConfigError`
+    naming ``client`` when it is not an index into ``pools``, or
+    ``round_index`` when it is not an int >= 1 (rounds count from 1);
+    :class:`ShapeError` for a bool or non-integer entry; and
+    :class:`PoolIntegrityError` if any index is not currently unlabeled for
+    that client (already annotated, or foreign to the shard).
     """
-    if not 0 <= client < len(pools):
-        raise ConfigError(f"client index {client} out of range for {len(pools)} pools")
+    if not (is_count(client, minimum=0) and client < len(pools)):
+        raise ConfigError(f"client: must be an int in [0, {len(pools)}), got {client!r}")
+    if not is_count(round_index):
+        raise ConfigError(f"round_index: must be an int >= 1, got {round_index!r}")
     pool = pools[client]
     sel = as_indices(selected).tolist()
     if len(sel) != len(set(sel)):

@@ -1,15 +1,15 @@
-"""Synchronous cross-silo FedAvg plus per-client independent training.
+"""Cross-silo FedAvg in one loop; independent training is that loop over one client on one stream.
 
 One global iteration: every client with labeled data starts from the current
 global parameters, runs ``local_epochs`` of (mini-batch) SGD at the
 iteration's learning rate, and the server replaces the global parameters
-with the sample-count weighted average of the local results.  Training stops
-on the model it returns: early, once the global model's training loss (the
-sample-weighted mean over clients of the loss at the global parameters)
-drops below ``stop_loss_threshold`` after at least one iteration, and
-otherwise at ``max_global_iters``.  Independent training runs the same loop
-on one client, with the weighted average left out, and stops on that
-client's training loss.
+with the sample-count weighted average of the local results (with one
+client, its result as it stands).  Training stops on the model it returns:
+early, once the global model's training loss (the sample-weighted mean over
+clients of the loss at the global parameters) drops below
+``stop_loss_threshold`` after at least one iteration, and otherwise at
+``max_global_iters``.  :func:`independent_train` runs the loop over one
+client, which draws every iteration's randomness from one stream.
 
 Each iteration reports the loss of the parameters it started from, so the
 check lags one update: the iteration after the one that stops the run has
@@ -26,10 +26,10 @@ labeled pair and the feature rows of the client's unlabeled pool, read once
 per run straight from the dataset: their labels stay hidden.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
-receive the next global model like everyone else.  :func:`fedavg` and
-:func:`independent_train` check each client's labeled pair once per run,
-where they gather it and build the client's :class:`nn.Workspace`, and then
-run nn's unchecked cores in that workspace.
+receive the next global model like everyone else.  The loop checks each
+client's labeled pair once per run, where it gathers it and builds the
+client's :class:`nn.Workspace`, and then runs nn's unchecked cores in that
+workspace.
 """
 
 from __future__ import annotations
@@ -141,59 +141,55 @@ def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float
     return params, start_loss
 
 
-def _client_rows(dataset: Dataset, pool: ClientPools, arch,
-                 local_fn) -> tuple[nn.Workspace, Array, Array, Array | None]:
-    """A client's workspace and checked labeled pair, plus its unlabeled feature rows if ``local_fn`` takes them."""
-    x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
-    return nn.Workspace(arch), x, y, None if local_fn is None else dataset.features[pool.unlabeled]
+def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig, stream,
+           local_fn) -> FedRunReport:
+    """FedAvg over the clients of ``pools`` that hold labels, until the stop rule ends it.
 
-
-def _client_update(local_fn, params: Array, rows, lr: float, cfg: FedConfig,
-                   rng) -> tuple[Array, float]:
-    """One client's update on its :func:`_client_rows` as ``(params, training loss of params)``."""
-    ws, x, y, unlabeled = rows
-    if local_fn is None:
-        new_params, start_loss = _local_update(ws, params, x, y, lr, cfg, rng)
-    else:
-        new_params, start_loss = local_fn(Model(ws.arch, params), x, y, unlabeled, lr, cfg, rng).params, None
-    if start_loss is None:
-        start_loss = nn._loss(ws, params, x, y)
-    return new_params, start_loss
-
-
-def _mean_loss(losses, counts) -> float:
-    """Sample-weighted mean of per-client losses, accumulated in client order."""
-    total = float(sum(counts))
-    mean = 0.0
-    for value, count in zip(losses, counts):
-        mean += (count / total) * value
-    return mean
-
-
-def _train_to_threshold(init_model: Model, cfg: FedConfig, step, train_loss) -> FedRunReport:
-    """Iterate ``step(t, params) -> (updated params, training loss of params)``.
-
-    Stops on the training loss of the model the run returns: once that loss
-    drops below ``cfg.stop_loss_threshold`` after at least one update, and
-    otherwise after ``cfg.max_global_iters`` updates.  ``loss_trace[k]`` is
-    the loss after ``k + 1`` updates, so its length is the number of updates.
-
-    Step ``t`` reports the loss of update ``t - 1``'s result, so when that
-    loss stops the run, step ``t``'s own update is dropped; at the cap
-    ``train_loss(params)`` gives the last entry.
+    Client ``m`` draws iteration ``t``'s randomness from ``stream(m, t)``,
+    called only when the update can draw: always for a ``local_fn``, else
+    as :func:`_update_draws` says.  ``loss_trace[k]`` is the training loss
+    after ``k + 1`` updates, so its length is the number of updates.
+    Iteration ``t`` reports the loss of update ``t - 1``'s result, so when
+    that loss stops the run, iteration ``t``'s own update is dropped before
+    it is averaged; at the cap one more loss pass gives the last entry.
     """
-    params = init_model.params.copy()
-    trace: list[float] = []
+    arch = init_model.arch
+    # Clients without labels get weight zero: they only receive the global model.
+    clients = []
+    for pool in pools:
+        if pool.labeled:
+            x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
+            unlabeled = None if local_fn is None else dataset.features[pool.unlabeled]
+            draws = local_fn is not None or _update_draws(arch, cfg, len(y))
+            clients.append((pool.client_id, nn.Workspace(arch), x, y, unlabeled, draws))
+    counts = [len(y) for _, _, _, y, _, _ in clients]
+    weights = [count / float(sum(counts)) for count in counts]
+    params, trace = init_model.params.copy(), []
     for t in range(1, cfg.max_global_iters + 1):
-        new_params, loss = step(t, params)
+        lr = cfg.schedule.lr(t)
+        updated, loss = [], 0.0
+        for (client_id, ws, x, y, unlabeled, draws), weight in zip(clients, weights):
+            rng = stream(client_id, t) if draws else None
+            if local_fn is None:
+                new_params, start_loss = _local_update(ws, params, x, y, lr, cfg, rng)
+            else:
+                new_params, start_loss = local_fn(Model(arch, params), x, y, unlabeled, lr, cfg, rng).params, None
+            if start_loss is None:
+                start_loss = nn._loss(ws, params, x, y)
+            updated.append(new_params)
+            loss += weight * start_loss
         if t > 1:
             trace.append(loss)
             if loss < cfg.stop_loss_threshold:
                 break
-        params = new_params
+        # The average of one update is that update (weighted_average's clamp makes it exact).
+        params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
     else:
-        trace.append(train_loss(params))
-    return FedRunReport(Model(init_model.arch, params), len(trace), tuple(trace))
+        loss = 0.0
+        for (_, ws, x, y, _, _), weight in zip(clients, weights):
+            loss += weight * nn._loss(ws, params, x, y)
+        trace.append(loss)
+    return FedRunReport(Model(arch, params), len(trace), tuple(trace))
 
 
 def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig,
@@ -202,56 +198,29 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
 
     ``local_fn`` replaces the plain supervised local update when given (see
     the module docstring).  Client ``m`` draws iteration ``t``'s randomness
-    from ``rng_for(seed, "local", m, t)``; the stream is built only when the
-    update can draw from it: always for a ``local_fn``, else as
-    :func:`_update_draws` says.
+    from ``rng_for(seed, "local", m, t)``.
     """
     if all(len(p.labeled) == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
-    arch = init_model.arch
-    # Clients without labels get weight zero: they only receive the global model.
-    clients = [(pool.client_id, _client_rows(dataset, pool, arch, local_fn))
-               for pool in pools if pool.labeled]
-    counts = [len(rows[2]) for _, rows in clients]
-    draws = [local_fn is not None or _update_draws(arch, cfg, n) for n in counts]
-
-    def step(t, params):
-        lr = cfg.schedule.lr(t)
-        updated, losses = [], []
-        for (client_id, rows), client_draws in zip(clients, draws):
-            rng = rng_for(seed, "local", client_id, t) if client_draws else None
-            new_params, start_loss = _client_update(local_fn, params, rows, lr, cfg, rng)
-            updated.append(new_params)
-            losses.append(start_loss)
-        return weighted_average(updated, counts), _mean_loss(losses, counts)
-
-    def train_loss(params):
-        return _mean_loss([nn._loss(ws, params, x, y) for _, (ws, x, y, _) in clients], counts)
-
-    return _train_to_threshold(init_model, cfg, step, train_loss)
+    return _train(dataset, pools, init_model, cfg, lambda m, t: rng_for(seed, "local", m, t), local_fn)
 
 
 def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
                       init_model: Model, cfg: FedConfig, seed, local_fn=None) -> FedRunReport:
-    """Train on one client's labeled pool only, decaying the rate per iteration.
+    """Train on one client's labeled pool only: :func:`fedavg` over that one client.
 
-    Each iteration is one local update, exactly as one client's part of a
-    :func:`fedavg` iteration (``local_fn`` has the same meaning), and the
-    same stopping rule applies to that client's training loss.  Unlike
-    FedAvg, every iteration draws from the single stream
+    Each iteration is one local update (``local_fn`` has the same meaning),
+    and the same stopping rule applies to that client's training loss.
+    Unlike FedAvg, every iteration draws from the single stream
     ``rng_for(seed, client_id)``.
     """
+    if not (is_count(client, minimum=0) and client < len(pools)):
+        raise ConfigError(f"client: must be an int in [0, {len(pools)}), got {client!r}")
     pool = pools[client]
     if not pool.labeled:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
-    rows = _client_rows(dataset, pool, init_model.arch, local_fn)
-    ws, x, y, _ = rows
     rng = rng_for(seed, pool.client_id)
-
-    def step(t, params):
-        return _client_update(local_fn, params, rows, cfg.schedule.lr(t), cfg, rng)
-
-    return _train_to_threshold(init_model, cfg, step, lambda params: nn._loss(ws, params, x, y))
+    return _train(dataset, [pool], init_model, cfg, lambda client_id, t: rng, local_fn)
 
 
 def evaluate(model: Model, test: Dataset) -> float:

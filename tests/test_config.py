@@ -112,7 +112,7 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("al:\n  strategy: random\n  budget: 40\n  budgets: [20, 20]\n", "mutually exclusive"),
         ("al:\n  strategy: random\n  budgets: [10, 10, 10]\n", "expected 2 entries"),
         ("al:\n  strategy: random\n  budgets: [10, -10]\n", r"^al\.budgets\[1\]: must be >= 0"),
-        ("al:\n  strategy: random\n  budgets: [10, 1.5]\n", r"^al\.budgets\[1\]: expected int"),
+        ("al:\n  strategy: random\n  budgets: [10, 1.5]\n", r"^al\.budgets\[1\]: must be an int, got 1\.5$"),
         ("al:\n  strategy: s_al\n  scorer: random\n  budget: 40\n", r"^al\.scorer: .*model-based"),
         ("al:\n  strategy: random\n  budget: 40\n  initial_label_fraction: 0.0\n",
          r"^al\.initial_label_fraction: "),
@@ -124,7 +124,7 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("al:\n  strategy: random\n  scorer: margin\n  budget: 40\n", r"^al\.scorer: unknown scorer 'margin'"),
         ("model:\n  hidden: [0]\n", "model.hidden"),
         ("model:\n  hidden: [0]\n", r"^model\.hidden: sizes must be >= 1, got 0"),
-        ("model:\n  hidden: [4, 1.5]\n", r"^model\.hidden: expected a list of ints"),
+        ("model:\n  hidden: [4, 1.5]\n", r"^model\.hidden: sizes must be ints, got 1\.5$"),
         ("model:\n  dropout: 1.0\n", "model.dropout"),
         ("model:\n  dropout: 1.0\n", r"^model\.dropout: must lie in \[0, 1\), got 1\.0"),
         ("model:\n  activation: selu\n", r"^model\.activation: unknown activation 'selu'"),

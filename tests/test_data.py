@@ -517,3 +517,21 @@ def test_annotate_rejects_unknown_clients():
     ds, pools = _one_client_world()
     with pytest.raises(ConfigError):
         annotate([pools], 5, [1], round_index=1, dataset=ds)
+
+
+@pytest.mark.parametrize("client,round_index,named", [
+    (True, 1, "client: must be an int in [0, 2), got True"),
+    (-1, 1, "client: must be an int in [0, 2), got -1"),
+    (1.0, 1, "client: must be an int in [0, 2), got 1.0"),
+    (0, -3, "round_index: must be an int >= 1, got -3"),
+    (0, 0, "round_index: must be an int >= 1, got 0"),
+    (0, True, "round_index: must be an int >= 1, got True"),
+    (0, 1.5, "round_index: must be an int >= 1, got 1.5"),
+])
+def test_annotate_rejects_bad_client_and_round_indices(client, round_index, named):
+    ds, pools = _one_client_world()
+    other = ClientPools(client_id=1, unlabeled=[1], labeled=[])
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+        annotate([pools, other], client, [1], round_index=round_index, dataset=ds)
+    assert pools.unlabeled == [1, 2, 3] and other.unlabeled == [1]
+    assert pools.history == other.history == {}

@@ -1,5 +1,7 @@
 """Tests for FedAvg, per-client training, aggregation, and evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -401,6 +403,20 @@ def test_fedavg_checks_each_clients_labels_once_per_run(mode, monkeypatch):
     assert len(averages) == 5  # the traced seam still runs once per iteration
 
 
+@pytest.mark.parametrize("threshold", [1e-9, 0.4])
+def test_fedavg_averages_each_kept_update_and_a_single_client_never(threshold, monkeypatch):
+    averages = _counting(monkeypatch, fed_module, "weighted_average")
+    ds, init = _dataset(21, seed=3), _init(MlpArchitecture((2, 6, 2)))
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.99), stop_loss_threshold=threshold, max_global_iters=60)
+    report = fedavg(ds, _full_pools(21, clients=2), init, cfg, seed=2)
+    assert (report.global_iters_used == 60) == (threshold < 1e-3)  # the cap, else the threshold
+    assert len(averages) == report.global_iters_used  # the update dropped at a stop is not averaged
+    averages.clear()
+    fedavg(ds, _full_pools(21), init, cfg, seed=2)
+    independent_train(ds, _full_pools(21, clients=2), 1, init, cfg, seed=2)
+    assert averages == []  # one client's update is the new model as it stands
+
+
 @pytest.mark.parametrize("bad,message", [
     (2.5, "^labels must be integers$"),
     (2, r"^labels must lie in \[0, 2\), got range \[0, 2\]$"),
@@ -537,6 +553,14 @@ def test_independent_train_requires_labels():
     cfg = FedConfig(schedule=LrSchedule(0.1))
     with pytest.raises(InvalidStateError):
         independent_train(ds, pools, 0, _init(MlpArchitecture((2, 2))), cfg, seed=0)
+
+
+@pytest.mark.parametrize("client", [True, -1, 2, 1.0, np.int64(-1)])
+def test_independent_train_rejects_bad_client_indices(client):
+    cfg = FedConfig(schedule=LrSchedule(0.1))
+    with pytest.raises(ConfigError, match=r"^client: must be an int in \[0, 2\), got " + re.escape(repr(client)) + "$"):
+        independent_train(_dataset(12), _full_pools(12, clients=2), client, _init(MlpArchitecture((2, 2))),
+                          cfg, seed=0)
 
 
 def test_independent_train_is_reproducible_with_minibatches():
