@@ -43,6 +43,10 @@ from .orchestrator import run_full_budget, run_independent_eval, run_strategy
 from .strategies import ScorerSpec
 
 
+# The accuracy orderings the benchmark reports, each as (better, worse).
+PAIRED_ORDERINGS = (("f_al", "s_al"), ("s_al", "random"), ("f_al", "random"))
+
+
 def benchmark_config(strategy: str) -> ExperimentConfig:
     """The fixed benchmark setting, parameterized only by strategy."""
     train = FedConfig(schedule=LrSchedule(1.0, 0.997), minibatch_size=None,
@@ -84,8 +88,39 @@ class TrendReport:
         return self.window_mean[better] - self.window_mean[worse]
 
 
+@dataclass(frozen=True)
+class PairedDifference:
+    """Per-seed differences of window accuracy between two strategies, and their summary."""
+
+    diffs: tuple[float, ...]  # one per seed, in the first curve's seed order
+    mean: float
+    se: float  # paired standard error: sample std / sqrt(seed count); NaN for one seed
+    negative: int  # seeds with a difference below zero
+
+
+def _window_mean(accs, window) -> float:
+    return float(np.mean([accs[k - 1] for k in window]))
+
+
+def paired_difference(better: dict[int, list[float]], worse: dict[int, list[float]], window) -> PairedDifference:
+    """``better - worse`` in mean accuracy over the 1-based rounds in ``window``, seed by seed.
+
+    Each argument maps a seed to that strategy's per-round accuracies; both
+    must hold the same seeds, so that every difference is paired.
+    """
+    if not better or set(better) != set(worse):
+        raise ConfigError(f"seeds: both curves need the same seeds, got {sorted(better)} and {sorted(worse)}")
+    diffs = np.array([_window_mean(better[s], window) - _window_mean(worse[s], window) for s in better])
+    se = float(diffs.std(ddof=1) / np.sqrt(diffs.size)) if diffs.size > 1 else float("nan")
+    return PairedDifference(tuple(diffs.tolist()), float(diffs.mean()), se, int((diffs < 0).sum()))
+
+
 def run_trend_benchmark(seeds) -> TrendReport:
     """Run all strategies over paired ``seeds``, distinct ints >= 0, and aggregate the trends."""
+    try:
+        seeds = tuple(seeds)
+    except TypeError:
+        raise ConfigError(f"seeds: need one or more distinct ints >= 0, got {seeds!r}") from None
     if not (len(seeds) > 0 and all(is_count(s, minimum=0) for s in seeds) and len(set(seeds)) == len(seeds)):
         raise ConfigError(f"seeds: need one or more distinct ints >= 0, got {list(seeds)}")
     seeds = tuple(int(s) for s in seeds)
@@ -109,7 +144,7 @@ def run_trend_benchmark(seeds) -> TrendReport:
                          full_budget_mean=float(np.mean(full_scores)), curves=curves)
     for strategy in AL_STRATEGIES:
         per_seed = report.curves[strategy]
-        window_vals = [np.mean([accs[k - 1] for k in report.window]) for accs in per_seed.values()]
+        window_vals = [_window_mean(accs, report.window) for accs in per_seed.values()]
         report.window_mean[strategy] = float(np.mean(window_vals))
         report.round1_mean[strategy] = float(np.mean([accs[0] for accs in per_seed.values()]))
         report.il_mean[strategy] = float(np.mean(il_scores[strategy]))
@@ -129,8 +164,10 @@ def format_report(report: TrendReport) -> str:
         )
     lines.append(f"{'full':<10} {'-':>12} {report.full_budget_mean:>12.4f} {'-':>10}")
     lines.append("")
-    lines.append(f"f_al - s_al   (global): {report.margin('f_al', 's_al'):+.4f}")
-    lines.append(f"s_al - random (global): {report.margin('s_al', 'random'):+.4f}")
-    lines.append(f"f_al - random (global): {report.margin('f_al', 'random'):+.4f}")
+    for better, worse in PAIRED_ORDERINGS:
+        paired = paired_difference(report.curves[better], report.curves[worse], report.window)
+        lines.append(f"{better + ' - ' + worse:<13} (global): {report.margin(better, worse):+.4f}"
+                     f"  se {paired.se:.4f}  negative {paired.negative}/{len(paired.diffs)}  per seed "
+                     + " ".join(f"{d:+.4f}" for d in paired.diffs))
     lines.append(f"s_al - f_al   (local IL): {report.il_mean['s_al'] - report.il_mean['f_al']:+.4f}")
     return "\n".join(lines)

@@ -4,7 +4,10 @@ Scorers map a model and a 2-D batch of feature rows to one real number per
 row, where larger means "more worth labeling": predictive entropy,
 MC-dropout entropy and the L1 disagreement of a two-head classifier.
 Core-set selection is a set objective rather than a per-instance score, so
-it gets its own greedy routine.  All selection uses a deterministic tie-break on the lowest dataset
+it gets its own greedy routine.  That routine sums exactly only the
+distances that could change a nearest distance; the triangle inequality over
+groups of labeled rows rules out the rest, as Elkan (ICML 2003) does for
+k-means.  All selection uses a deterministic tie-break on the lowest dataset
 index.  Random sampling needs no scorer: the orchestrator draws uniform
 scores from the selection stream directly.
 """
@@ -119,9 +122,11 @@ def select_top_b(candidates, b: int) -> list[int]:
     return sorted(index[np.lexsort((index, -score))[:b]].tolist())
 
 
-# Pool rows per block of distance estimates, and floats per chunk of exact differences.
+# Pool rows per block of distance estimates, floats per chunk of exact differences, and
+# the most pivots that group the labeled rows.
 _BLOCK_ROWS = 1024
-_CHUNK_FLOATS = 1 << 19
+_CHUNK_FLOATS = 1 << 16
+_PIVOTS = 32
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
@@ -141,50 +146,116 @@ def _slack(dim: int, norm_sum):
 
 
 def _sq_dists(a, b):
-    """Squared distances between matching columns of ``a`` and ``b`` (dim x pairs; ``b`` may be dim x 1).
+    """Squared distances between matching rows of ``a`` and ``b`` (pairs x dim; ``b`` may be one row).
 
     Sums the squared differences one dimension at a time, in order, which
     is how ``scipy.spatial.distance.cdist`` sums them, so the square roots
-    equal its distances bit for bit.
+    equal its distances bit for bit.  An ``accumulate`` is sequential by
+    definition, where a ``sum`` may add in pairs.
     """
     diff = a - b
     diff *= diff
-    total = diff[0].copy()
-    for term in diff[1:]:
-        total += term
-    return total
+    return np.add.accumulate(diff, axis=1)[:, -1]
 
 
-def _nearest_sq(pool, pool_t, pool_sq, lab):
-    """Exact squared distance from each pool row to its nearest labeled row, without the n x m matrix.
+def _split(labels, count):
+    """For each label in ``range(count)``, the positions that hold it, in increasing order."""
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
-    ``pool_t`` is ``pool`` transposed (C-contiguous) and ``pool_sq`` its
-    squared row norms.  Per block of pool rows, one GEMM estimates every
-    squared distance; only the pairs whose estimate lies within twice the
-    slack of their row's smallest estimate can hold the row's minimum, and
-    only those are summed exactly.  A NaN or infinite estimate makes its row's window NaN or
-    infinite, which keeps the whole row.
+
+def _pivot_groups(lab, lab_sq, lab_reach):
+    """Split the labeled rows into groups around farthest-first pivots.
+
+    Returns the pivot rows, each group's member rows, and an upper bound on
+    each group's radius: the true distance from its pivot to any member.
+    Groups are formed on BLAS estimates; any grouping is correct as long as
+    the radius bounds hold, and the slack makes them hold.  A member whose
+    estimates to every pivot are NaN gives its group an infinite radius, so
+    that group is never pruned.
     """
-    dim = pool.shape[1]
-    lab_sq, lab_t = (lab * lab).sum(axis=1), np.ascontiguousarray(lab.T)
-    lab_reach, minus_twice_lab_t = np.sqrt(lab_sq.max()), -2.0 * lab_t
-    step = max(1, _CHUNK_FLOATS // dim)
-    out = np.empty(pool.shape[0])
-    for start in range(0, pool.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        est = pool[block] @ minus_twice_lab_t
+    near = np.full(lab.shape[0], np.inf)
+    group = np.zeros(lab.shape[0], dtype=np.intp)
+    pivots, at = [], 0
+    while True:
+        est = lab_sq + (lab_sq[at] - 2.0 * (lab @ lab[at]))
+        closer = est < near
+        near[closer], group[closer] = est[closer], len(pivots)
+        pivots.append(at)
+        at = int(np.argmax(near))
+        if len(pivots) == _PIVOTS or not near[at] > 0.0:
+            break
+    members = _split(group, len(pivots))
+    kept = [g for g, rows in enumerate(members) if rows.size]
+    radius = np.array([np.sqrt(np.maximum(near[members[g]], 0.0)).max() for g in kept])
+    radius += np.sqrt(_slack(lab.shape[1], 2.0 * lab_reach))
+    return np.array(pivots)[kept], [members[g] for g in kept], radius
+
+
+def _estimates(pool, pool_sq, rows, minus_twice_t, sq):
+    """BLAS estimates of the squared distances from ``rows`` of the pool to one group, a block of rows at a time."""
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        est = pool[block] @ minus_twice_t
         est += pool_sq[block, None]
-        est += lab_sq
-        window = est.min(axis=1) + 2.0 * _slack(dim, np.sqrt(pool_sq[block]) + lab_reach)
-        rows, cols = np.divmod(np.flatnonzero(~(est > window[:, None])), lab.shape[0])
-        rows += start
-        exact = np.empty(rows.size)
-        for at in range(0, rows.size, step):
-            take = slice(at, at + step)
-            exact[take] = _sq_dists(pool_t[:, rows[take]], lab_t[:, cols[take]])
-        # Every row keeps at least its smallest estimate, and the pairs come row by row.
-        out[block] = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
-    return out
+        est += sq
+        yield block, est
+
+
+def _nearest_sq(pool, pool_sq, lab, lab_sq):
+    """Exact squared distance from each pool row to its nearest labeled row, and that labeled row (its home).
+
+    ``pool_sq`` and ``lab_sq`` hold squared row norms.  The labeled rows form
+    groups around pivots (:func:`_pivot_groups`), and one small GEMM
+    estimates every pool row's distance to every pivot.  By the triangle
+    inequality, ``d(x, pivot) - radius`` bounds the distance from ``x`` to
+    every member of the group from below.
+
+    1. Each row is estimated against the group with its smallest lower bound.
+       Only pairs whose estimate lies within twice the slack of the smallest
+       of those estimates can hold the row's exact minimum: that is its window.
+    2. A pair inside the window is at most ``sqrt(window) + sqrt(slack)``
+       apart.  Only the groups whose lower bound, less one more
+       ``sqrt(slack)`` for the estimate of ``d(x, pivot)``, stays below that
+       are estimated again, and only their pairs inside the window are summed
+       exactly.
+
+    Step 1 only sets the window, and step 2 finds every pair inside it, so
+    the minimum is exact for any pivots and groups.  A NaN or infinite window
+    keeps every group and every pair of its row.
+    """
+    n, dim = pool.shape
+    lab_reach, minus_twice_lab = np.sqrt(lab_sq.max()), -2.0 * lab
+    pivots, members, radius = _pivot_groups(lab, lab_sq, lab_reach)
+    groups = [(cols, minus_twice_lab[cols].T, lab_sq[cols]) for cols in members]
+    lower = minus_twice_lab[pivots] @ pool.T
+    lower += pool_sq
+    lower += lab_sq[pivots, None]
+    np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower)
+    lower -= radius[:, None]
+    best = np.full(n, np.inf)
+    for (_, minus_twice_t, sq), rows in zip(groups, _split(lower.argmin(axis=0), len(groups))):
+        for block, est in _estimates(pool, pool_sq, rows, minus_twice_t, sq):
+            best[block] = est.min(axis=1)
+    slack = _slack(dim, np.sqrt(pool_sq) + lab_reach)
+    window = best + 2.0 * slack
+    reach = np.sqrt(np.maximum(window, 0.0)) + 2.0 * np.sqrt(slack)
+    reach[~np.isfinite(reach)] = np.nan  # else an infinite lower bound would meet an infinite reach
+    rows, cols = [], []
+    for (group_cols, minus_twice_t, sq), group_lower in zip(groups, lower):
+        for block, est in _estimates(pool, pool_sq, np.flatnonzero(~(group_lower >= reach)), minus_twice_t, sq):
+            r, c = np.nonzero(~(est > window[block, None]))
+            rows.append(block[r])
+            cols.append(group_cols[c])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    step = max(1, _CHUNK_FLOATS // dim)
+    exact = np.concatenate([_sq_dists(pool[rows[at:at + step]], lab[cols[at:at + step]])
+                            for at in range(0, rows.size, step)])
+    # Each row's exact minimum lies inside its window, so every row gets a minimum and a home.
+    out, home = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
+    np.minimum.at(out, rows, exact)
+    hit = exact == out[rows]
+    home[rows[hit]] = cols[hit]
+    return out, home
 
 
 def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list[int]:
@@ -198,8 +269,21 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
 
     Distances equal ``scipy.spatial.distance.cdist``'s bit for bit.  BLAS
     estimates with a rounding slack (:func:`_slack`) decide which pairs could
-    change a nearest distance, and only those are summed exactly, so the
-    picks do not depend on the BLAS kernel or thread count.
+    change a nearest distance, and only those are summed exactly.  Two
+    triangle-inequality prunes keep that set small:
+
+    * the first nearest distances skip every group of labeled rows (around
+      farthest-first pivots) that lies too far from a pool row to hold its
+      minimum (:func:`_nearest_sq`);
+    * each pick skips every group of pool rows that share a nearest labeled
+      row ``p`` (their home) when the pick lies at least twice the group's
+      radius from ``p``; the rows left meet a per-row bound first.
+
+    A skipped row's exact sum to the pick cannot fall below its current
+    nearest squared distance, so the ``np.minimum`` that a full scan would
+    apply leaves it unchanged: the picks are the same for any pivots,
+    groups, BLAS kernel or thread count.  Bounds that are NaN or infinite
+    keep their rows.
     """
     lab = np.atleast_2d(np.asarray(labeled_feats, dtype=np.float64))
     unlab = np.atleast_2d(np.asarray(unlabeled_feats, dtype=np.float64))
@@ -227,10 +311,18 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
         raise ShapeError(f"indices must not repeat; {repeated[0]} does")
     # Overflow only makes a slack infinite or an estimate NaN, which sends rows to the exact path.
     with np.errstate(over="ignore", invalid="ignore"):
-        pool_t, pool_sq = np.ascontiguousarray(pool.T), (pool * pool).sum(axis=1)
-        norms = np.sqrt(pool_sq)
-        min_sq = _nearest_sq(pool, pool_t, pool_sq, lab)
+        pool_sq, lab_sq = (pool * pool).sum(axis=1), (lab * lab).sum(axis=1)
+        min_sq, home = _nearest_sq(pool, pool_sq, lab, lab_sq)
         min_dist = np.sqrt(min_sq)
+        # Pool rows grouped by home.  Once d(c, p) >= 2 d(x, p) for a pick c and the home p
+        # of row x, d(x, c) >= d(x, p), so x's sum to c cannot fall below min_sq[x]: a group
+        # is skipped while d(c, p)^2 is at least four times its squared radius, with slack.
+        by_home, counts = np.argsort(home, kind="stable"), np.bincount(home, minlength=lab.shape[0])
+        starts = np.cumsum(counts) - counts
+        slack = _slack(dim, 2.0 * np.sqrt(max(pool_sq.max(), lab_sq.max())))
+        radius_sq = np.full(lab.shape[0], -np.inf)
+        np.maximum.at(radius_sq, home, min_sq)
+        far = 4.0 * (radius_sq + 2.0 * slack)
         available = np.ones(n, dtype=bool)
         picked: list[int] = []
         for _ in range(b):
@@ -238,9 +330,14 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
             picked.append(int(ids[pos]))
             available[pos] = False
             min_dist[pos] = -np.inf
-            lower = pool_sq + pool_sq[pos] - 2.0 * (pool @ pool[pos]) - _slack(dim, norms + norms[pos])
-            rows = np.flatnonzero(available & ~(lower >= min_sq))
-            nearer = np.minimum(min_sq[rows], _sq_dists(pool_t[:, rows], pool_t[:, pos:pos + 1]))
+            near = np.flatnonzero(~(lab_sq + (pool_sq[pos] - slack) - 2.0 * (lab @ pool[pos]) >= far))
+            # The members of the groups kept: by_home[starts[g]:starts[g] + counts[g]] for g in near.
+            sizes = counts[near]
+            rows = by_home[np.repeat(starts[near] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+            rows = rows[available[rows]]
+            lower = pool_sq[rows] + (pool_sq[pos] - slack) - 2.0 * (pool[rows] @ pool[pos])
+            rows = rows[~(lower >= min_sq[rows])]
+            nearer = np.minimum(min_sq[rows], _sq_dists(pool[rows], pool[pos]))
             min_sq[rows] = nearer
             min_dist[rows] = np.sqrt(nearer)
     return picked

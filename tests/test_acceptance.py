@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from fedal.benchmarks import run_trend_benchmark
+from fedal.benchmarks import PAIRED_ORDERINGS, paired_difference, run_trend_benchmark
 from fedal.cli import main as cli_main
 from fedal.data import ClientPools, synth_blobs
 from fedal.fed import FedConfig, fedavg, weighted_average
@@ -299,10 +299,13 @@ def test_desk_scale_accuracy_ordering(trend_report, acceptance_note):
     f_vs_s = report.margin("f_al", "s_al")
     s_vs_r = report.margin("s_al", "random")
     f_vs_r = report.margin("f_al", "random")
+    se = {pair: paired_difference(report.curves[pair[0]], report.curves[pair[1]], report.window).se
+          for pair in PAIRED_ORDERINGS}
     acceptance_note(
         7,
-        f"margins: f_al-s_al {f_vs_s:+.4f}, s_al-random {s_vs_r:+.4f}, "
-        f"f_al-random {f_vs_r:+.4f}; {len(report.seeds)} seeds in {wall:.0f}s",
+        f"margins (paired se): f_al-s_al {f_vs_s:+.4f} ({se['f_al', 's_al']:.4f}), "
+        f"s_al-random {s_vs_r:+.4f} ({se['s_al', 'random']:.4f}), "
+        f"f_al-random {f_vs_r:+.4f} ({se['f_al', 'random']:.4f}); {len(report.seeds)} seeds in {wall:.0f}s",
     )
     assert f_vs_s >= 0.0
     assert s_vs_r >= 0.0

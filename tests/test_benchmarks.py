@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fedal import benchmarks, harness, orchestrator
-from fedal.benchmarks import AL_STRATEGIES, TrendReport, benchmark_config, format_report, run_trend_benchmark
+from fedal.benchmarks import (AL_STRATEGIES, TrendReport, benchmark_config, format_report, paired_difference,
+                              run_trend_benchmark)
 from fedal.config import parse_config
 from fedal.errors import ConfigError
 
@@ -36,11 +37,61 @@ def test_format_report_with_all_sections():
     assert "0.9500" in text
 
 
-@pytest.mark.parametrize("seeds", [(), [1.5], [1, 2, 1], [True], [-1], ["1"], [np.int64(2), 2]])
+def _curve(window_acc):
+    """Five rounds whose window rounds 2-4 all read ``window_acc``; rounds 1 and 5 lie outside it."""
+    return [0.1, window_acc, window_acc, window_acc, 0.9]
+
+
+def test_paired_difference_matches_a_hand_computed_case():
+    better = {3: _curve(0.50), 1: _curve(0.61), 2: _curve(0.84)}
+    worse = {1: _curve(0.60), 2: _curve(0.80), 3: _curve(0.52)}
+    paired = paired_difference(better, worse, (2, 3, 4))
+    # Differences 0.01, 0.04 and -0.02 in the first curve's seed order (3, 1, 2): mean 0.01,
+    # sample std sqrt((0.03^2 + 0^2 + 0.03^2) / 2) = 0.03, so se = 0.03 / sqrt(3).
+    assert paired.diffs == pytest.approx((-0.02, 0.01, 0.04))
+    assert paired.mean == pytest.approx(0.01)
+    assert paired.se == pytest.approx(0.03 / np.sqrt(3))
+    assert paired.negative == 1
+    assert np.isnan(paired_difference({1: _curve(0.5)}, {1: _curve(0.4)}, (2, 3, 4)).se)
+
+
+def test_paired_difference_needs_the_same_seeds_on_both_sides():
+    with pytest.raises(ConfigError, match=r"^seeds: "):
+        paired_difference({1: _curve(0.5), 2: _curve(0.5)}, {1: _curve(0.5)}, (2, 3, 4))
+    with pytest.raises(ConfigError, match=r"^seeds: "):
+        paired_difference({}, {}, (2, 3, 4))
+
+
+def test_format_report_gives_each_margin_its_paired_spread():
+    report = _report(il_mean={"random": 0.6, "s_al": 0.62, "f_al": 0.58}, seeds=(1, 2, 3))
+    report.curves = {"f_al": {1: _curve(0.61), 2: _curve(0.84), 3: _curve(0.50)},
+                     "s_al": {1: _curve(0.60), 2: _curve(0.80), 3: _curve(0.52)},
+                     "random": {1: _curve(0.60), 2: _curve(0.80), 3: _curve(0.52)}}
+    report.window_mean = {"f_al": 0.65, "s_al": 0.64, "random": 0.64}
+    text = format_report(report)
+    assert "f_al - s_al   (global): +0.0100  se 0.0173  negative 1/3  per seed +0.0100 +0.0400 -0.0200" in text
+    assert "s_al - random (global): +0.0000  se 0.0000  negative 0/3  per seed +0.0000 +0.0000 +0.0000" in text
+
+
+@pytest.mark.parametrize("seeds", [(), [1.5], [1, 2, 1], [True], [-1], ["1"], [np.int64(2), 2],
+                                   iter([1, 2, 1]), 5])
 def test_bad_seed_lists_are_rejected_before_any_run(seeds, monkeypatch):
     monkeypatch.setattr(benchmarks, "build_world", pytest.fail)
     with pytest.raises(ConfigError, match=r"^seeds: "):
         run_trend_benchmark(seeds)
+
+
+class _FirstWorld(Exception):
+    pass
+
+
+def test_seeds_from_an_iterator_are_read_once(monkeypatch):
+    def first_world(cfg, seed):
+        raise _FirstWorld(seed)
+
+    monkeypatch.setattr(benchmarks, "build_world", first_world)
+    with pytest.raises(_FirstWorld, match="^2$"):
+        run_trend_benchmark(iter([2, 1]))
 
 
 def test_benchmark_config_splits_the_budget_evenly():

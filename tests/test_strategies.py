@@ -424,6 +424,48 @@ def test_coreset_picks_every_pool_row_past_the_block_edge_like_cdist():
     assert coreset_greedy(labeled, pool, 1030, indices=indices) == expected
 
 
+def _relu_blobs(labeled: int, pool: int):
+    """2-D blobs through a seeded random 2 -> 32 relu layer: 32-D features that are 2-D underneath.
+
+    A third of the labeled rows repeat other labeled rows, and a tenth of the
+    pool rows sit on labeled rows, so distances tie at zero and across groups.
+    """
+    rng = np.random.default_rng([labeled, pool])
+    centers = 4.0 * rng.normal(size=(6, 2))
+    points = centers[rng.integers(0, 6, labeled + pool)] + 0.5 * rng.normal(size=(labeled + pool, 2))
+    feats = np.maximum(points @ rng.normal(size=(2, 32)) + rng.normal(size=32), 0.0)
+    lab, unlab = feats[:labeled], feats[labeled:]
+    repeats = rng.choice(labeled, size=labeled // 3, replace=False)
+    lab[repeats] = lab[rng.integers(0, labeled, repeats.size)]
+    on_labeled = rng.choice(pool, size=pool // 10, replace=False)
+    unlab[on_labeled] = lab[rng.integers(0, labeled, on_labeled.size)]
+    return lab, unlab, rng.permutation(2 * pool)[:pool]
+
+
+@pytest.mark.parametrize("labeled, pool", [(1, 1100), (5, 300), (31, 300), (32, 300), (33, 1100),
+                                           (300, 300), (1100, 1100)])
+@pytest.mark.parametrize("scale", [1.0, 1e-160])  # 1e-160 makes the squared distances subnormal
+def test_coreset_equals_the_cdist_reference_on_features_that_are_low_dimensional_underneath(labeled, pool, scale):
+    lab, unlab, indices = _relu_blobs(labeled, pool)
+    lab, unlab = scale * lab, scale * unlab
+    for b in (1, 60):
+        assert coreset_greedy(lab, unlab, b, indices=indices) == \
+            _cdist_coreset_greedy(lab, unlab, b, indices=indices)
+    if pool <= 300:
+        assert coreset_greedy(lab, unlab, pool) == _cdist_coreset_greedy(lab, unlab, pool)
+
+
+@pytest.mark.parametrize("labeled", [5, 31, 32, 33, 300, 1100])
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+def test_pivot_groups_partition_the_labeled_rows_within_their_radius_bounds(labeled, scale):
+    lab = scale * _relu_blobs(labeled, 1)[0]
+    lab_sq = (lab * lab).sum(axis=1)
+    pivots, members, radius = strategies_module._pivot_groups(lab, lab_sq, np.sqrt(lab_sq.max()))
+    assert sorted(np.concatenate(members).tolist()) == list(range(labeled))
+    for pivot, rows, bound in zip(pivots, members, radius):
+        assert cdist(lab[pivot:pivot + 1], lab[rows]).max() <= bound
+
+
 def test_coreset_sends_overflowing_estimates_to_the_exact_path_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
