@@ -201,6 +201,22 @@ def _estimates(pool, pool_sq, rows, minus_twice_t, sq):
         yield block, est
 
 
+def _lower_to_exact(out, home, pool, lab, rows, cols):
+    """Lower ``out`` to the exact squared distances of the pairs ``(rows, cols)``, and ``home`` to their argmins.
+
+    Pool row ``rows[i]`` pairs with labeled row ``cols[i]``; a row may come
+    more than once.  A row whose minimum the pairs reach, or tie, takes the
+    labeled row of such a pair as its home.
+    """
+    step = max(1, _CHUNK_FLOATS // pool.shape[1])
+    for at in range(0, rows.size, step):
+        r, c = rows[at:at + step], cols[at:at + step]
+        exact = _sq_dists(pool[r], lab[c])
+        np.minimum.at(out, r, exact)
+        hit = exact == out[r]
+        home[r[hit]] = c[hit]
+
+
 def _nearest_sq(pool, pool_sq, lab, lab_sq):
     """Exact squared distance from each pool row to its nearest labeled row, and that labeled row (its home).
 
@@ -240,21 +256,12 @@ def _nearest_sq(pool, pool_sq, lab, lab_sq):
     window = best + 2.0 * slack
     reach = np.sqrt(np.maximum(window, 0.0)) + 2.0 * np.sqrt(slack)
     reach[~np.isfinite(reach)] = np.nan  # else an infinite lower bound would meet an infinite reach
-    rows, cols = [], []
-    for (group_cols, minus_twice_t, sq), group_lower in zip(groups, lower):
-        for block, est in _estimates(pool, pool_sq, np.flatnonzero(~(group_lower >= reach)), minus_twice_t, sq):
-            r, c = np.nonzero(~(est > window[block, None]))
-            rows.append(block[r])
-            cols.append(group_cols[c])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    step = max(1, _CHUNK_FLOATS // dim)
-    exact = np.concatenate([_sq_dists(pool[rows[at:at + step]], lab[cols[at:at + step]])
-                            for at in range(0, rows.size, step)])
     # Each row's exact minimum lies inside its window, so every row gets a minimum and a home.
     out, home = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
-    np.minimum.at(out, rows, exact)
-    hit = exact == out[rows]
-    home[rows[hit]] = cols[hit]
+    for (cols, minus_twice_t, sq), group_lower in zip(groups, lower):
+        for block, est in _estimates(pool, pool_sq, np.flatnonzero(~(group_lower >= reach)), minus_twice_t, sq):
+            r, c = np.nonzero(~(est > window[block, None]))
+            _lower_to_exact(out, home, pool, lab, block[r], cols[c])
     return out, home
 
 
