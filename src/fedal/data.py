@@ -391,10 +391,9 @@ def seed_initial_labels(pools: list[ClientPools], fraction: float, seed) -> list
     for pool in pools:
         if pool.labeled_count:
             raise PoolIntegrityError(f"client {pool.client_id} already has labels")
-        size = pool.rows.size
-        count = int(round(fraction * size))
+        count = int(round(fraction * pool.rows.size))
         if count < 1:
-            raise ConfigError(f"client {pool.client_id}: fraction {fraction} of shard size {size} "
+            raise ConfigError(f"client {pool.client_id}: fraction {fraction} of shard size {pool.rows.size} "
                               "rounds to zero labels")
         chosen = rng.choice(pool.rows, size=count, replace=False)
         pool.labeled_round[np.searchsorted(pool.rows, chosen)] = 0
@@ -420,10 +419,12 @@ def annotate(pools: list[ClientPools], client: int, selected, round_index: int, 
     ordered = np.sort(sel)
     if np.any(ordered[1:] == ordered[:-1]):
         raise PoolIntegrityError(f"client {client}: duplicate indices in selection")
-    bad = np.flatnonzero(~np.isin(sel, pool.unlabeled_rows))
+    at = np.searchsorted(pool.rows, sel)
+    # A foreign index lands on another row, or on the padding one past the last.
+    found = np.append(pool.rows, -1)[at] == sel
+    bad = np.flatnonzero(~found | (np.append(pool.labeled_round, -1)[at] >= 0))
     if bad.size:
-        idx = sel[bad[0]]
-        kind = "already labeled" if idx in pool.rows else "not in this client's pool"
-        raise PoolIntegrityError(f"client {client}: index {idx} is {kind}")
-    pool.labeled_round[np.searchsorted(pool.rows, sel)] = round_index
+        kind = "already labeled" if found[bad[0]] else "not in this client's pool"
+        raise PoolIntegrityError(f"client {client}: index {sel[bad[0]]} is {kind}")
+    pool.labeled_round[at] = round_index
     return dataset.labels[ordered]

@@ -527,6 +527,8 @@ def test_annotate_rejects_rows_outside_the_client_pool():
     ds, pools = _one_client_world()
     with pytest.raises(PoolIntegrityError, match="not in this client's pool"):
         annotate([pools], 0, [99], round_index=1, dataset=ds)
+    with pytest.raises(PoolIntegrityError, match=r"^client 0: index 2 is not in this client's pool$"):
+        annotate([ClientPools(client_id=0, unlabeled=[])], 0, [2], round_index=1, dataset=ds)
 
 
 @pytest.mark.parametrize("selected,named", [([0.5], "0.5"), ([True], "True"), ([1, np.float64(2.0)], "2.0")])
@@ -640,7 +642,8 @@ def test_array_pools_match_a_list_model(data):
         selected = data.draw(st.lists(st.sampled_from(m.unlabeled), max_size=5, unique=True)) if m.unlabeled else []
         foreign = [-1, n, n + 7, *(i for o in model if o is not m for i in o.shard)]
         for fault in data.draw(st.lists(st.sampled_from(["duplicate", "labeled", "foreign", "bool"]), max_size=2)):
-            source = {"duplicate": selected[:1], "labeled": m.labeled, "foreign": foreign, "bool": [False, True]}[fault]
+            source = {"duplicate": selected[:1], "labeled": m.labeled, "foreign": foreign,
+                      "bool": [False, True]}[fault]
             if source:
                 selected.insert(data.draw(st.integers(0, len(selected))), data.draw(st.sampled_from(source)))
         round_index = data.draw(st.integers(1, 4))
