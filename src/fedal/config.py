@@ -1,8 +1,9 @@
 """Experiment configuration: schema, strict parsing, defaults, presets.
 
-Config files are YAML (JSON works too).  Unknown keys are rejected and every
-diagnostic names the offending dotted key path, so a bad config fails before
-any computation starts.
+Config files are YAML (JSON works too).  Unknown keys are rejected, as are
+dataset keys that the dataset's kind does not read, and every diagnostic
+names the offending dotted key path, so a bad config fails before any
+computation starts.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .presets import PRESETS
 from .strategies import ScorerSpec
 
 DATASET_KINDS = ("blobs",) + EXTERNAL_FORMATS
+# The dataset keys that each kind does not read.  ``csv_labeled`` files hold their own labels.
+_BLOB_KEYS = ("train_size", "test_size", "classes", "dim", "spread", "layout", "elongation")
+_UNREAD_DATASET_KEYS = {"blobs": ("path", "test_path", "labels_path", "test_labels_path"),
+                        "csv_labeled": _BLOB_KEYS + ("labels_path", "test_labels_path"),
+                        "idx_images": _BLOB_KEYS}
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,9 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         dataset = DatasetSpec(**dataset_fields)
     except ConfigError as exc:  # not _owner_error, whose "kind" is the scorer's
         raise ConfigError(f"dataset.{exc}") from None
+    unused = [key for key in _UNREAD_DATASET_KEYS[dataset.kind] if ds.mapping.get(key) is not None]
+    if unused:
+        raise ConfigError(f"dataset.{unused[0]}: does not apply to dataset kind {dataset.kind!r}")
 
     part = root.section("partition")
     client_count = part.get("clients", int)

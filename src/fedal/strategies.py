@@ -134,7 +134,7 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 def _slack(dim: int, norm_sum):
     """Bound on |exact - estimate| for squared distances between vectors whose norms sum to ``norm_sum``.
 
-    The sequential sum and the BLAS form ``|u|^2 + |v|^2 - 2 u.v`` each stay
+    The sequential sum and the BLAS form of :func:`_estimates` each stay
     within (dim + 2) * eps/2 * (|u| + |v|)^2 of the true value, in any
     summation order, plus a few subnormals once values underflow.  This is
     four times the sum of the two bounds, so it holds for any BLAS kernel or
@@ -158,12 +158,28 @@ def _sq_dists(a, b):
     return np.add.accumulate(diff, axis=1)[:, -1]
 
 
+def _estimates(a, a_sq, b, b_sq):
+    """BLAS estimates ``|u|^2 + |v|^2 - 2 u.v`` of the squared distances from each row u of ``a`` to ``b``.
+
+    ``a_sq`` and ``b_sq`` hold squared row norms; a 2-D ``b`` gives a column per row.  All prunes use these.
+    """
+    est = a @ (-2.0 * b).T
+    est += b_sq
+    est += a_sq[:, None] if b.ndim == 2 else a_sq
+    return est
+
+
+def _blocks(rows):
+    """``rows`` in consecutive blocks of at most ``_BLOCK_ROWS``."""
+    return (rows[start:start + _BLOCK_ROWS] for start in range(0, rows.size, _BLOCK_ROWS))
+
+
 def _split(labels, count):
     """For each label in ``range(count)``, the positions that hold it, in increasing order."""
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def _pivot_groups(lab, lab_sq, lab_reach):
+def _pivot_groups(lab, lab_sq, slack):
     """Split the labeled rows into groups around farthest-first pivots.
 
     Returns the pivot rows, each group's member rows, and an upper bound on
@@ -173,11 +189,10 @@ def _pivot_groups(lab, lab_sq, lab_reach):
     estimates to every pivot are NaN gives its group an infinite radius, so
     that group is never pruned.
     """
-    near = np.full(lab.shape[0], np.inf)
-    group = np.zeros(lab.shape[0], dtype=np.intp)
+    near, group = np.full(lab.shape[0], np.inf), np.zeros(lab.shape[0], dtype=np.intp)
     pivots, at = [], 0
     while True:
-        est = lab_sq + (lab_sq[at] - 2.0 * (lab @ lab[at]))
+        est = _estimates(lab, lab_sq, lab[at], lab_sq[at])
         closer = est < near
         near[closer], group[closer] = est[closer], len(pivots)
         pivots.append(at)
@@ -187,18 +202,8 @@ def _pivot_groups(lab, lab_sq, lab_reach):
     members = _split(group, len(pivots))
     kept = [g for g, rows in enumerate(members) if rows.size]
     radius = np.array([np.sqrt(np.maximum(near[members[g]], 0.0)).max() for g in kept])
-    radius += np.sqrt(_slack(lab.shape[1], 2.0 * lab_reach))
+    radius += np.sqrt(slack)
     return np.array(pivots)[kept], [members[g] for g in kept], radius
-
-
-def _estimates(pool, pool_sq, rows, minus_twice_t, sq):
-    """BLAS estimates of the squared distances from ``rows`` of the pool to one group, a block of rows at a time."""
-    for start in range(0, rows.size, _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        est = pool[block] @ minus_twice_t
-        est += pool_sq[block, None]
-        est += sq
-        yield block, est
 
 
 def _lower_to_exact(out, home, pool, lab, rows, cols):
@@ -217,14 +222,14 @@ def _lower_to_exact(out, home, pool, lab, rows, cols):
         home[r[hit]] = c[hit]
 
 
-def _nearest_sq(pool, pool_sq, lab, lab_sq):
+def _nearest_sq(pool, pool_sq, lab, lab_sq, slack):
     """Exact squared distance from each pool row to its nearest labeled row, and that labeled row (its home).
 
-    ``pool_sq`` and ``lab_sq`` hold squared row norms.  The labeled rows form
-    groups around pivots (:func:`_pivot_groups`), and one small GEMM
-    estimates every pool row's distance to every pivot.  By the triangle
-    inequality, ``d(x, pivot) - radius`` bounds the distance from ``x`` to
-    every member of the group from below.
+    ``pool_sq`` and ``lab_sq`` hold squared row norms; ``slack`` bounds every
+    estimate's error.  The labeled rows form groups around pivots
+    (:func:`_pivot_groups`), and one small GEMM estimates every pool row's
+    distance to every pivot.  By the triangle inequality, ``d(x, pivot) -
+    radius`` bounds the distance from ``x`` to any group member from below.
 
     1. Each row is estimated against the group with its smallest lower bound.
        Only pairs whose estimate lies within twice the slack of the smallest
@@ -239,27 +244,23 @@ def _nearest_sq(pool, pool_sq, lab, lab_sq):
     the minimum is exact for any pivots and groups.  A NaN or infinite window
     keeps every group and every pair of its row.
     """
-    n, dim = pool.shape
-    lab_reach, minus_twice_lab = np.sqrt(lab_sq.max()), -2.0 * lab
-    pivots, members, radius = _pivot_groups(lab, lab_sq, lab_reach)
-    groups = [(cols, minus_twice_lab[cols].T, lab_sq[cols]) for cols in members]
-    lower = minus_twice_lab[pivots] @ pool.T
-    lower += pool_sq
-    lower += lab_sq[pivots, None]
+    pivots, members, radius = _pivot_groups(lab, lab_sq, slack)
+    groups = [(cols, lab[cols], lab_sq[cols]) for cols in members]
+    lower = _estimates(lab[pivots], lab_sq[pivots], pool, pool_sq)
     np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower)
     lower -= radius[:, None]
-    best = np.full(n, np.inf)
-    for (_, minus_twice_t, sq), rows in zip(groups, _split(lower.argmin(axis=0), len(groups))):
-        for block, est in _estimates(pool, pool_sq, rows, minus_twice_t, sq):
-            best[block] = est.min(axis=1)
-    slack = _slack(dim, np.sqrt(pool_sq) + lab_reach)
+    best = np.full(pool.shape[0], np.inf)
+    for (_, group_lab, group_sq), rows in zip(groups, _split(lower.argmin(axis=0), len(groups))):
+        for block in _blocks(rows):
+            best[block] = _estimates(pool[block], pool_sq[block], group_lab, group_sq).min(axis=1)
     window = best + 2.0 * slack
     reach = np.sqrt(np.maximum(window, 0.0)) + 2.0 * np.sqrt(slack)
     reach[~np.isfinite(reach)] = np.nan  # else an infinite lower bound would meet an infinite reach
     # Each row's exact minimum lies inside its window, so every row gets a minimum and a home.
-    out, home = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
-    for (cols, minus_twice_t, sq), group_lower in zip(groups, lower):
-        for block, est in _estimates(pool, pool_sq, np.flatnonzero(~(group_lower >= reach)), minus_twice_t, sq):
+    out, home = np.full(pool.shape[0], np.inf), np.full(pool.shape[0], -1, dtype=np.intp)
+    for (cols, group_lab, group_sq), group_lower in zip(groups, lower):
+        for block in _blocks(np.flatnonzero(~(group_lower >= reach))):
+            est = _estimates(pool[block], pool_sq[block], group_lab, group_sq)
             r, c = np.nonzero(~(est > window[block, None]))
             _lower_to_exact(out, home, pool, lab, block[r], cols[c])
     return out, home
@@ -275,16 +276,16 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     order.  Returns indices in pick order.
 
     Distances equal ``scipy.spatial.distance.cdist``'s bit for bit.  BLAS
-    estimates with a rounding slack (:func:`_slack`) decide which pairs could
-    change a nearest distance, and only those are summed exactly.  Two
-    triangle-inequality prunes keep that set small:
+    estimates (:func:`_estimates`) under one slack per call (:func:`_slack`)
+    decide which pairs could change a nearest distance, and only those are
+    summed exactly.  Two triangle-inequality prunes keep that set small:
 
     * the first nearest distances skip every group of labeled rows (around
       farthest-first pivots) that lies too far from a pool row to hold its
       minimum (:func:`_nearest_sq`);
     * each pick skips every group of pool rows that share a nearest labeled
       row ``p`` (their home) when the pick lies at least twice the group's
-      radius from ``p``; the rows left meet a per-row bound first.
+      radius from ``p``; every row left is summed exactly.
 
     A skipped row's exact sum to the pick cannot fall below its current
     nearest squared distance, so the ``np.minimum`` that a full scan would
@@ -316,17 +317,18 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     repeated = ids[1:][ids[1:] == ids[:-1]]
     if repeated.size:
         raise ShapeError(f"indices must not repeat; {repeated[0]} does")
-    # Overflow only makes a slack infinite or an estimate NaN, which sends rows to the exact path.
+    # Overflow only makes the slack infinite or an estimate NaN, which sends rows to the exact path.
     with np.errstate(over="ignore", invalid="ignore"):
         pool_sq, lab_sq = (pool * pool).sum(axis=1), (lab * lab).sum(axis=1)
-        min_sq, home = _nearest_sq(pool, pool_sq, lab, lab_sq)
+        # The norms of any two rows sum to at most twice the largest, so one slack bounds every estimate.
+        slack = _slack(dim, 2.0 * np.sqrt(max(pool_sq.max(), lab_sq.max())))
+        min_sq, home = _nearest_sq(pool, pool_sq, lab, lab_sq, slack)
         min_dist = np.sqrt(min_sq)
         # Pool rows grouped by home.  Once d(c, p) >= 2 d(x, p) for a pick c and the home p
         # of row x, d(x, c) >= d(x, p), so x's sum to c cannot fall below min_sq[x]: a group
         # is skipped while d(c, p)^2 is at least four times its squared radius, with slack.
         by_home, counts = np.argsort(home, kind="stable"), np.bincount(home, minlength=lab.shape[0])
         starts = np.cumsum(counts) - counts
-        slack = _slack(dim, 2.0 * np.sqrt(max(pool_sq.max(), lab_sq.max())))
         radius_sq = np.full(lab.shape[0], -np.inf)
         np.maximum.at(radius_sq, home, min_sq)
         far = 4.0 * (radius_sq + 2.0 * slack)
@@ -337,13 +339,11 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
             picked.append(int(ids[pos]))
             available[pos] = False
             min_dist[pos] = -np.inf
-            near = np.flatnonzero(~(lab_sq + (pool_sq[pos] - slack) - 2.0 * (lab @ pool[pos]) >= far))
+            near = np.flatnonzero(~(_estimates(lab, lab_sq, pool[pos], pool_sq[pos]) - slack >= far))
             # The members of the groups kept: by_home[starts[g]:starts[g] + counts[g]] for g in near.
             sizes = counts[near]
             rows = by_home[np.repeat(starts[near] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
             rows = rows[available[rows]]
-            lower = pool_sq[rows] + (pool_sq[pos] - slack) - 2.0 * (pool[rows] @ pool[pos])
-            rows = rows[~(lower >= min_sq[rows])]
             nearer = np.minimum(min_sq[rows], _sq_dists(pool[rows], pool[pos]))
             min_sq[rows] = nearer
             min_dist[rows] = np.sqrt(nearer)

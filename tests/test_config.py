@@ -226,6 +226,47 @@ def test_external_datasets_need_paths_but_not_files():
     assert cfg.dataset.path == "/data/train.csv"  # parse alone touches no files
 
 
+BLOB_KEYS = {"train_size": 5, "test_size": 5, "classes": 99, "dim": 3, "spread": -3.0, "layout": "line",
+             "elongation": 2.0}
+FILE_KEYS = {"path": "/nonexistent.csv", "test_path": "/nonexistent.csv", "labels_path": "/nope",
+             "test_labels_path": "/nope"}
+EXTERNAL = ("dataset:\n  kind: {kind}\n  path: /x/train\n  test_path: /x/test\n"
+            "partition:\n  clients: 2\nal:\n  strategy: random\n  budget: 40\n")
+
+
+@pytest.mark.parametrize("key", sorted(FILE_KEYS))
+def test_blob_datasets_reject_file_keys(key):
+    text = MINIMAL.replace("kind: blobs", f"kind: blobs\n  {key}: {FILE_KEYS[key]}")
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key}: does not apply to dataset kind 'blobs'$"):
+        _parse(text)
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key}: "):
+        _parse(MINIMAL, {"dataset": {key: FILE_KEYS[key]}})
+
+
+@pytest.mark.parametrize("key", sorted(BLOB_KEYS) + ["labels_path", "test_labels_path"])
+def test_csv_labeled_datasets_reject_blob_and_labels_file_keys(key):
+    value = {**BLOB_KEYS, **FILE_KEYS}[key]
+    text = EXTERNAL.format(kind="csv_labeled").replace("test_path: /x/test", f"test_path: /x/test\n  {key}: {value}")
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key}: does not apply to dataset kind 'csv_labeled'$"):
+        _parse(text)
+
+
+@pytest.mark.parametrize("key", sorted(BLOB_KEYS))
+def test_idx_images_datasets_reject_blob_keys_but_read_labels_files(key):
+    text = EXTERNAL.format(kind="idx_images")
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key}: does not apply to dataset kind 'idx_images'$"):
+        _parse(text, {"dataset": {key: BLOB_KEYS[key]}})
+    labeled = _parse(text, {"dataset": {"labels_path": "/x/train-labels", "test_labels_path": "/x/test-labels"}})
+    assert labeled.dataset.labels_path == "/x/train-labels"
+
+
+def test_a_preset_dataset_key_that_the_file_kind_does_not_read_is_rejected(monkeypatch):
+    monkeypatch.setitem(PRESETS, "blob_preset", {"dataset": {"kind": "blobs", "classes": 4}})
+    text = "preset: blob_preset\n" + EXTERNAL.format(kind="csv_labeled")
+    with pytest.raises(ConfigError, match=r"^dataset\.classes: does not apply to dataset kind 'csv_labeled'$"):
+        _parse(text)
+
+
 def test_line_layout_options_parse():
     cfg = _parse(MINIMAL.replace("kind: blobs", "kind: blobs\n  layout: line\n  elongation: 16.0"))
     assert cfg.dataset.layout == "line"

@@ -7,7 +7,9 @@ includes the base of an attribute chain such as ``np.asarray``.  The package
 
 A private (``_``-prefixed) top-level name counts as referenced when some
 other top-level statement of the package names it, as a ``Name`` (``_loss``)
-or as an attribute (``nn._loss``); a helper that only calls itself is dead.
+that no enclosing scope binds, or as an attribute of a fedal module
+(``nn._loss``); a helper that only calls itself is dead.  A local ``loss``
+or an attribute ``ws.grad`` does not reference ``nn.loss`` or ``nn.grad``.
 
 A public top-level function or class must be referenced the same way from
 the package (its ``__init__`` export aside), from ``scripts/`` or from
@@ -67,18 +69,85 @@ def _top_level_names(stmt) -> set[str]:
     return {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def _referenced_names(node, skip=frozenset()) -> set[str]:
-    """Names that ``node`` mentions as a ``Name``, an attribute, an import or a binding string."""
+# Nodes that open a scope of their own.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _module_names(tree) -> set[str]:
+    """The names that a source binds to fedal modules: ``from . import nn``, ``import fedal.nn as fnn``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "fedal" or (node.level and node.module is None)):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "fedal":
+                    names.add(alias.asname or "fedal")
+    return names
+
+
+def _bound_in(scope) -> set[str]:
+    """The names that a function, lambda, class body or comprehension binds for its own body."""
+    bound, declared_global = set(), set()
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared_global
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    base = _dotted(node.value) if isinstance(node, ast.Attribute) else None
+    return None if base is None else f"{base}.{node.attr}"
+
+
+def _referenced_names(node, modules=frozenset(), skip=frozenset()) -> set[str]:
+    """Names that ``node`` mentions as a global name, an attribute of a fedal module, an import or a binding string.
+
+    A bare name counts only where no enclosing function, lambda or
+    comprehension, nor the class body it sits in, binds it; an attribute
+    counts only on a name in ``modules`` (see :func:`_module_names`) or on a
+    ``fedal.`` chain.
+    """
     referenced = set()
-    for sub in ast.walk(node):
-        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-        if name is not None and name not in skip:
-            referenced.add(name)
-        if isinstance(sub, ast.alias):
+
+    def visit(sub, local, class_local):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in local | class_local:
+            referenced.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            base = _dotted(sub.value)
+            if base is not None and (base in modules or base.startswith("fedal.")):
+                referenced.add(sub.attr)
+        elif isinstance(sub, ast.alias):
             referenced.add(sub.name)
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             referenced.update(BINDING.findall(sub.value))
-    return referenced
+        if isinstance(sub, ast.ClassDef):
+            class_local = _bound_in(sub)
+        elif isinstance(sub, SCOPES):
+            local, class_local = local | _bound_in(sub), frozenset()
+        for child in ast.iter_child_nodes(sub):
+            visit(child, local, class_local)
+
+    visit(node, frozenset(), frozenset())
+    return referenced - skip
 
 
 def _unreferenced_names(sources: dict[str, str], public: bool = False, callers=()) -> list[str]:
@@ -91,14 +160,17 @@ def _unreferenced_names(sources: dict[str, str], public: bool = False, callers=(
     for module, source in sources.items():
         if public and module == "__init__.py":
             continue
-        for stmt in ast.parse(source).body:
+        tree = ast.parse(source)
+        modules = _module_names(tree)
+        for stmt in tree.body:
             names = {n for n in _top_level_names(stmt) if n.startswith("_") != public and not n.startswith("__")}
             if public and not isinstance(stmt, API):
                 names = set()
             defined.update((name, f"{module}: {name}") for name in names)
-            referenced |= _referenced_names(stmt, skip=names)
+            referenced |= _referenced_names(stmt, modules, skip=names)
     for source in callers:
-        referenced |= _referenced_names(ast.parse(source))
+        tree = ast.parse(source)
+        referenced |= _referenced_names(tree, _module_names(tree))
     return sorted(label for name, label in defined.items() if name not in referenced)
 
 
@@ -130,6 +202,21 @@ def test_the_scan_finds_an_unused_public_name():
     }
     callers = ["from fedal.a import run\nTARGET = 'fedal.a:traced'\n"]
     assert _unreferenced_names(sources, public=True, callers=callers) == ["a.py: export_only"]
+
+
+def test_the_scan_is_not_fooled_by_same_named_locals_and_attributes():
+    sources = {
+        "__init__.py": "from .nn import grad, loss, forward, Model\n",
+        "nn.py": "def loss(x):\n    return x\n\ndef grad(x):\n    return x\n\ndef forward(x):\n    return x\n\n"
+                 "class Model:\n    loss = 0.0\n",
+        "fed.py": "from . import nn\n\ndef _train(ws, grad=None):\n    loss = 0.0\n    return ws.grad, loss, grad\n\n"
+                  "def _step(ws):\n    return [nn.forward for loss in ws], nn.Model.loss, ws.forward\n",
+    }
+    assert _unreferenced_names(sources, public=True) == ["nn.py: grad", "nn.py: loss"]
+    # A bare name that nothing binds locally, and an attribute on a fedal module, do count.
+    sources["fed.py"] += "\ndef _uses(ws):\n    return loss(ws)\n"
+    callers = ["import fedal.nn\n\ndef run(ws):\n    grad = fedal.nn.grad\n    return grad(ws)\n"]
+    assert _unreferenced_names(sources, public=True, callers=callers) == []
 
 
 # Import names of runtime distributions whose name differs from the module's.

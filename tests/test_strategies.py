@@ -460,10 +460,62 @@ def test_coreset_equals_the_cdist_reference_on_features_that_are_low_dimensional
 def test_pivot_groups_partition_the_labeled_rows_within_their_radius_bounds(labeled, scale):
     lab = scale * _relu_blobs(labeled, 1)[0]
     lab_sq = (lab * lab).sum(axis=1)
-    pivots, members, radius = strategies_module._pivot_groups(lab, lab_sq, np.sqrt(lab_sq.max()))
+    slack = strategies_module._slack(lab.shape[1], 2.0 * np.sqrt(lab_sq.max()))
+    pivots, members, radius = strategies_module._pivot_groups(lab, lab_sq, slack)
     assert sorted(np.concatenate(members).tolist()) == list(range(labeled))
     for pivot, rows, bound in zip(pivots, members, radius):
         assert cdist(lab[pivot:pivot + 1], lab[rows]).max() <= bound
+
+
+def _rounded_estimates(rule: str, slack: float, rng):
+    """A stand-in for ``strategies._estimates``: cdist's sums, each moved by up to 3/4 of ``slack``.
+
+    An estimate may stray slack/4 from the sequential sum (an eighth for each
+    of the two), so this rounds three times worse than any BLAS kernel can.
+    ``up`` pushes each row's nearest pairs up by the full 3/4 and pulls the
+    rest down, ``down`` does the reverse, and ``random`` draws every sign and
+    magnitude.  A single row ``b`` counts as one column, so its nearest pairs
+    are its nearest rows of ``a``.  ``calls`` counts the estimates asked for.
+    """
+    def estimates(a, a_sq, b, b_sq):
+        estimates.calls += 1
+        exact = cdist(a, np.atleast_2d(b), "sqeuclidean")
+        if rule == "random":
+            delta = rng.uniform(-1.0, 1.0, size=exact.shape)
+        else:
+            nearest = exact == exact.min(axis=1 if b.ndim == 2 else 0, keepdims=True)
+            delta = np.where(nearest == (rule == "up"), 1.0, -1.0)
+        est = exact + 0.75 * slack * delta
+        return est if b.ndim == 2 else est[:, 0]
+    estimates.calls = 0
+    return estimates
+
+
+def _kcenter_reference_cases():
+    """The feature sets of the cdist-reference tests above: every generator, dimension and size."""
+    for kind in ("grid", "offset", "normal"):
+        for dim in (1, 2, 32, 70):
+            sizes = [(1, 1), (3, 17), (40, 90), (1100, 12), (7, 1100)] + [(1030, 1300)] * (kind != "offset")
+            for case, (labeled, pool) in enumerate(sizes):
+                yield _kcenter_case(case, dim, kind, labeled, pool)[:3]
+    for labeled, pool in [(1, 1100), (5, 300), (31, 300), (32, 300), (33, 1100), (300, 300), (1100, 1100)]:
+        for scale in (1.0, 1e-160):
+            lab, unlab, indices = _relu_blobs(labeled, pool)
+            yield scale * lab, scale * unlab, indices
+
+
+@pytest.mark.parametrize("rule", ["up", "down", "random"])
+def test_coreset_equals_the_cdist_reference_when_every_estimate_rounds_adversarially(rule, monkeypatch):
+    for case, (lab, unlab, indices) in enumerate(_kcenter_reference_cases()):
+        # The slack that coreset_greedy takes for these inputs.
+        largest_sq = max((unlab * unlab).sum(axis=1).max(), (lab * lab).sum(axis=1).max())
+        slack = strategies_module._slack(lab.shape[1], 2.0 * np.sqrt(largest_sq))
+        rounded = _rounded_estimates(rule, slack, np.random.default_rng(case))
+        monkeypatch.setattr(strategies_module, "_estimates", rounded)
+        b = min(len(unlab), 40)
+        assert coreset_greedy(lab, unlab, b, indices=indices) == \
+            _cdist_coreset_greedy(lab, unlab, b, indices=indices), f"case {case}"
+        assert rounded.calls > 0
 
 
 def test_coreset_sends_overflowing_estimates_to_the_exact_path_without_warnings():
