@@ -19,23 +19,33 @@ extra work, since the iteration's first gradient runs the forward pass at
 those parameters.  Minibatches, dropout or a custom ``local_fn`` take one
 deterministic loss pass per client and iteration.
 
+Clients that hold the same number of labels run their plain local updates
+as one pass over stacked arrays (see :mod:`fedal.nn`): the loop groups the
+clients by labeled count, in client order, and builds one
+:class:`nn.Workspace` per group; a lone client runs on its own 2-D arrays.
+Stacking changes no bit.  Each client's stream draws what it drew alone and
+in the same order: its epoch permutation, then per step each hidden layer's
+dropout mask.  Updates and start losses go back into client order before
+:func:`weighted_average` and the loss sum.
+
 A ``local_fn(model, features, labels, unlabeled, lr, cfg, rng) -> Model``
 replaces the plain local update (the two-head scoring model trains with
-:func:`strategies.train_discrepancy_heads`).  It gets the client's checked
-labeled pair and the feature rows of the client's unlabeled pool, read once
-per run straight from the dataset: their labels stay hidden.
+:func:`strategies.train_discrepancy_heads`), once per client; only the
+start-loss pass runs stacked.  It gets the client's checked labeled pair
+and the feature rows of the client's unlabeled pool, read once per run
+straight from the dataset: their labels stay hidden.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  The loop checks each
-client's labeled pair once per run, where it gathers it and builds the
-client's :class:`nn.Workspace`, and then runs nn's unchecked cores in that
-workspace.
+client's labeled pair once per run, where it gathers it, and then runs nn's
+unchecked cores in its group's workspace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,11 +85,17 @@ class FedConfig:
 
 @dataclass(frozen=True)
 class FedRunReport:
-    """Outcome of a training run: final model, iterations used, loss trace."""
+    """Outcome of a training run: final model, iterations used, loss trace and what stopped it.
+
+    ``stopped_by`` is ``"threshold"`` when the returned model's training
+    loss (``loss_trace[-1]``) is below ``stop_loss_threshold``, and
+    ``"cap"`` when the run used ``max_global_iters`` updates without that.
+    """
 
     final_model: Model
     global_iters_used: int
     loss_trace: tuple[float, ...]
+    stopped_by: str
 
 
 def weighted_average(param_vectors, sample_counts) -> Array:
@@ -128,9 +144,14 @@ def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
 
 
 def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
-                  rng) -> tuple[Array, float | None]:
-    """``cfg.local_epochs`` SGD passes in ``ws``'s buffers: (new params, loss of ``params`` or None)."""
-    start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[0])
+                  rng) -> tuple[Array, Array | None]:
+    """``cfg.local_epochs`` SGD passes in ``ws``'s buffers: (new params, loss of ``params`` or None).
+
+    In a stacked workspace every client starts from the one vector
+    ``params``, ``rng`` holds one stream per client (or is None), and the
+    results hold one row or one loss per client.
+    """
+    start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[-1])
     for _ in range(cfg.local_epochs):
         for xb, yb in nn.minibatches(x, y, cfg.minibatch_size, rng):
             value, g = nn._grad(ws, params, xb, yb, rng, first)
@@ -141,13 +162,70 @@ def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float
     return params, start_loss
 
 
+class _Group(NamedTuple):
+    """The labeled clients that share one labeled count, run as one pass.
+
+    ``members`` are positions in the run's client list, in client order.  A
+    lone client runs on its own 2-D pair in a single-model workspace; two
+    or more run stacked, with ``x`` of ``(M, n, d)`` and ``y`` of ``(M, n)``.
+    ``draws`` says whether their plain updates draw randomness.
+    """
+
+    members: list[int]
+    ws: nn.Workspace
+    x: Array
+    y: Array
+    draws: bool
+
+    def core(self, values: list):
+        """One value per member, as the group's core takes them: a lone client's value, else the list."""
+        return values if self.ws.clients else values[0]
+
+    def streams(self, stream, ids: list, t: int):
+        """The members' streams for iteration ``t`` in the core's form, or None when they draw nothing."""
+        return self.core([stream(ids[i], t) for i in self.members]) if self.draws else None
+
+    def put(self, result, out: list) -> None:
+        """Store a core result (one entry per member) at the members' positions in ``out``."""
+        if self.ws.clients:
+            for i, value in zip(self.members, result):
+                out[i] = value
+        else:
+            out[self.members[0]] = result
+
+
+def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]]) -> list[_Group]:
+    """The clients grouped by labeled count, each group in client order, groups by first member."""
+    by_count: dict[int, list[int]] = {}
+    for i, (_, y) in enumerate(batches):
+        by_count.setdefault(len(y), []).append(i)
+    groups = []
+    for count, members in by_count.items():
+        xs, ys = zip(*(batches[i] for i in members))
+        draws = _update_draws(arch, cfg, count)
+        if len(members) == 1:
+            groups.append(_Group(members, nn.Workspace(arch), xs[0], ys[0], draws))
+        else:
+            groups.append(_Group(members, nn.Workspace(arch, len(members)), np.stack(xs), np.stack(ys), draws))
+    return groups
+
+
+def _weighted_sum(weights: list[float], values: list) -> float:
+    """``sum(w * v)`` accumulated left to right, in client order, as Python floats."""
+    total = 0.0
+    for weight, value in zip(weights, values):
+        total += weight * float(value)
+    return total
+
+
 def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig, stream,
            local_fn) -> FedRunReport:
     """FedAvg over the clients of ``pools`` that hold labels, until the stop rule ends it.
 
     Client ``m`` draws iteration ``t``'s randomness from ``stream(m, t)``,
-    called only when the update can draw: always for a ``local_fn``, else
-    as :func:`_update_draws` says.  ``loss_trace[k]`` is the training loss
+    called group by group, in client order within a group, and only when
+    the update can draw: always for a ``local_fn``, else as
+    :func:`_update_draws` says.  ``loss_trace[k]`` is the training loss
     after ``k + 1`` updates, so its length is the number of updates.
     Iteration ``t`` reports the loss of update ``t - 1``'s result, so when
     that loss stops the run, iteration ``t``'s own update is dropped before
@@ -155,41 +233,44 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     """
     arch = init_model.arch
     # Clients without labels get weight zero: they only receive the global model.
-    clients = []
+    ids, batches, unlabeled = [], [], []
     for pool in pools:
         if pool.labeled_count:
-            x, y = nn.labeled_batch(arch, *gather(dataset, pool.labeled_rows))
-            unlabeled = None if local_fn is None else dataset.features[pool.unlabeled_rows]
-            draws = local_fn is not None or _update_draws(arch, cfg, len(y))
-            clients.append((pool.client_id, nn.Workspace(arch), x, y, unlabeled, draws))
-    counts = [len(y) for _, _, _, y, _, _ in clients]
+            ids.append(pool.client_id)
+            batches.append(nn.labeled_batch(arch, *gather(dataset, pool.labeled_rows)))
+            unlabeled.append(None if local_fn is None else dataset.features[pool.unlabeled_rows])
+    groups = _groups(arch, cfg, batches)
+    counts = [len(y) for _, y in batches]
     weights = [count / float(sum(counts)) for count in counts]
     params, trace = init_model.params.copy(), []
+    updated, losses = [None] * len(ids), [None] * len(ids)
     for t in range(1, cfg.max_global_iters + 1):
         lr = cfg.schedule.lr(t)
-        updated, loss = [], 0.0
-        for (client_id, ws, x, y, unlabeled, draws), weight in zip(clients, weights):
-            rng = stream(client_id, t) if draws else None
+        for group in groups:
             if local_fn is None:
-                new_params, start_loss = _local_update(ws, params, x, y, lr, cfg, rng)
+                new_params, start_loss = _local_update(group.ws, params, group.x, group.y, lr, cfg,
+                                                       group.streams(stream, ids, t))
             else:
-                new_params, start_loss = local_fn(Model(arch, params), x, y, unlabeled, lr, cfg, rng).params, None
+                new_params, start_loss = group.core([
+                    local_fn(Model(arch, params), *batches[i], unlabeled[i], lr, cfg, stream(ids[i], t)).params
+                    for i in group.members]), None
             if start_loss is None:
-                start_loss = nn._loss(ws, params, x, y)
-            updated.append(new_params)
-            loss += weight * start_loss
+                start_loss = nn._loss(group.ws, params, group.x, group.y)
+            group.put(new_params, updated)
+            group.put(start_loss, losses)
         if t > 1:
-            trace.append(loss)
-            if loss < cfg.stop_loss_threshold:
+            trace.append(_weighted_sum(weights, losses))
+            if trace[-1] < cfg.stop_loss_threshold:
                 break
         # The average of one update is that update (weighted_average's clamp makes it exact).
         params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
     else:
-        loss = 0.0
-        for (_, ws, x, y, _, _), weight in zip(clients, weights):
-            loss += weight * nn._loss(ws, params, x, y)
-        trace.append(loss)
-    return FedRunReport(Model(arch, params), len(trace), tuple(trace))
+        for group in groups:
+            group.put(nn._loss(group.ws, params, group.x, group.y), losses)
+        trace.append(_weighted_sum(weights, losses))
+    # A run that meets the threshold with its last update at the cap ends as a threshold stop would.
+    stopped_by = "threshold" if trace[-1] < cfg.stop_loss_threshold else "cap"
+    return FedRunReport(Model(arch, params), len(trace), tuple(trace), stopped_by)
 
 
 def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig,

@@ -14,6 +14,15 @@ buffers of a :class:`Workspace`, which a training loop builds once per run
 and reuses on every step; the public functions build one for their batch and
 return its buffers.
 
+The core can run M models side by side.  A workspace built for ``clients=M``
+puts a leading client axis on every buffer: parameters and gradients are
+``(M, P)``, features ``(M, rows, d)``, labels ``(M, rows)``, and the pass
+draws each client's dropout masks from that client's own stream.  The core
+uses ``.mT`` views and reduces over axes -2 and -1 only, so the same code
+runs a single model on 2-D arrays.  A stacked ``np.matmul`` runs one product
+per client, so client m's results equal a single-model pass on its own rows
+bit for bit; concatenating the clients' rows into one 2-D product would not.
+
 Parameters live in a single flat float64 vector.  Storage order: for each
 hidden layer a weight matrix (fan_in x fan_out, row-major) followed by its
 bias, then for each output head its weight matrix and bias.  Networks with
@@ -154,17 +163,25 @@ def _as_batch(x, input_dim: int) -> Array:
 
 
 def _layer_views(flat: Array, blocks) -> tuple[tuple[Array, Array], ...]:
-    """Per-layer ``(W, b)`` views of a flat vector stored in ``blocks``' layout."""
-    return tuple((flat[block.w].reshape(block.shape), flat[block.b]) for block in blocks)
+    """Per-layer ``(W, b)`` views of flat vectors stored in ``blocks``' layout.
+
+    ``flat`` is one vector or a stack of them, ``(..., P)``; each W view is
+    ``(..., fan_in, fan_out)`` and each b view ``(..., 1, fan_out)``, so it
+    adds to a batch of rows as it stands.
+    """
+    lead = flat.shape[:-1]
+    return tuple((flat[..., block.w].reshape(*lead, *block.shape),
+                  flat[..., block.b].reshape(*lead, 1, block.shape[1])) for block in blocks)
 
 
 class _Layer(NamedTuple):
-    """One hidden layer's buffers, each ``(rows, fan_out)``."""
+    """One hidden layer's buffers, each ``(..., rows, fan_out)``."""
 
     act: Array              # activation before dropout; backprop overwrites it with its derivative
     dropped: Array | None   # activation after dropout (dropout architectures only)
     scale: Array | None     # dropout mask / (1 - p) (dropout architectures only)
     delta: Array            # loss gradient with respect to the layer's output
+    masks: tuple[Array, ...]  # scale per client, where each client's stream draws its mask
 
 
 class _Head(NamedTuple):
@@ -172,7 +189,7 @@ class _Head(NamedTuple):
 
     logits: Array
     logits_flat: Array
-    columns: tuple[Array, ...]  # logits[:, c], for the row max
+    columns: tuple[Array, ...]  # logits[..., c], for the row max
     probs: Array                # exp(logits - row max), then the softmax, then dL/dlogits
     probs_flat: Array
     row_max: Array
@@ -187,44 +204,51 @@ class _Rows(NamedTuple):
     hidden: tuple[_Layer, ...]
     heads: tuple[_Head, ...]
     spare: Array | None  # dz @ W.T of the second head, when there is one and hidden layers
-    offsets: Array       # row * class_count: adding a row's label indexes its logit
+    offsets: Array       # flat row index * class_count: adding a row's label indexes its logit
     picks: Array
     lse: Array           # per-row log-sum-exp, then per-row loss
 
 
-def _row_buffers(arch: MlpArchitecture, count: int) -> _Rows:
-    def buf(width):
-        return np.empty((count, width))
+def _row_buffers(arch: MlpArchitecture, lead: tuple[int, ...], count: int) -> _Rows:
+    def buf(*width):
+        return np.empty((*lead, count, *width))
 
     dropout = arch.dropout_rate > 0.0
-    hidden = tuple(_Layer(buf(w), buf(w) if dropout else None, buf(w) if dropout else None, buf(w))
-                   for w in arch.layer_sizes[1:-1])
+    hidden = []
+    for w in arch.layer_sizes[1:-1]:
+        scale = buf(w) if dropout else None
+        masks = () if scale is None else tuple(scale) if lead else (scale,)
+        hidden.append(_Layer(buf(w), buf(w) if dropout else None, scale, buf(w), masks))
     heads = []
     for _ in range(arch.head_count):
         logits, probs = buf(arch.class_count), buf(arch.class_count)
-        row_max, row_sum = np.empty(count), np.empty(count)
-        heads.append(_Head(logits, logits.ravel(), tuple(logits.T), probs, probs.ravel(),
-                           row_max, row_max[:, None], row_sum, row_sum[:, None]))
+        row_max, row_sum = buf(), buf()
+        heads.append(_Head(logits, logits.ravel(), tuple(np.moveaxis(logits, -1, 0)), probs, probs.ravel(),
+                           row_max, row_max[..., None], row_sum, row_sum[..., None]))
     spare = buf(arch.layer_sizes[-2]) if hidden and arch.head_count > 1 else None
-    return _Rows(hidden, tuple(heads), spare, np.arange(count) * arch.class_count,
-                 np.empty(count, dtype=np.int64), np.empty(count))
+    offsets = np.arange(math.prod(lead) * count).reshape(*lead, count) * arch.class_count
+    return _Rows(tuple(hidden), tuple(heads), spare, offsets, np.empty(offsets.shape, dtype=np.int64), buf())
 
 
 class Workspace:
     """The buffers the forward/backward core writes into, reused from call to call.
 
-    Built for one architecture: the flat parameter and gradient vectors with
-    their per-layer ``(W, b)`` views, and for each batch row count it serves
-    one set of row buffers, made on first use.  Each call of the core
+    Built for one architecture and ``clients``: ``None`` for a single model,
+    or M for M models stacked on a leading client axis.  It holds the flat
+    parameter and gradient vectors (``(P,)`` or ``(M, P)``) with their
+    per-layer ``(W, b)`` views, and for each batch row count it serves one
+    set of row buffers, made on first use.  Each call of the core
     overwrites what the previous one left (the gradient, the probabilities),
     so a caller uses a result before its next call on the same workspace.
     """
 
-    def __init__(self, arch: MlpArchitecture):
+    def __init__(self, arch: MlpArchitecture, clients: int | None = None):
         layout = arch.layout
         self.arch = arch
-        self.params = np.empty(layout.size)
-        self.grad = np.empty(layout.size)
+        self.clients = clients
+        self._lead = () if clients is None else (clients,)
+        self.params = np.empty((*self._lead, layout.size))
+        self.grad = np.empty((*self._lead, layout.size))
         self.hidden = _layer_views(self.params, layout.hidden)
         self.heads = _layer_views(self.params, layout.heads)
         self.grad_hidden = _layer_views(self.grad, layout.hidden)
@@ -232,10 +256,10 @@ class Workspace:
         self._rows: dict[int, _Rows] = {}
 
     def rows(self, count: int) -> _Rows:
-        """The buffers for a batch of ``count`` rows."""
+        """The buffers for a batch of ``count`` rows (per client)."""
         rows = self._rows.get(count)
         if rows is None:
-            rows = self._rows[count] = _row_buffers(self.arch, count)
+            rows = self._rows[count] = _row_buffers(self.arch, self._lead, count)
         return rows
 
 
@@ -248,12 +272,18 @@ class _Pass(NamedTuple):
 
 
 def _forward(ws: Workspace, params: Array, x: Array, rng, probs: bool = True) -> _Pass:
-    """Run the network on ``x`` into ``ws``; ``probs=False`` stops at the softmax row sums."""
+    """Run the network on ``x`` into ``ws``; ``probs=False`` stops at the softmax row sums.
+
+    In a stacked workspace ``x`` is ``(M, rows, d)``, ``params`` is ``(M, P)``
+    or one ``(P,)`` vector that every client runs, and ``rng`` holds one
+    stream per client.
+    """
     arch = ws.arch
     np.copyto(ws.params, params)
-    rows = ws.rows(x.shape[0])
+    rows = ws.rows(x.shape[-2])
     p = arch.dropout_rate
     dropout = p > 0.0 and rng is not None
+    streams = (rng,) if ws.clients is None else rng
     relu = arch.activation == "relu"
     inputs = [x]
     a = x
@@ -267,7 +297,9 @@ def _forward(ws: Workspace, params: Array, x: Array, rng, probs: bool = True) ->
         if dropout:
             # Inverted dropout: zero a unit with probability p, scale the
             # survivors by 1/(1-p) so the expected activation is unchanged.
-            scale = rng.random(out=layer.scale)
+            for stream, mask in zip(streams, layer.masks):
+                stream.random(out=mask)
+            scale = layer.scale
             np.greater_equal(scale, p, out=scale)
             scale /= 1.0 - p
             a = np.multiply(a, scale, out=layer.dropped)
@@ -275,14 +307,14 @@ def _forward(ws: Workspace, params: Array, x: Array, rng, probs: bool = True) ->
     for (w, b), head in zip(ws.heads, rows.heads):
         z = np.matmul(a, w, out=head.logits)
         z += b
-        # A running maximum over the columns is z.max(axis=1) at a fraction of the cost.
+        # A running maximum over the columns is z.max(axis=-1) at a fraction of the cost.
         columns, zmax = head.columns, head.row_max
         np.maximum(columns[0], columns[-1], out=zmax)
         for column in columns[1:-1]:
             np.maximum(zmax, column, out=zmax)
         e = np.subtract(z, head.row_max_col, out=head.probs)
         np.exp(e, out=e)
-        np.add.reduce(e, axis=1, out=head.row_sum)
+        np.add.reduce(e, axis=-1, out=head.row_sum)
         if probs:
             e /= head.row_sum_col
     return _Pass(rows, inputs, dropout)
@@ -330,8 +362,11 @@ def labeled_batch(arch: MlpArchitecture, features, labels) -> tuple[Array, Array
     return batch, y
 
 
-def _cross_entropy(rows: _Rows) -> float:
-    """Mean cross-entropy over the batch, averaged over heads, at the labels ``rows.picks`` indexes."""
+def _cross_entropy(rows: _Rows) -> Array:
+    """Mean cross-entropy over the batch, averaged over heads, at the labels ``rows.picks`` indexes.
+
+    One value per client: a 0-d value for a single model, ``(M,)`` for a stack.
+    """
     picks, lse = rows.picks, rows.lse
     total = 0.0
     for head in rows.heads:
@@ -339,7 +374,7 @@ def _cross_entropy(rows: _Rows) -> float:
         np.add(head.row_max, lse, out=lse)
         lse -= head.logits_flat[picks]
         # Sum, then divide by the row count: the same bits as np.mean.
-        total += float(np.add.reduce(lse) / picks.shape[0])
+        total = total + np.add.reduce(lse, axis=-1) / picks.shape[-1]
     return total / len(rows.heads)
 
 
@@ -354,16 +389,16 @@ def _backward(ws: Workspace, fwd: _Pass) -> Array:
     for k, (head, (w, _), (gw, gb)) in enumerate(zip(rows.heads, ws.heads, ws.grad_heads)):
         dz = head.probs
         np.subtract.at(head.probs_flat, picks, 1.0)
-        dz /= picks.shape[0] * arch.head_count
-        np.matmul(last_hidden.T, dz, out=gw)
-        np.add.reduce(dz, axis=0, out=gb)
+        dz /= picks.shape[-1] * arch.head_count
+        np.matmul(last_hidden.mT, dz, out=gw)
+        np.add.reduce(dz, axis=-2, keepdims=True, out=gb)
         if d_last is None:
             continue
         if k == 0:
-            np.matmul(dz, w.T, out=d_last)
+            np.matmul(dz, w.mT, out=d_last)
             d_last += 0.0  # as 0.0 + dz @ W.T: a -0.0 sum becomes +0.0
         else:
-            d_last += np.matmul(dz, w.T, out=rows.spare)
+            d_last += np.matmul(dz, w.mT, out=rows.spare)
 
     # Walk the hidden stack backwards; the raw input needs no gradient.  Layer
     # j's activation has fed its last product by now, so its buffer takes the derivative.
@@ -379,22 +414,25 @@ def _backward(ws: Workspace, fwd: _Pass) -> Array:
             np.square(deriv, out=deriv)
             np.subtract(1.0, deriv, out=deriv)
         d_act *= deriv
-        np.matmul(inputs[j].T, d_act, out=gw)
-        np.add.reduce(d_act, axis=0, out=gb)
+        np.matmul(inputs[j].mT, d_act, out=gw)
+        np.add.reduce(d_act, axis=-2, keepdims=True, out=gb)
         if j:
-            d_act = np.matmul(d_act, ws.hidden[j][0].T, out=rows.hidden[j - 1].delta)
+            d_act = np.matmul(d_act, ws.hidden[j][0].mT, out=rows.hidden[j - 1].delta)
     return ws.grad
 
 
-def _loss(ws: Workspace, params: Array, x: Array, y: Array, rng=None) -> float:
-    """:func:`loss` on a checked pair (see :func:`labeled_batch`), from a logits-only pass."""
+def _loss(ws: Workspace, params: Array, x: Array, y: Array, rng=None) -> Array:
+    """:func:`loss` on a checked pair (see :func:`labeled_batch`), from a logits-only pass.
+
+    In a stacked workspace ``y`` is ``(M, rows)`` and the result holds one loss per client.
+    """
     rows = _forward(ws, params, x, rng, probs=False).rows
     np.add(rows.offsets, y, out=rows.picks)
     return _cross_entropy(rows)
 
 
 def _grad(ws: Workspace, params: Array, x: Array, y: Array, rng,
-          want_loss: bool) -> tuple[float | None, Array]:
+          want_loss: bool) -> tuple[Array | None, Array]:
     """(:func:`loss` or None, :func:`grad`) on a checked pair, from one forward pass.
 
     The gradient is ``ws.grad``, which the next call on ``ws`` overwrites.
@@ -408,7 +446,7 @@ def _grad(ws: Workspace, params: Array, x: Array, y: Array, rng,
 def loss(model: Model, features, labels, rng=None) -> float:
     """Mean cross-entropy over the batch, averaged over heads."""
     batch, y = labeled_batch(model.arch, features, labels)
-    return _loss(Workspace(model.arch), model.params, batch, y, rng)
+    return float(_loss(Workspace(model.arch), model.params, batch, y, rng))
 
 
 def grad(model: Model, features, labels, rng=None) -> Array:
@@ -427,12 +465,19 @@ def minibatches(x: Array, y: Array, size: int | None, rng) -> list[tuple[Array, 
     ``size`` of None (or at least ``n``) gives the pair itself, in stored
     order, and draws nothing from ``rng``; otherwise one
     ``rng.permutation(n)`` is cut into consecutive ``size``-row batches.
+    For a stacked pair (``y`` of ``(M, n)``) ``rng`` holds one stream per
+    client, each draws its own permutation, and batch i holds every
+    client's i-th slice.
     """
-    n = y.shape[0]
+    n = y.shape[-1]
     if size is None or size >= n:
         return [(x, y)]
-    perm = rng.permutation(n)
-    return [(x[rows], y[rows]) for rows in (perm[i:i + size] for i in range(0, n, size))]
+    if y.ndim == 1:
+        perm = rng.permutation(n)
+        return [(x[rows], y[rows]) for rows in (perm[i:i + size] for i in range(0, n, size))]
+    perm = np.stack([stream.permutation(n) for stream in rng])
+    clients = np.arange(len(rng))[:, None]
+    return [(x[clients, rows], y[clients, rows]) for rows in (perm[:, i:i + size] for i in range(0, n, size))]
 
 
 def init_params(arch: MlpArchitecture, seed) -> Array:

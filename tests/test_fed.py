@@ -530,6 +530,107 @@ def test_fed_config_validation(kwargs):
         FedConfig(schedule=LrSchedule(0.1), **kwargs)
 
 
+def _reference_train(ds, pools, init, cfg, stream):
+    """fed._train's contract as a per-client loop of _reference_update, nn.loss and weighted_average."""
+    arch = init.arch
+    clients = [(p.client_id, *gather(ds, p.labeled)) for p in pools if p.labeled]
+    counts = [len(labels) for _, _, labels in clients]
+    weights = [count / float(sum(counts)) for count in counts]
+    params, trace = init.params.copy(), []
+    for t in range(1, cfg.max_global_iters + 1):
+        updated, total = [], 0.0
+        for (client_id, feats, labels), weight in zip(clients, weights):
+            model = Model(arch, params)
+            new, start_loss = _reference_update(model, feats, labels, cfg.schedule.lr(t), cfg, stream(client_id, t))
+            updated.append(new)
+            total += weight * (loss(model, feats, labels) if start_loss is None else start_loss)
+        if t > 1:
+            trace.append(total)
+            if total < cfg.stop_loss_threshold:
+                break
+        params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
+    else:
+        total = 0.0
+        for (_, feats, labels), weight in zip(clients, weights):
+            total += weight * loss(Model(arch, params), feats, labels)
+        trace.append(total)
+    return params, tuple(trace)
+
+
+# name: (architecture kwargs, FedConfig kwargs, labeled counts per client; 0 is a client without labels)
+STACKED_CASES = {
+    "full-batch": ({}, {}, (6, 6, 6)),
+    "minibatch-dropout": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (6, 6, 6)),
+    "two-epochs": ({"dropout_rate": 0.2}, {"local_epochs": 2, "minibatch_size": 4}, (6, 6, 6)),
+    "two-heads": ({"head_count": 2, "activation": "tanh"}, {"minibatch_size": 4}, (6, 6, 6)),
+    "two-groups": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (5, 7, 0, 5)),
+    "one-client": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (7,)),
+}
+
+
+def _counted_pools(counts):
+    """Client m holds ``counts[m]`` labeled rows, taken in order, and one unlabeled row."""
+    pools, start = [], 0
+    for client, count in enumerate(counts):
+        pools.append(ClientPools(client_id=client, unlabeled=[start + count],
+                                 labeled=list(range(start, start + count))))
+        start += count + 1
+    return pools
+
+
+def _assert_same_run(report, reference):
+    params, trace = reference
+    assert report.final_model.params.tobytes() == params.tobytes()
+    assert [np.float64(v).tobytes() for v in report.loss_trace] == [np.float64(v).tobytes() for v in trace]
+    assert report.global_iters_used == len(trace)
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+@pytest.mark.parametrize("threshold", [1e-9, 0.3])  # the cap, then mostly early stops
+def test_fedavg_and_independent_training_equal_a_per_client_loop_byte_for_byte(case, threshold,
+                                                                               monkeypatch):
+    arch_kwargs, cfg_kwargs, counts = STACKED_CASES[case]
+    pools = _counted_pools(counts)
+    ds = _dataset(sum(counts) + len(counts), classes=3, seed=len(counts))
+    arch = MlpArchitecture((2, 5, 3), **arch_kwargs)
+    init = Model(arch, init_params(arch, 4) * 2.0)
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
+                    **cfg_kwargs)
+    built = _counting(monkeypatch, nn_module, "Workspace")
+    report = fedavg(ds, pools, init, cfg, seed=6)
+    assert len(built) == len({count for count in counts if count})  # one workspace per group
+    _assert_same_run(report, _reference_train(ds, pools, init, cfg, lambda m, t: rng_for(6, "local", m, t)))
+    for client in (m for m, count in enumerate(counts) if count):
+        built.clear()
+        report = independent_train(ds, pools, client, init, cfg, seed=6)
+        assert len(built) == 1
+        stream = rng_for(6, client)
+        _assert_same_run(report, _reference_train(ds, [pools[client]], init, cfg, lambda m, t: stream))
+
+
+@pytest.mark.parametrize("runner", ["fedavg", "independent_train"])
+def test_the_report_says_whether_the_threshold_or_the_cap_stopped_the_run(runner):
+    ds, pools = _dataset(21, seed=3), _full_pools(21, clients=2)
+    init = _init(MlpArchitecture((2, 6, 2)))
+
+    def run(threshold, cap):
+        cfg = FedConfig(schedule=LrSchedule(0.5, 0.99), stop_loss_threshold=threshold, max_global_iters=cap)
+        if runner == "fedavg":
+            return fedavg(ds, pools, init, cfg, seed=2)
+        return independent_train(ds, pools, 1, init, cfg, seed=2)
+
+    capped = run(1e-9, 30)
+    assert (capped.stopped_by, capped.global_iters_used) == ("cap", 30)
+    early = run(0.4, 30)
+    assert early.stopped_by == "threshold"
+    assert early.global_iters_used < 30 and early.loss_trace[-1] < 0.4
+    # With the cap at the update that meets the threshold, the run is the early stop itself.
+    at_cap = run(0.4, early.global_iters_used)
+    assert at_cap.stopped_by == "threshold"
+    assert at_cap.loss_trace == early.loss_trace
+    assert at_cap.final_model.params.tobytes() == early.final_model.params.tobytes()
+
+
 # -- independent training ----------------------------------------------------------
 
 def test_independent_train_equals_single_client_fedavg_on_full_batches():

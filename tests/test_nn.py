@@ -462,6 +462,42 @@ def test_public_functions_equal_the_reference_core_byte_for_byte(activation, hid
     assert hidden_features(model, feats).tobytes() == want_hidden.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("rows", [1, 2, 16, 100])
+def test_stacked_core_equals_one_single_model_call_per_client_byte_for_byte(activation, hidden, heads,
+                                                                            dropout, rows):
+    arch = MlpArchitecture((3, *hidden, 4), activation=activation, dropout_rate=dropout, head_count=heads)
+    clients = 3
+    data = np.random.default_rng(rows)
+    params = np.stack([_edge_params(arch, seed) for seed in range(clients)])
+    x, y = data.normal(size=(clients, rows, 3)), data.integers(0, 4, size=(clients, rows))
+
+    def streams(offset):
+        return [np.random.default_rng(offset + m) for m in range(clients)] if dropout else None
+
+    stacked = nn.Workspace(arch, clients)
+    grad_streams = streams(10)
+    value, g = nn._grad(stacked, params, x, y, grad_streams, want_loss=True)
+    value, g = value.copy(), g.copy()
+    masks = [layer.scale.copy() for layer in stacked.rows(rows).hidden if dropout]
+    loss_streams = streams(20)
+    shared_loss = nn._loss(stacked, params[0], x, y, loss_streams)  # one vector that every client runs
+    for m in range(clients):
+        single, one_streams = nn.Workspace(arch), (streams(10), streams(20))
+        one_value, one_g = nn._grad(single, params[m], x[m], y[m], one_streams[0] and one_streams[0][m], True)
+        assert (_bits(value[m]), g[m].tobytes()) == (_bits(one_value), one_g.tobytes())
+        one_masks = [layer.scale for layer in single.rows(rows).hidden if dropout]
+        assert [mask[m].tobytes() for mask in masks] == [mask.tobytes() for mask in one_masks]
+        one_loss = nn._loss(single, params[0], x[m], y[m], one_streams[1] and one_streams[1][m])
+        assert _bits(shared_loss[m]) == _bits(one_loss)
+        if dropout:  # each client's stream has drawn exactly what its single-model calls drew
+            assert grad_streams[m].random() == one_streams[0][m].random()
+            assert loss_streams[m].random() == one_streams[1][m].random()
+
+
 def test_core_results_stay_independent_of_later_calls():
     arch = MlpArchitecture((3, 6, 4), head_count=2)
     model = Model(arch, _edge_params(arch, 1))
