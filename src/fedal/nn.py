@@ -162,16 +162,20 @@ def _as_batch(x, input_dim: int) -> Array:
     return arr
 
 
-def _layer_views(flat: Array, blocks) -> tuple[tuple[Array, Array], ...]:
+def _layer_views(flat: Array, blocks, add_to_rows: bool = False) -> tuple[tuple[Array, Array], ...]:
     """Per-layer ``(W, b)`` views of flat vectors stored in ``blocks``' layout.
 
-    ``flat`` is one vector or a stack of them, ``(..., P)``; each W view is
-    ``(..., fan_in, fan_out)`` and each b view ``(..., 1, fan_out)``, so it
-    adds to a batch of rows as it stands.
+    ``flat`` is one vector ``(P,)`` or a stack ``(M, P)``.  W views are
+    ``(..., fan_in, fan_out)`` and b views ``(..., fan_out)``; with
+    ``add_to_rows`` a stack's b views are ``(M, 1, fan_out)``, so that they
+    add to a stack of row batches.
     """
     lead = flat.shape[:-1]
-    return tuple((flat[..., block.w].reshape(*lead, *block.shape),
-                  flat[..., block.b].reshape(*lead, 1, block.shape[1])) for block in blocks)
+    views = []
+    for block in blocks:
+        w, b = flat[..., block.w].reshape(*lead, *block.shape), flat[..., block.b]
+        views.append((w, b[..., None, :] if add_to_rows and lead else b))
+    return tuple(views)
 
 
 class _Layer(NamedTuple):
@@ -249,8 +253,8 @@ class Workspace:
         self._lead = () if clients is None else (clients,)
         self.params = np.empty((*self._lead, layout.size))
         self.grad = np.empty((*self._lead, layout.size))
-        self.hidden = _layer_views(self.params, layout.hidden)
-        self.heads = _layer_views(self.params, layout.heads)
+        self.hidden = _layer_views(self.params, layout.hidden, add_to_rows=True)
+        self.heads = _layer_views(self.params, layout.heads, add_to_rows=True)
         self.grad_hidden = _layer_views(self.grad, layout.hidden)
         self.grad_heads = _layer_views(self.grad, layout.heads)
         self._rows: dict[int, _Rows] = {}
@@ -391,7 +395,7 @@ def _backward(ws: Workspace, fwd: _Pass) -> Array:
         np.subtract.at(head.probs_flat, picks, 1.0)
         dz /= picks.shape[-1] * arch.head_count
         np.matmul(last_hidden.mT, dz, out=gw)
-        np.add.reduce(dz, axis=-2, keepdims=True, out=gb)
+        np.add.reduce(dz, axis=-2, out=gb)
         if d_last is None:
             continue
         if k == 0:
@@ -415,7 +419,7 @@ def _backward(ws: Workspace, fwd: _Pass) -> Array:
             np.subtract(1.0, deriv, out=deriv)
         d_act *= deriv
         np.matmul(inputs[j].mT, d_act, out=gw)
-        np.add.reduce(d_act, axis=-2, keepdims=True, out=gb)
+        np.add.reduce(d_act, axis=-2, out=gb)
         if j:
             d_act = np.matmul(d_act, ws.hidden[j][0].mT, out=rows.hidden[j - 1].delta)
     return ws.grad
