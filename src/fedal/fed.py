@@ -28,12 +28,14 @@ in the same order: its epoch permutation, then per step each hidden layer's
 dropout mask.  Updates and start losses go back into client order before
 :func:`weighted_average` and the loss sum.
 
-A ``local_fn(model, features, labels, unlabeled, lr, cfg, rng) -> Model``
-replaces the plain local update (the two-head scoring model trains with
-:func:`strategies.train_discrepancy_heads`), once per client; only the
-start-loss pass runs stacked.  It gets the client's checked labeled pair
-and the feature rows of the client's unlabeled pool, read once per run
-straight from the dataset: their labels stay hidden.
+:func:`_local_update` is the one local SGD loop; given one model's unlabeled
+rows it adds the two-head disagreement gradient at every step.  A
+``local_fn(model, features, labels, unlabeled, lr, cfg, rng) -> Model``
+replaces the plain local update (:func:`strategies.train_discrepancy_heads`
+runs that loop with the unlabeled rows), once per client; only the
+start-loss pass runs stacked.  It gets the client's checked labeled pair and
+the feature rows of the client's unlabeled pool, read once per run straight
+from the dataset: their labels stay hidden.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  The loop checks each
@@ -144,19 +146,32 @@ def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
 
 
 def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
-                  rng) -> tuple[Array, Array | None]:
+                  rng, unlabeled: Array | None = None) -> tuple[Array, Array | None]:
     """``cfg.local_epochs`` SGD passes in ``ws``'s buffers: (new params, loss of ``params`` or None).
 
     In a stacked workspace every client starts from the one vector
     ``params``, ``rng`` holds one stream per client (or is None), and the
     results hold one row or one loss per client.
+
+    ``unlabeled``, one two-head model's checked unlabeled rows, adds the
+    heads' disagreement gradient (:func:`nn._discrepancy_grad`) to each step's
+    gradient before the rate scales it: on the whole pool, or, with smaller
+    minibatches, on the next ``size`` rows of a per-epoch permutation (wrapping).
     """
+    size, pool = cfg.minibatch_size, None if unlabeled is None else len(unlabeled)
     start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[-1])
     for _ in range(cfg.local_epochs):
-        for xb, yb in nn.minibatches(x, y, cfg.minibatch_size, rng):
+        batches = nn.minibatches(x, y, size, rng)
+        u_perm = rng.permutation(pool) if pool and size is not None and size < pool else None
+        for step, (xb, yb) in enumerate(batches):
             value, g = nn._grad(ws, params, xb, yb, rng, first)
             if first:
                 start_loss = value
+            if unlabeled is not None:
+                rows = unlabeled
+                if u_perm is not None:
+                    rows = unlabeled[u_perm[np.arange(step * size, (step + 1) * size) % pool]]
+                g += nn._discrepancy_grad(ws, params, rows)
             g *= lr
             params, first = params - g, False
     return params, start_loss

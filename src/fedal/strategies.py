@@ -9,7 +9,8 @@ distances that could change a nearest distance; the triangle inequality over
 groups of labeled rows rules out the rest, as Elkan (ICML 2003) does for
 k-means.  All selection uses a deterministic tie-break on the lowest dataset
 index.  Random sampling needs no scorer: the orchestrator draws uniform
-scores from the selection stream directly.
+scores from the selection stream directly.  Two-head training checks its
+inputs and runs FedAvg's local update (:func:`fed._local_update`) with them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ShapeError,
     is_count,
 )
-from .fed import FedConfig
+from .fed import FedConfig, _local_update
 from .nn import Model
 
 Array = np.ndarray
@@ -350,38 +351,16 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     return picked
 
 
-def _discrepancy_grad(ws: nn.Workspace, params: Array, unlabeled: Array) -> Array:
-    """Gradient (head parameters only) of -mean L1 disagreement on the checked batch ``unlabeled``.
-
-    Descending this direction pushes the heads apart where the trunk allows
-    it; the trunk itself receives no contribution from this term.  The
-    forward pass runs in ``ws``; the gradient is a new vector.
-    """
-    arch, fwd = ws.arch, nn._forward(ws, params, unlabeled, None)
-    hidden_act, (probs_a, probs_b) = fwd.inputs[-1], [head.probs for head in fwd.rows.heads]
-    count = unlabeled.shape[0]
-    sign = np.sign(probs_a - probs_b)
-    # d(-mean L1)/dz via the softmax Jacobian of each head.
-    dz_a = -(probs_a * (sign - (sign * probs_a).sum(axis=1, keepdims=True))) / count
-    dz_b = (probs_b * (sign - (sign * probs_b).sum(axis=1, keepdims=True))) / count
-    out = np.zeros(arch.param_count, dtype=np.float64)
-    for block, dz in zip(arch.layout.heads, (dz_a, dz_b)):
-        out[block.w] = (hidden_act.T @ dz).ravel()
-        out[block.b] = dz.sum(axis=0)
-    return out
-
-
 def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabeled_feats,
                             lr: float, cfg: FedConfig, rng) -> Model:
     """Train a two-head classifier to agree on labels and disagree off them.
 
-    Runs ``cfg.local_epochs`` passes over the labeled rows in batches of
-    ``cfg.minibatch_size``, so it can serve as FedAvg's local update.  Per
-    step the loss is mean cross-entropy through both heads on the labeled
-    batch minus the mean L1 head disagreement on an unlabeled batch; the
-    disagreement term updates head parameters only.  With no unlabeled data
-    the term is skipped (with a warning) and this is plain supervised
-    training.
+    FedAvg's local update (:func:`fed._local_update`) with the unlabeled
+    rows: ``cfg.local_epochs`` passes over the labeled rows in batches of
+    ``cfg.minibatch_size``.  Per step the loss is mean cross-entropy through
+    both heads on the labeled batch minus the mean L1 head disagreement on
+    an unlabeled batch; the disagreement term updates head parameters only.
+    With no unlabeled data the term is skipped (with a warning).
     """
     arch = model.arch
     if arch.head_count != 2:
@@ -390,23 +369,5 @@ def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabel
     unlab = np.asarray(unlabeled_feats, dtype=np.float64)
     if unlab.size == 0:
         warnings.warn("no unlabeled data: skipping the disagreement term", stacklevel=2)
-    else:
-        unlab = nn._as_batch(unlab, arch.input_dim)
-    ws, minibatch_size, params = nn.Workspace(arch), cfg.minibatch_size, model.params
-    for _ in range(cfg.local_epochs):
-        batches = nn.minibatches(x, y, minibatch_size, rng)
-        u_shuffled = unlab.size and minibatch_size is not None and minibatch_size < unlab.shape[0]
-        u_perm = rng.permutation(unlab.shape[0]) if u_shuffled else None
-        for step, (xb, yb) in enumerate(batches):
-            g = nn._grad(ws, params, xb, yb, rng, False)[1]
-            if unlab.size:
-                if u_perm is None:
-                    u_batch = unlab
-                else:
-                    start = (step * minibatch_size) % unlab.shape[0]
-                    take = np.arange(start, start + minibatch_size) % unlab.shape[0]
-                    u_batch = unlab[u_perm[take]]
-                g += _discrepancy_grad(ws, params, u_batch)
-            g *= lr
-            params = params - g
-    return Model(arch, params)
+    unlab = nn._as_batch(unlab, arch.input_dim) if unlab.size else None
+    return Model(arch, _local_update(nn.Workspace(arch), model.params, x, y, lr, cfg, rng, unlab)[0])

@@ -142,3 +142,7 @@ def test_perfbench_hooks_accept_every_traced_call(monkeypatch):
     for counter in ("strategies.select_top_b.candidates", "strategies.coreset_greedy.picks",
                     "data.annotate.labels", "fed.fedavg.iters", "fed.independent_train.iters"):
         assert tracer.counters[counter] > 0, counter
+    # A binding that the code routes around would read 0 calls instead of failing a check.
+    for metric, totals in tracer.layer_totals().items():
+        if metric.split(".")[0] in ("fed", "strategies", "data"):
+            assert totals["calls"] > 0, metric

@@ -27,7 +27,6 @@ from fedal.errors import (
 from fedal.fed import FedConfig
 from fedal.nn import LrSchedule, MlpArchitecture, Model, forward, grad, init_params
 from fedal.strategies import (
-    _discrepancy_grad,
     _entropy_of,
     ScorerSpec,
     coreset_greedy,
@@ -529,6 +528,10 @@ def test_coreset_sends_overflowing_estimates_to_the_exact_path_without_warnings(
         pool = [[1e160, 0.0], [1e160, 1.0], [5.0, 0.0]]
         assert coreset_greedy([[0.0, 0.0]], pool, 2) == [0, 2]
         assert _cdist_coreset_greedy([[0.0, 0.0]], pool, 2) == [0, 2]
+        # cdist puts rows 1 and 2 both at inf, a tie that the lower index wins before row 2
+        # goes next; scaling both sets by a power of two first would tell them apart.
+        labeled, pool = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[5.0, 5.0], [1e160, 0.0], [2e160, 0.0], [3.0, 3.0]]
+        assert coreset_greedy(labeled, pool, 2) == _cdist_coreset_greedy(labeled, pool, 2) == [1, 2]
 
 
 def test_coreset_decides_on_rounded_distances_exactly_as_cdist_does():
@@ -683,7 +686,7 @@ def test_two_head_training_equals_the_public_checked_loop_and_checks_once(miniba
                 u_batch = unlabeled
             else:
                 u_batch = unlabeled[u_perm[np.arange(step * minibatch, (step + 1) * minibatch) % u]]
-            params = descend(params, g + _discrepancy_grad(nn_module.Workspace(arch), params, u_batch), 0.3)
+            params = descend(params, g + nn_module._discrepancy_grad(nn_module.Workspace(arch), params, u_batch), 0.3)
     assert trained.params.tobytes() == params.tobytes()
 
 
