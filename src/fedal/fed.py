@@ -157,9 +157,10 @@ def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float
     heads' disagreement gradient (:func:`nn._discrepancy_grad`) to each step's
     gradient before the rate scales it: on the whole pool, or, with smaller
     minibatches, on the next ``size`` rows of a per-epoch permutation (wrapping).
+    It then returns no loss.
     """
     size, pool = cfg.minibatch_size, None if unlabeled is None else len(unlabeled)
-    start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[-1])
+    start_loss, first = None, pool is None and not _update_draws(ws.arch, cfg, y.shape[-1])
     for _ in range(cfg.local_epochs):
         batches = nn.minibatches(x, y, size, rng)
         u_perm = rng.permutation(pool) if pool and size is not None and size < pool else None

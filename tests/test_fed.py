@@ -165,6 +165,15 @@ def test_local_update_reads_the_loss_only_from_a_deterministic_full_batch(miniba
         assert start_loss is None
 
 
+def test_local_update_with_unlabeled_rows_returns_no_loss():
+    # Two-head training discards the loss, so even a deterministic full batch does not compute it.
+    ds = _dataset()
+    arch = MlpArchitecture((2, 4, 2), head_count=2)
+    x, y = nn_module.labeled_batch(arch, *gather(ds, list(range(ds.size))))
+    cfg = FedConfig(schedule=LrSchedule(0.3))
+    assert fed_module._local_update(nn_module.Workspace(arch), _init(arch).params, x, y, 0.3, cfg, None, x)[1] is None
+
+
 def test_local_update_epochs_chain():
     ds = _dataset()
     arch = MlpArchitecture((2, 4, 2))
