@@ -16,26 +16,26 @@ check lags one update: the iteration after the one that stops the run has
 its update dropped, and a run that reaches the cap takes one more loss pass
 for the last model.  With full batches and no dropout that loss costs no
 extra work, since the iteration's first gradient runs the forward pass at
-those parameters.  Minibatches, dropout or a custom ``local_fn`` take one
-deterministic loss pass per client and iteration.
+those parameters.  Minibatches, dropout or two-head training take one
+deterministic loss pass per group and iteration.
 
-Clients that hold the same number of labels run their plain local updates
-as one pass over stacked arrays (see :mod:`fedal.nn`): the loop groups the
-clients by labeled count, in client order, and builds one
-:class:`nn.Workspace` per group; a lone client runs on its own 2-D arrays.
-Stacking changes no bit.  Each client's stream draws what it drew alone and
-in the same order: its epoch permutation, then per step each hidden layer's
-dropout mask.  Updates and start losses go back into client order before
-:func:`weighted_average` and the loss sum.
+Clients that hold the same number of labels run their local updates as one
+pass over stacked arrays (see :mod:`fedal.nn`): the loop groups the clients
+by labeled count, in client order, and builds one :class:`nn.Workspace` per
+group; a lone client runs on its own 2-D arrays.  Stacking changes no bit.
+Each client's stream draws what it drew alone and in the same order: its
+labeled permutation, then its unlabeled permutation (two-head runs), then
+per step each hidden layer's dropout mask.  Updates and start losses go
+back into client order before :func:`weighted_average` and the loss sum.
 
-:func:`_local_update` is the one local SGD loop; given one model's unlabeled
-rows it adds the two-head disagreement gradient at every step.  A
-``local_fn(model, features, labels, unlabeled, lr, cfg, rng) -> Model``
-replaces the plain local update (:func:`strategies.train_discrepancy_heads`
-runs that loop with the unlabeled rows), once per client; only the
-start-loss pass runs stacked.  It gets the client's checked labeled pair and
-the feature rows of the client's unlabeled pool, read once per run straight
-from the dataset: their labels stay hidden.
+:func:`_local_update` is the one local SGD loop; given unlabeled rows it
+adds the two-head disagreement gradient at every step.  Two-head runs also
+group clients by the unlabeled batch a step uses: ``minibatch_size`` rows
+drawn from a larger pool, or the whole pool.  A ``local_fn`` with
+:func:`_local_update`'s signature replaces it, once per group and iteration
+(:func:`strategies.train_discrepancy_heads` checks its input and runs it).
+It gets the group's checked labeled pair and the members' unlabeled feature
+rows, read once per run straight from the dataset: their labels stay hidden.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  The loop checks each
@@ -146,45 +146,55 @@ def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
 
 
 def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float, cfg: FedConfig,
-                  rng, unlabeled: Array | None = None) -> tuple[Array, Array | None]:
+                  rng, unlabeled=None) -> tuple[Array, Array | None]:
     """``cfg.local_epochs`` SGD passes in ``ws``'s buffers: (new params, loss of ``params`` or None).
 
     In a stacked workspace every client starts from the one vector
     ``params``, ``rng`` holds one stream per client (or is None), and the
     results hold one row or one loss per client.
 
-    ``unlabeled``, one two-head model's checked unlabeled rows, adds the
-    heads' disagreement gradient (:func:`nn._discrepancy_grad`) to each step's
-    gradient before the rate scales it: on the whole pool, or, with smaller
-    minibatches, on the next ``size`` rows of a per-epoch permutation (wrapping).
-    It then returns no loss.
+    ``unlabeled``, a two-head model's checked unlabeled rows (a stack's as a
+    list of pools), adds the heads' disagreement gradient
+    (:func:`nn._discrepancy_grad`) to each step's gradient before the rate
+    scales it: on the whole pool, or, with smaller minibatches, on the next
+    ``size`` rows of a per-epoch permutation (wrapping), each pool drawn by
+    its own stream.  It then returns no loss.
     """
-    size, pool = cfg.minibatch_size, None if unlabeled is None else len(unlabeled)
-    start_loss, first = None, pool is None and not _update_draws(ws.arch, cfg, y.shape[-1])
+    size = cfg.minibatch_size
+    start_loss, first = None, unlabeled is None and not _update_draws(ws.arch, cfg, y.shape[-1])
     for _ in range(cfg.local_epochs):
         batches = nn.minibatches(x, y, size, rng)
-        u_perm = rng.permutation(pool) if pool and size is not None and size < pool else None
+        drawn = None if unlabeled is None else _unlabeled_batches(unlabeled, size, len(batches), rng)
         for step, (xb, yb) in enumerate(batches):
             value, g = nn._grad(ws, params, xb, yb, rng, first)
             if first:
                 start_loss = value
-            if unlabeled is not None:
-                rows = unlabeled
-                if u_perm is not None:
-                    rows = unlabeled[u_perm[np.arange(step * size, (step + 1) * size) % pool]]
-                g += nn._discrepancy_grad(ws, params, rows)
+            if drawn is not None:
+                g += nn._discrepancy_grad(ws, params, drawn[step])
             g *= lr
             params, first = params - g, False
     return params, start_loss
 
 
+def _unlabeled_batches(unlabeled, size: int | None, steps: int, rng):
+    """An epoch's unlabeled batch per step, a stack's as ``(M, rows, d)`` (see :func:`_local_update`)."""
+    stacked = isinstance(unlabeled, list)
+    pools, streams = (unlabeled, rng) if stacked else ([unlabeled], [rng])
+    if size is None or size >= len(pools[0]):  # a group's pools are all whole or all drawn
+        return [np.stack(pools) if stacked else unlabeled] * steps
+    wrap = np.arange(steps * size).reshape(steps, size)
+    drawn = [pool[stream.permutation(len(pool))[wrap % len(pool)]] for pool, stream in zip(pools, streams)]
+    return np.stack(drawn, axis=1) if stacked else drawn[0]
+
+
 class _Group(NamedTuple):
-    """The labeled clients that share one labeled count, run as one pass.
+    """The labeled clients that share one labeled count and unlabeled batch, run as one pass.
 
     ``members`` are positions in the run's client list, in client order.  A
     lone client runs on its own 2-D pair in a single-model workspace; two
     or more run stacked, with ``x`` of ``(M, n, d)`` and ``y`` of ``(M, n)``.
-    ``draws`` says whether their plain updates draw randomness.
+    ``draws`` says whether their updates draw randomness (two-head updates
+    always may).  ``unlabeled`` holds the members' pools in two-head runs.
     """
 
     members: list[int]
@@ -192,6 +202,7 @@ class _Group(NamedTuple):
     x: Array
     y: Array
     draws: bool
+    unlabeled: Array | list[Array] | None
 
     def core(self, values: list):
         """One value per member, as the group's core takes them: a lone client's value, else the list."""
@@ -210,19 +221,27 @@ class _Group(NamedTuple):
             out[self.members[0]] = result
 
 
-def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]]) -> list[_Group]:
-    """The clients grouped by labeled count, each group in client order, groups by first member."""
-    by_count: dict[int, list[int]] = {}
+def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]],
+            unlabeled: list[Array] | None) -> list[_Group]:
+    """The clients grouped by labeled count and, with two heads, by unlabeled batch, in client order.
+
+    A two-head step takes ``minibatch_size`` rows drawn from a pool of any
+    larger size, or the whole pool.  Groups come by first member.
+    """
+    size, by_key = cfg.minibatch_size, {}
     for i, (_, y) in enumerate(batches):
-        by_count.setdefault(len(y), []).append(i)
+        pool = 0 if unlabeled is None else len(unlabeled[i])
+        by_key.setdefault((len(y), None if size is not None and size < pool else pool), []).append(i)
     groups = []
-    for count, members in by_count.items():
+    for (count, _), members in by_key.items():
         xs, ys = zip(*(batches[i] for i in members))
-        draws = _update_draws(arch, cfg, count)
+        pools = None if unlabeled is None else [unlabeled[i] for i in members]
+        draws = pools is not None or _update_draws(arch, cfg, count)
         if len(members) == 1:
-            groups.append(_Group(members, nn.Workspace(arch), xs[0], ys[0], draws))
+            groups.append(_Group(members, nn.Workspace(arch), xs[0], ys[0], draws, pools and pools[0]))
         else:
-            groups.append(_Group(members, nn.Workspace(arch, len(members)), np.stack(xs), np.stack(ys), draws))
+            groups.append(_Group(members, nn.Workspace(arch, len(members)), np.stack(xs), np.stack(ys),
+                                 draws, pools))
     return groups
 
 
@@ -255,7 +274,8 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
             ids.append(pool.client_id)
             batches.append(nn.labeled_batch(arch, *gather(dataset, pool.labeled_rows)))
             unlabeled.append(None if local_fn is None else dataset.features[pool.unlabeled_rows])
-    groups = _groups(arch, cfg, batches)
+    groups = _groups(arch, cfg, batches, None if local_fn is None else unlabeled)
+    update = local_fn or _local_update
     counts = [len(y) for _, y in batches]
     weights = [count / float(sum(counts)) for count in counts]
     params, trace = init_model.params.copy(), []
@@ -263,13 +283,8 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     for t in range(1, cfg.max_global_iters + 1):
         lr = cfg.schedule.lr(t)
         for group in groups:
-            if local_fn is None:
-                new_params, start_loss = _local_update(group.ws, params, group.x, group.y, lr, cfg,
-                                                       group.streams(stream, ids, t))
-            else:
-                new_params, start_loss = group.core([
-                    local_fn(Model(arch, params), *batches[i], unlabeled[i], lr, cfg, stream(ids[i], t)).params
-                    for i in group.members]), None
+            new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg,
+                                            group.streams(stream, ids, t), group.unlabeled)
             if start_loss is None:
                 start_loss = nn._loss(group.ws, params, group.x, group.y)
             group.put(new_params, updated)

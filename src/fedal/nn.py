@@ -8,7 +8,8 @@ masks) supplied through an explicit Generator.  Features always arrive as a
 public function checks its own inputs; training loops check a labeled pair
 once per run (:func:`labeled_batch`), then call the unchecked cores
 ``_loss`` and ``_grad`` that :func:`loss` and :func:`grad` share.  Two-head
-training adds ``_discrepancy_grad``, the heads' disagreement gradient.
+training adds ``_discrepancy_grad``, the heads' disagreement gradient, which
+runs stacked like the core below.
 
 There is one forward/backward core.  It writes its intermediates into the
 buffers of a :class:`Workspace`, which a training loop builds once per run
@@ -451,21 +452,23 @@ def _grad(ws: Workspace, params: Array, x: Array, y: Array, rng,
 def _discrepancy_grad(ws: Workspace, params: Array, unlabeled: Array) -> Array:
     """Gradient (head parameters only) of -mean L1 disagreement on the checked batch ``unlabeled``.
 
-    Two heads, one model: the pass runs in ``ws`` and leaves ``ws.grad``
-    alone, and the gradient is a new vector.  Descending it pushes the heads
-    apart where the trunk allows it; the trunk gets no contribution.
+    Two heads: the pass runs in ``ws`` and leaves ``ws.grad`` alone, and the
+    gradient is a new array shaped like it.  In a stacked workspace
+    ``unlabeled`` is ``(M, rows, d)``, one batch per client.  Descending it
+    pushes the heads apart where the trunk allows it; the trunk gets no
+    contribution.
     """
     arch, fwd = ws.arch, _forward(ws, params, unlabeled, None)
     hidden_act, (probs_a, probs_b) = fwd.inputs[-1], [head.probs for head in fwd.rows.heads]
-    count = unlabeled.shape[0]
+    count = unlabeled.shape[-2]
     sign = np.sign(probs_a - probs_b)
     # d(-mean L1)/dz via the softmax Jacobian of each head.
-    dz_a = -(probs_a * (sign - (sign * probs_a).sum(axis=1, keepdims=True))) / count
-    dz_b = (probs_b * (sign - (sign * probs_b).sum(axis=1, keepdims=True))) / count
-    out = np.zeros(arch.param_count, dtype=np.float64)
+    dz_a = -(probs_a * (sign - (sign * probs_a).sum(axis=-1, keepdims=True))) / count
+    dz_b = (probs_b * (sign - (sign * probs_b).sum(axis=-1, keepdims=True))) / count
+    out = np.zeros(ws.grad.shape)
     for block, dz in zip(arch.layout.heads, (dz_a, dz_b)):
-        out[block.w] = (hidden_act.T @ dz).ravel()
-        out[block.b] = dz.sum(axis=0)
+        out[..., block.w] = (hidden_act.mT @ dz).reshape(*out.shape[:-1], -1)
+        out[..., block.b] = dz.sum(axis=-2)
     return out
 
 

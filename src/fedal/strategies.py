@@ -9,8 +9,9 @@ distances that could change a nearest distance; the triangle inequality over
 groups of labeled rows rules out the rest, as Elkan (ICML 2003) does for
 k-means.  All selection uses a deterministic tie-break on the lowest dataset
 index.  Random sampling needs no scorer: the orchestrator draws uniform
-scores from the selection stream directly.  Two-head training checks its
-inputs and runs FedAvg's local update (:func:`fed._local_update`) with them.
+scores from the selection stream directly.  Two-head training checks the
+unlabeled rows of a client or of a stacked group of clients, and runs
+FedAvg's local update (:func:`fed._local_update`) with them.
 """
 
 from __future__ import annotations
@@ -351,23 +352,23 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     return picked
 
 
-def train_discrepancy_heads(model: Model, labeled_feats, labeled_labels, unlabeled_feats,
-                            lr: float, cfg: FedConfig, rng) -> Model:
+def train_discrepancy_heads(ws: nn.Workspace, params, x, y, lr: float, cfg: FedConfig, rng, unlabeled):
     """Train a two-head classifier to agree on labels and disagree off them.
 
-    FedAvg's local update (:func:`fed._local_update`) with the unlabeled
-    rows: ``cfg.local_epochs`` passes over the labeled rows in batches of
-    ``cfg.minibatch_size``.  Per step the loss is mean cross-entropy through
-    both heads on the labeled batch minus the mean L1 head disagreement on
-    an unlabeled batch; the disagreement term updates head parameters only.
-    With no unlabeled data the term is skipped (with a warning).
+    FedAvg's local update (:func:`fed._local_update`, same arguments) with
+    one client's unlabeled rows, or a stacked group's list of them: per step
+    the loss is mean cross-entropy through both heads on the labeled batch
+    minus the mean L1 head disagreement on an unlabeled batch; the
+    disagreement term updates head parameters only.  With no unlabeled data
+    the term is skipped (with a warning).
     """
-    arch = model.arch
+    arch = ws.arch
     if arch.head_count != 2:
         raise InvalidModelError(f"discrepancy training needs exactly 2 heads, got {arch.head_count}")
-    x, y = nn.labeled_batch(arch, labeled_feats, labeled_labels)
-    unlab = np.asarray(unlabeled_feats, dtype=np.float64)
-    if unlab.size == 0:
+    pools = unlabeled if ws.clients else [unlabeled]
+    for pool in pools:
+        nn._as_batch(pool, arch.input_dim)
+    if not all(len(pool) for pool in pools):
         warnings.warn("no unlabeled data: skipping the disagreement term", stacklevel=2)
-    unlab = nn._as_batch(unlab, arch.input_dim) if unlab.size else None
-    return Model(arch, _local_update(nn.Workspace(arch), model.params, x, y, lr, cfg, rng, unlab)[0])
+        unlabeled = None
+    return _local_update(ws, params, x, y, lr, cfg, rng, unlabeled)

@@ -1,6 +1,7 @@
 """Tests for FedAvg, per-client training, aggregation, and evaluation."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fedal.fed import (
 )
 from fedal.nn import LrSchedule, MlpArchitecture, Model, grad, init_params, loss
 from fedal.seeding import rng_for
+from fedal.strategies import train_discrepancy_heads
 
 from conftest import descend
 
@@ -314,8 +316,9 @@ def _global_loss(ds, pools, model):
     return value
 
 
-def _supervised_fn(model, feats, labels, unlabeled, lr, cfg, rng):
-    return Model(model.arch, _plain_update(model, feats, labels, lr, cfg, rng)[0])
+def _supervised_fn(ws, params, x, y, lr, cfg, rng, unlabeled):
+    """A ``local_fn`` that ignores the unlabeled rows: the plain local update of its group."""
+    return fed_module._local_update(ws, params, x, y, lr, cfg, rng)
 
 
 TRAIN_MODES = {
@@ -455,15 +458,15 @@ def test_bad_labels_in_one_pool_fail_before_any_update(bad, message, monkeypatch
 
 
 @pytest.mark.parametrize("runner", ["fedavg", "independent_train"])
-def test_local_fn_gets_its_clients_unlabeled_feature_rows_and_no_labels(runner, monkeypatch):
+def test_local_fn_gets_its_groups_unlabeled_feature_rows_and_no_labels(runner, monkeypatch):
     ds = _dataset(12)
     pools = [ClientPools(client_id=0, unlabeled=[1, 4, 5], labeled=[0, 2, 3]),
              ClientPools(client_id=1, unlabeled=[6, 9, 11], labeled=[7, 8, 10])]
     seen = []
 
-    def spy(model, feats, labels, unlabeled, lr, cfg, rng):
+    def spy(ws, params, x, y, lr, cfg, rng, unlabeled):
         seen.append(unlabeled)
-        return _supervised_fn(model, feats, labels, unlabeled, lr, cfg, rng)
+        return _supervised_fn(ws, params, x, y, lr, cfg, rng, unlabeled)
 
     gathered = _counting(monkeypatch, fed_module, "gather")
     cfg = FedConfig(schedule=LrSchedule(0.3), stop_loss_threshold=1e-9, max_global_iters=2)
@@ -474,12 +477,15 @@ def test_local_fn_gets_its_clients_unlabeled_feature_rows_and_no_labels(runner, 
     else:
         independent_train(ds, pools, 1, init, cfg, seed=0, local_fn=spy)
         clients = [1]
-    expected = [ds.features[pools[m].unlabeled] for _ in range(2) for m in clients]
-    assert len(seen) == len(expected)
-    for got, rows in zip(seen, expected):
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64
-        assert got.shape == rows.shape == (3, 2)
-        assert np.array_equal(got, rows)
+    assert len(seen) == 2  # once per group and iteration: one group here, a stack's pools as a list
+    for got in seen:
+        got = got if runner == "fedavg" else [got]
+        assert len(got) == len(clients)
+        for pool, m in zip(got, clients):
+            rows = ds.features[pools[m].unlabeled]
+            assert isinstance(pool, np.ndarray) and pool.dtype == np.float64
+            assert pool.shape == rows.shape == (3, 2)
+            assert np.array_equal(pool, rows)
     # Only labeled rows go through gather, the seam that also hands out labels.
     assert [list(indices) for _, indices in gathered] == [pools[m].labeled for m in clients]
 
@@ -539,18 +545,47 @@ def test_fed_config_validation(kwargs):
         FedConfig(schedule=LrSchedule(0.1), **kwargs)
 
 
-def _reference_train(ds, pools, init, cfg, stream):
-    """fed._train's contract as a per-client loop of _reference_update, nn.loss and weighted_average."""
+def _reference_two_head_update(model, feats, labels, unlabeled, lr, cfg, rng):
+    """A two-head local update from nn.grad and a single-model nn._discrepancy_grad, one client at a time."""
+    arch, params = model.arch, model.params
+    n, pool, size = len(labels), len(unlabeled), cfg.minibatch_size
+    for _ in range(cfg.local_epochs):
+        if size is None or size >= n:
+            batches = [np.arange(n)]
+        else:
+            perm = rng.permutation(n)
+            batches = [perm[i:i + size] for i in range(0, n, size)]
+        u_perm = rng.permutation(pool) if size is not None and size < pool else None
+        for step, batch in enumerate(batches):
+            g = grad(Model(arch, params), feats[batch], labels[batch], rng)
+            if pool:
+                rows = unlabeled
+                if u_perm is not None:
+                    rows = unlabeled[u_perm[np.arange(step * size, (step + 1) * size) % pool]]
+                g = g + nn_module._discrepancy_grad(nn_module.Workspace(arch), params, rows)
+            params = descend(params, g, lr)
+    return params, None
+
+
+def _reference_train(ds, pools, init, cfg, stream, two_heads=False):
+    """fed._train's contract as a per-client loop of a reference update, nn.loss and weighted_average.
+
+    Returns (params, loss trace, stopped_by).
+    """
     arch = init.arch
-    clients = [(p.client_id, *gather(ds, p.labeled)) for p in pools if p.labeled]
-    counts = [len(labels) for _, _, labels in clients]
+    clients = [(p.client_id, *gather(ds, p.labeled), ds.features[p.unlabeled]) for p in pools if p.labeled]
+    counts = [len(labels) for _, _, labels, _ in clients]
     weights = [count / float(sum(counts)) for count in counts]
     params, trace = init.params.copy(), []
     for t in range(1, cfg.max_global_iters + 1):
         updated, total = [], 0.0
-        for (client_id, feats, labels), weight in zip(clients, weights):
-            model = Model(arch, params)
-            new, start_loss = _reference_update(model, feats, labels, cfg.schedule.lr(t), cfg, stream(client_id, t))
+        for (client_id, feats, labels, unlabeled), weight in zip(clients, weights):
+            model, lr = Model(arch, params), cfg.schedule.lr(t)
+            if two_heads:
+                new, start_loss = _reference_two_head_update(model, feats, labels, unlabeled, lr, cfg,
+                                                             stream(client_id, t))
+            else:
+                new, start_loss = _reference_update(model, feats, labels, lr, cfg, stream(client_id, t))
             updated.append(new)
             total += weight * (loss(model, feats, labels) if start_loss is None else start_loss)
         if t > 1:
@@ -560,10 +595,10 @@ def _reference_train(ds, pools, init, cfg, stream):
         params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
     else:
         total = 0.0
-        for (_, feats, labels), weight in zip(clients, weights):
+        for (_, feats, labels, _), weight in zip(clients, weights):
             total += weight * loss(Model(arch, params), feats, labels)
         trace.append(total)
-    return params, tuple(trace)
+    return params, tuple(trace), "threshold" if trace[-1] < cfg.stop_loss_threshold else "cap"
 
 
 # name: (architecture kwargs, FedConfig kwargs, labeled counts per client; 0 is a client without labels)
@@ -588,10 +623,11 @@ def _counted_pools(counts):
 
 
 def _assert_same_run(report, reference):
-    params, trace = reference
+    params, trace, stopped_by = reference
     assert report.final_model.params.tobytes() == params.tobytes()
     assert [np.float64(v).tobytes() for v in report.loss_trace] == [np.float64(v).tobytes() for v in trace]
     assert report.global_iters_used == len(trace)
+    assert report.stopped_by == stopped_by
 
 
 @pytest.mark.parametrize("case", sorted(STACKED_CASES))
@@ -615,6 +651,60 @@ def test_fedavg_and_independent_training_equal_a_per_client_loop_byte_for_byte(c
         assert len(built) == 1
         stream = rng_for(6, client)
         _assert_same_run(report, _reference_train(ds, [pools[client]], init, cfg, lambda m, t: stream))
+
+
+# name: (architecture kwargs, FedConfig kwargs, labeled and unlabeled counts per client, groups)
+TWO_HEAD_CASES = {
+    "minibatch-dropout": ({"dropout_rate": 0.2}, {"minibatch_size": 16}, (20, 20, 20), (30, 25, 40), 1),
+    "full-batch-pools-differ": ({}, {}, (6, 6, 0, 6, 7), (4, 5, 3, 4, 4), 3),
+    "pool-within-a-minibatch": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (6, 6, 6), (9, 4, 9), 2),
+    "empty-pool": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (6, 6, 6), (9, 0, 9), 2),
+    "two-epochs": ({"dropout_rate": 0.2}, {"local_epochs": 2, "minibatch_size": 4}, (6, 6, 6), (9, 7, 5), 1),
+}
+
+
+def _two_head_pools(labeled, unlabeled):
+    """Client m holds ``labeled[m]`` labeled rows, then ``unlabeled[m]`` unlabeled rows, taken in order."""
+    pools, start = [], 0
+    for client, (count, pool) in enumerate(zip(labeled, unlabeled)):
+        pools.append(ClientPools(client_id=client, labeled=list(range(start, start + count)),
+                                 unlabeled=list(range(start + count, start + count + pool))))
+        start += count + pool
+    return pools
+
+
+@pytest.mark.parametrize("case", sorted(TWO_HEAD_CASES))
+@pytest.mark.parametrize("threshold", [1e-9, 0.55])  # the cap, then some early stops
+def test_two_head_runs_equal_a_per_client_loop_byte_for_byte(case, threshold, monkeypatch):
+    arch_kwargs, cfg_kwargs, labeled, unlabeled, group_count = TWO_HEAD_CASES[case]
+    pools = _two_head_pools(labeled, unlabeled)
+    ds = _dataset(sum(labeled) + sum(unlabeled), classes=3, seed=len(labeled))
+    arch = MlpArchitecture((2, 5, 3), activation="tanh", head_count=2, **arch_kwargs)
+    init = Model(arch, init_params(arch, 4) * 2.0)
+    cfg = FedConfig(schedule=LrSchedule(0.4, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
+                    **cfg_kwargs)
+    built = _counting(monkeypatch, nn_module, "Workspace")
+    runs = [("fedavg", [m for m, count in enumerate(labeled) if count])]
+    runs += [("independent", [m]) for m, count in enumerate(labeled) if count]
+    stops = []
+    for runner, clients in runs:
+        built.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if runner == "fedavg":
+                report = fedavg(ds, pools, init, cfg, seed=6, local_fn=train_discrepancy_heads)
+                stream = lambda m, t: rng_for(6, "local", m, t)  # noqa: E731
+            else:
+                report = independent_train(ds, pools, clients[0], init, cfg, seed=6,
+                                           local_fn=train_discrepancy_heads)
+                stream = (lambda rng: lambda m, t: rng)(rng_for(6, clients[0]))
+        assert len(built) == (group_count if runner == "fedavg" else 1)  # one workspace per group and run
+        assert bool(caught) == any(unlabeled[m] == 0 for m in clients)  # the empty pool still warns
+        assert all("no unlabeled data" in str(w.message) for w in caught)
+        reference = _reference_train(ds, [pools[m] for m in clients], init, cfg, stream, two_heads=True)
+        _assert_same_run(report, reference)
+        stops.append(report.stopped_by)
+    assert ("threshold" in stops) == (threshold > 1e-3)
 
 
 @pytest.mark.parametrize("runner", ["fedavg", "independent_train"])

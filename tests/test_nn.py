@@ -498,6 +498,27 @@ def test_stacked_core_equals_one_single_model_call_per_client_byte_for_byte(acti
             assert loss_streams[m].random() == one_streams[1][m].random()
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("rows", [1, 2, 16, 100])
+def test_stacked_discrepancy_grad_equals_one_single_model_call_per_client_byte_for_byte(activation, hidden,
+                                                                                       dropout, rows):
+    arch = MlpArchitecture((3, *hidden, 4), activation=activation, dropout_rate=dropout, head_count=2)
+    clients = 3
+    data = np.random.default_rng(rows)
+    params = np.stack([_edge_params(arch, seed) for seed in range(clients)])
+    x = data.normal(size=(clients, rows, 3))
+    stacked = nn.Workspace(arch, clients)
+    g = nn._discrepancy_grad(stacked, params, x)
+    shared = nn._discrepancy_grad(stacked, params[0], x)  # one vector that every client runs
+    assert g.shape == shared.shape == (clients, arch.param_count)
+    for m in range(clients):
+        single = nn.Workspace(arch)
+        assert g[m].tobytes() == nn._discrepancy_grad(single, params[m], x[m]).tobytes()
+        assert shared[m].tobytes() == nn._discrepancy_grad(single, params[0], x[m]).tobytes()
+
+
 def test_core_results_stay_independent_of_later_calls():
     arch = MlpArchitecture((3, 6, 4), head_count=2)
     model = Model(arch, _edge_params(arch, 1))

@@ -613,10 +613,17 @@ def _epochs(count, minibatch=None):
     return FedConfig(LrSchedule(1.0), local_epochs=count, minibatch_size=minibatch)
 
 
+def _two_head_update(model, labeled, labels, unlabeled, lr, cfg, rng):
+    """``train_discrepancy_heads`` on one client, as FedAvg calls it: a checked pair, a fresh workspace."""
+    x, y = nn_module.labeled_batch(model.arch, labeled, labels)
+    ws = nn_module.Workspace(model.arch)
+    return Model(model.arch, train_discrepancy_heads(ws, model.params, x, y, lr, cfg, rng, np.asarray(unlabeled))[0])
+
+
 def test_two_head_training_raises_disagreement_on_the_pool():
     model, labeled, labels, unlabeled = _training_setup()
     before = float(np.mean(score_discrepancy(model, unlabeled)))
-    trained = train_discrepancy_heads(
+    trained = _two_head_update(
         model, labeled, labels, unlabeled, 0.3, _epochs(40), np.random.default_rng(1)
     )
     after = float(np.mean(score_discrepancy(trained, unlabeled)))
@@ -639,7 +646,7 @@ def test_disagreement_term_touches_only_the_heads():
     labels = np.array([0, 1])
     assert np.all(grad(model, labeled, labels) == 0.0)  # saturated fit
 
-    trained = train_discrepancy_heads(
+    trained = _two_head_update(
         model, labeled, labels, np.array([[0.0]]), 0.1, _epochs(3), np.random.default_rng(0)
     )
     trunk = slice(0, head0.w.start)
@@ -650,25 +657,32 @@ def test_disagreement_term_touches_only_the_heads():
 def test_two_head_training_without_a_pool_warns_and_trains_supervised():
     model, labeled, labels, _ = _training_setup()
     with pytest.warns(UserWarning):
-        trained = train_discrepancy_heads(
+        trained = _two_head_update(
             model, labeled, labels, np.empty((0, 2)), 0.2, _epochs(2), np.random.default_rng(0)
         )
     step1 = descend(model.params, grad(model, labeled, labels), 0.2)
     step2 = descend(step1, grad(Model(model.arch, step1), labeled, labels), 0.2)
     assert np.array_equal(trained.params, step2)
+    # A stacked group of empty pools warns the same way.
+    x, y = nn_module.labeled_batch(model.arch, labeled, labels)
+    with pytest.warns(UserWarning, match="no unlabeled data"):
+        stacked, _ = train_discrepancy_heads(nn_module.Workspace(model.arch, 2), model.params, np.stack([x, x]),
+                                             np.stack([y, y]), 0.2, _epochs(2), None, [np.empty((0, 2))] * 2)
+    assert stacked[0].tobytes() == stacked[1].tobytes() == step2.tobytes()
 
 
 @pytest.mark.parametrize("minibatch", [None, 2])
-def test_two_head_training_equals_the_public_checked_loop_and_checks_once(minibatch, monkeypatch):
+def test_two_head_training_equals_the_public_checked_loop_and_checks_nothing_again(minibatch, monkeypatch):
     arch = MlpArchitecture((2, 8, 2), activation="tanh", dropout_rate=0.2, head_count=2)
     model = Model(arch, init_params(arch, 5))
     _, labeled, labels, unlabeled = _training_setup()
+    x, y = nn_module.labeled_batch(arch, labeled, labels)
     checks = []
     real_check = nn_module.labeled_batch
     monkeypatch.setattr(nn_module, "labeled_batch", lambda *a: checks.append(a) or real_check(*a))
-    trained = train_discrepancy_heads(model, labeled, labels, unlabeled, 0.3, _epochs(3, minibatch),
-                                      np.random.default_rng(4))
-    assert len(checks) == 1  # once per call, not once per step
+    trained, _ = train_discrepancy_heads(nn_module.Workspace(arch), model.params, x, y, 0.3, _epochs(3, minibatch),
+                                         np.random.default_rng(4), unlabeled)
+    assert checks == []  # the run checks its labeled pair once; a step takes it checked
     monkeypatch.undo()
 
     rng, params, n, u = np.random.default_rng(4), model.params, len(labels), len(unlabeled)
@@ -687,19 +701,24 @@ def test_two_head_training_equals_the_public_checked_loop_and_checks_once(miniba
             else:
                 u_batch = unlabeled[u_perm[np.arange(step * minibatch, (step + 1) * minibatch) % u]]
             params = descend(params, g + nn_module._discrepancy_grad(nn_module.Workspace(arch), params, u_batch), 0.3)
-    assert trained.params.tobytes() == params.tobytes()
+    assert trained.tobytes() == params.tobytes()
 
 
 def test_two_head_training_validation():
     model, labeled, labels, unlabeled = _training_setup()
     with pytest.raises(InvalidModelError):
-        train_discrepancy_heads(_model(0), labeled, labels, unlabeled, 0.1, _epochs(1), None)
+        _two_head_update(_model(0), labeled, labels, unlabeled, 0.1, _epochs(1), None)
     with pytest.raises(EmptyInputError):
-        train_discrepancy_heads(
+        _two_head_update(
             model, np.empty((0, 2)), np.empty(0, dtype=np.int64), unlabeled, 0.1, _epochs(1), None
         )
     with pytest.raises(ShapeError, match="feature dimension 3"):
-        train_discrepancy_heads(model, labeled, labels, np.ones((4, 3)), 0.1, _epochs(1), None)
+        _two_head_update(model, labeled, labels, np.ones((4, 3)), 0.1, _epochs(1), None)
+    # In a stacked group every member's pool is checked.
+    x, y = nn_module.labeled_batch(model.arch, labeled, labels)
+    with pytest.raises(ShapeError, match="feature dimension 3"):
+        train_discrepancy_heads(nn_module.Workspace(model.arch, 2), model.params, np.stack([x, x]), np.stack([y, y]),
+                                0.1, _epochs(1, 2), None, [unlabeled, np.ones((4, 3))])
 
 
 # -- scorer specs -----------------------------------------------------------------------------
