@@ -681,7 +681,7 @@ def test_two_head_runs_equal_a_per_client_loop_byte_for_byte(case, threshold, mo
     ds = _dataset(sum(labeled) + sum(unlabeled), classes=3, seed=len(labeled))
     arch = MlpArchitecture((2, 5, 3), activation="tanh", head_count=2, **arch_kwargs)
     init = Model(arch, init_params(arch, 4) * 2.0)
-    cfg = FedConfig(schedule=LrSchedule(0.4, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
                     **cfg_kwargs)
     built = _counting(monkeypatch, nn_module, "Workspace")
     runs = [("fedavg", [m for m, count in enumerate(labeled) if count])]
