@@ -4,11 +4,12 @@
     python3 scripts/bench.py --label baseline
 
 For each workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` three
-times untraced and once traced, all on seed 1 and for the ``run_seconds``
-that ``BENCHMARK.json`` sets, and keeps the JSON object on the last line of
-each run.  The file holds, per workload, the median and the range of every
-untraced end-to-end metric, the traced per-layer metrics, and the failed and
-attempted operation counts; plus the host (nproc, Python and NumPy versions,
+times untraced and three times traced, all on seed 1 and for the
+``run_seconds`` that ``BENCHMARK.json`` sets, and keeps the JSON object on
+the last line of each run.  The file holds, per workload, the median and the
+range of every untraced end-to-end metric, the median of every traced
+per-layer metric (one traced pass swings by more than many changes move
+it), and the failed and attempted operation counts; plus the host (nproc, Python and NumPy versions,
 BLAS vendor) and the git SHA of the code measured, with ``-dirty`` appended
 when the working tree holds uncommitted changes.  Compare two files only
 when they were written on the same host.
@@ -29,6 +30,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
+TRACED_RUNS = 3
 SEED = 1
 
 
@@ -66,22 +68,26 @@ def bench_workload(name: str, seconds: float) -> dict:
         untraced.append(_last_json_line([*common, "--trace", "0"]))
         print(f"{name}: untraced run {k + 1}/{RUNS}: wall_ref_s "
               f"{untraced[-1]['metrics']['wall_ref_s']['value']:.3f}", flush=True)
-    traced = _last_json_line([*common, "--trace", "1"])
-    print(f"{name}: traced run done", flush=True)
+    traced = []
+    for k in range(TRACED_RUNS):
+        traced.append(_last_json_line([*common, "--trace", "1"]))
+        print(f"{name}: traced run {k + 1}/{TRACED_RUNS} done", flush=True)
     end_to_end = {}
     for metric, entry in untraced[0]["metrics"].items():
         values = [run["metrics"][metric]["value"] for run in untraced]
         end_to_end[metric] = {"median": statistics.median(values), "min": min(values),
                               "max": max(values), "unit": entry["unit"]}
-    runs_all = [*untraced, traced]
+    runs_all = [*untraced, *traced]
     return {
         "seed": SEED,
         "untraced_runs": RUNS,
+        "traced_runs": TRACED_RUNS,
         "correct": all(run["correct"] for run in runs_all),
         "attempted": sum(run["attempted"] for run in runs_all),
         "failed": sum(run["failed"] for run in runs_all),
         "end_to_end": end_to_end,
-        "per_layer": {metric: entry["value"] for metric, entry in traced["metrics"].items()},
+        "per_layer": {metric: statistics.median(run["metrics"][metric]["value"] for run in traced)
+                      for metric in traced[0]["metrics"]},
     }
 
 

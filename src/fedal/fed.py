@@ -37,15 +37,28 @@ drawn from a larger pool, or the whole pool.  A ``local_fn`` with
 It gets the group's checked labeled pair and the members' unlabeled feature
 rows, read once per run straight from the dataset: their labels stay hidden.
 
+A plain group (no ``local_fn``) whose smaller half holds at least
+:data:`_SPLIT_ROWS` rows in one step runs as two halves when the process may
+use two cores: one worker thread runs :func:`_local_update` for the first
+half while the main thread runs the rest, each half in its own workspace.
+The main thread makes every stream, puts every result back in client order
+and does all the averaging, so the output is byte-identical with or without
+the worker.  A run that splits starts one worker and joins it before it
+returns, also when it raises.
+
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  The loop checks each
 client's labeled pair once per run, where it gathers it, and then runs nn's
-unchecked cores in its group's workspace.
+unchecked cores in its group's workspace.  A run whose training loss is not
+finite, or a plain run whose last loss is above its first, raises
+:class:`InvalidStateError` instead of returning a diverged model.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -195,6 +208,8 @@ class _Group(NamedTuple):
     or more run stacked, with ``x`` of ``(M, n, d)`` and ``y`` of ``(M, n)``.
     ``draws`` says whether their updates draw randomness (two-head updates
     always may).  ``unlabeled`` holds the members' pools in two-head runs.
+    A split group's ``half`` is the group of its first members, which the
+    worker thread runs (see :func:`_groups`).
     """
 
     members: list[int]
@@ -203,6 +218,7 @@ class _Group(NamedTuple):
     y: Array
     draws: bool
     unlabeled: Array | list[Array] | None
+    half: _Group | None = None
 
     def core(self, values: list):
         """One value per member, as the group's core takes them: a lone client's value, else the list."""
@@ -221,12 +237,38 @@ class _Group(NamedTuple):
             out[self.members[0]] = result
 
 
+def _group(arch, members: list[int], batches: list[tuple[Array, Array]], draws: bool,
+           pools: list[Array] | None) -> _Group:
+    """The group of ``members``: a lone client on its own 2-D pair, else a stack."""
+    if len(members) == 1:
+        x, y = batches[members[0]]
+        return _Group(members, nn.Workspace(arch), x, y, draws, pools and pools[0])
+    xs, ys = zip(*(batches[i] for i in members))
+    return _Group(members, nn.Workspace(arch, len(members)), np.stack(xs), np.stack(ys), draws, pools)
+
+
+# A plain group runs as two halves on two threads when the smaller half's step holds at least
+# this many rows: below about 2,000 the handoff costs more than the second core saves.
+_SPLIT_ROWS = 2000
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]],
             unlabeled: list[Array] | None) -> list[_Group]:
     """The clients grouped by labeled count and, with two heads, by unlabeled batch, in client order.
 
-    A two-head step takes ``minibatch_size`` rows drawn from a pool of any
-    larger size, or the whole pool.  Groups come by first member.
+    A two-head step takes ``minibatch_size`` rows drawn from a larger pool,
+    or the whole pool.  Groups come by first member.  A plain group whose
+    smaller half would hold :data:`_SPLIT_ROWS` rows in one step, on a
+    process with two cores, is split: its first ``M // 2`` members go to
+    ``half``, whose row buffers are made here, on the main thread.
     """
     size, by_key = cfg.minibatch_size, {}
     for i, (_, y) in enumerate(batches):
@@ -234,15 +276,47 @@ def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]],
         by_key.setdefault((len(y), None if size is not None and size < pool else pool), []).append(i)
     groups = []
     for (count, _), members in by_key.items():
-        xs, ys = zip(*(batches[i] for i in members))
         pools = None if unlabeled is None else [unlabeled[i] for i in members]
         draws = pools is not None or _update_draws(arch, cfg, count)
-        if len(members) == 1:
-            groups.append(_Group(members, nn.Workspace(arch), xs[0], ys[0], draws, pools and pools[0]))
+        step, cut = count if size is None else min(size, count), len(members) // 2
+        if pools is None and cut * step >= _SPLIT_ROWS and _usable_cores() > 1:
+            half = _group(arch, members[:cut], batches, draws, None)
+            half.ws.rows(step)  # made by the worker, they would come from its own malloc arena
+            groups.append(_group(arch, members[cut:], batches, draws, None)._replace(half=half))
         else:
-            groups.append(_Group(members, nn.Workspace(arch, len(members)), np.stack(xs), np.stack(ys),
-                                 draws, pools))
+            groups.append(_group(arch, members, batches, draws, pools))
     return groups
+
+
+class _Worker:
+    """The one thread beside the main one that runs split groups' halves, one call at a time.
+
+    The main thread reads each call's result before it submits the next;
+    leaving the ``with`` block reads a result that an exception left unread,
+    then joins the thread.
+    """
+
+    def __init__(self):
+        from concurrent.futures import ThreadPoolExecutor  # here, so that `import fedal` loads no pool
+
+        self._pool, self._job = ThreadPoolExecutor(1), None
+
+    def submit(self, fn, *args) -> None:
+        self._job = self._pool.submit(fn, *args)
+
+    def result(self):
+        job, self._job = self._job, None
+        return job.result()
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, *_) -> None:
+        try:
+            if self._job is not None:
+                self.result()
+        finally:
+            self._pool.shutdown()
 
 
 def _weighted_sum(weights: list[float], values: list) -> float:
@@ -253,8 +327,16 @@ def _weighted_sum(weights: list[float], values: list) -> float:
     return total
 
 
+def _step(group: _Group, update, params: Array, lr: float, cfg: FedConfig, rng):
+    """A group's local update and the loss of ``params`` on its pairs, one of each per member."""
+    new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg, rng, group.unlabeled)
+    if start_loss is None:
+        start_loss = nn._loss(group.ws, params, group.x, group.y)
+    return new_params, start_loss
+
+
 def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig, stream,
-           local_fn) -> FedRunReport:
+           local_fn, tag) -> FedRunReport:
     """FedAvg over the clients of ``pools`` that hold labels, until the stop rule ends it.
 
     Client ``m`` draws iteration ``t``'s randomness from ``stream(m, t)``,
@@ -265,6 +347,12 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     Iteration ``t`` reports the loss of update ``t - 1``'s result, so when
     that loss stops the run, iteration ``t``'s own update is dropped before
     it is averaged; at the cap one more loss pass gives the last entry.
+
+    A split group's half runs :func:`_local_update` on the worker thread
+    while the main thread runs the rest; the main thread makes every stream
+    and puts every result.  The run raises :class:`InvalidStateError`,
+    naming ``tag``, when a trace loss is not finite, or when a run of the
+    plain update (no ``local_fn``) ends above its first loss.
     """
     arch = init_model.arch
     # Clients without labels get weight zero: they only receive the global model.
@@ -280,28 +368,53 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     weights = [count / float(sum(counts)) for count in counts]
     params, trace = init_model.params.copy(), []
     updated, losses = [None] * len(ids), [None] * len(ids)
-    for t in range(1, cfg.max_global_iters + 1):
-        lr = cfg.schedule.lr(t)
-        for group in groups:
-            new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg,
-                                            group.streams(stream, ids, t), group.unlabeled)
-            if start_loss is None:
-                start_loss = nn._loss(group.ws, params, group.x, group.y)
-            group.put(new_params, updated)
-            group.put(start_loss, losses)
-        if t > 1:
+    with _Worker() if any(group.half for group in groups) else contextlib.nullcontext() as worker:
+        for t in range(1, cfg.max_global_iters + 1):
+            lr = cfg.schedule.lr(t)
+            for group in groups:
+                if group.half:  # the half holds the first members, so its streams come first
+                    worker.submit(_step, group.half, _local_update, params, lr, cfg,
+                                  group.half.streams(stream, ids, t))
+                new_params, start_loss = _step(group, update, params, lr, cfg, group.streams(stream, ids, t))
+                group.put(new_params, updated)
+                group.put(start_loss, losses)
+                if group.half:
+                    new_params, start_loss = worker.result()
+                    group.half.put(new_params, updated)
+                    group.half.put(start_loss, losses)
+            if t > 1:
+                trace.append(_weighted_sum(weights, losses))
+                if trace[-1] < cfg.stop_loss_threshold:
+                    break
+            # The average of one update is that update (weighted_average's clamp makes it exact).
+            params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
+        else:
+            for group in groups:
+                if group.half:
+                    worker.submit(nn._loss, group.half.ws, params, group.half.x, group.half.y)
+                group.put(nn._loss(group.ws, params, group.x, group.y), losses)
+                if group.half:
+                    group.half.put(worker.result(), losses)
             trace.append(_weighted_sum(weights, losses))
-            if trace[-1] < cfg.stop_loss_threshold:
-                break
-        # The average of one update is that update (weighted_average's clamp makes it exact).
-        params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
-    else:
-        for group in groups:
-            group.put(nn._loss(group.ws, params, group.x, group.y), losses)
-        trace.append(_weighted_sum(weights, losses))
+    _check_descent(trace, local_fn is None, cfg, tag, ids)
     # A run that meets the threshold with its last update at the cap ends as a threshold stop would.
     stopped_by = "threshold" if trace[-1] < cfg.stop_loss_threshold else "cap"
     return FedRunReport(Model(arch, params), len(trace), tuple(trace), stopped_by)
+
+
+def _check_descent(trace: list[float], plain: bool, cfg: FedConfig, tag, ids: list) -> None:
+    """Raise when a trace loss is not finite, or when a plain run ends above its first loss.
+
+    Two-head runs descend cross-entropy minus the heads' disagreement, so
+    their cross-entropy may rise; only the first rule judges them.
+    """
+    bad = next((k for k, value in enumerate(trace) if not math.isfinite(value)), None)
+    if bad is None and plain and trace[-1] > trace[0]:
+        bad = len(trace) - 1
+    if bad is not None:
+        raise InvalidStateError(
+            f"run {tag!r} on clients {ids} diverged: the loss after iteration {bad + 1} "
+            f"(rate {cfg.schedule.lr(bad + 1)!r}) is {trace[bad]!r}, against {trace[0]!r} after the first")
 
 
 def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig,
@@ -314,7 +427,8 @@ def fedavg(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     """
     if all(p.labeled_count == 0 for p in pools):
         raise InvalidStateError("no client has labeled data")
-    return _train(dataset, pools, init_model, cfg, lambda m, t: rng_for(seed, "local", m, t), local_fn)
+    return _train(dataset, pools, init_model, cfg, lambda m, t: rng_for(seed, "local", m, t), local_fn,
+                  seed)
 
 
 def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
@@ -332,7 +446,7 @@ def independent_train(dataset: Dataset, pools: list[ClientPools], client: int,
     if not pool.labeled_count:
         raise InvalidStateError(f"client {pool.client_id} has no labeled data")
     rng = rng_for(seed, pool.client_id)
-    return _train(dataset, [pool], init_model, cfg, lambda client_id, t: rng, local_fn)
+    return _train(dataset, [pool], init_model, cfg, lambda client_id, t: rng, local_fn, seed)
 
 
 def evaluate(model: Model, test: Dataset) -> float:

@@ -1,7 +1,10 @@
 """Tests for FedAvg, per-client training, aggregation, and evaluation."""
 
 import re
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedal import fed as fed_module
+from fedal import harness
 from fedal import nn as nn_module
+from fedal.config import parse_config_file
 from fedal.data import ClientPools, Dataset, gather, synth_blobs
 from fedal.errors import ConfigError, EmptyInputError, InvalidStateError, ShapeError
 from fedal.fed import (
@@ -705,6 +710,217 @@ def test_two_head_runs_equal_a_per_client_loop_byte_for_byte(case, threshold, mo
         _assert_same_run(report, reference)
         stops.append(report.stopped_by)
     assert ("threshold" in stops) == (threshold > 1e-3)
+
+
+# -- a large group as two halves on two threads --------------------------------------------
+
+def _allow_split(monkeypatch, rows=1, cores=2):
+    """Split every plain group whose smaller half's step holds ``rows`` rows, as if on ``cores`` cores."""
+    monkeypatch.setattr(fed_module, "_SPLIT_ROWS", rows)
+    monkeypatch.setattr(fed_module, "_usable_cores", lambda: cores)
+
+
+class _DrawSpy:
+    """A stream that records the thread of each draw, then draws from the stream it wraps."""
+
+    def __init__(self, stream, draws, serial):
+        self._stream, self._draws, self._serial = stream, draws, serial
+
+    def random(self, *args, **kwargs):
+        self._draws.append((self._serial, threading.get_ident()))
+        return self._stream.random(*args, **kwargs)
+
+    def permutation(self, *args, **kwargs):
+        self._draws.append((self._serial, threading.get_ident()))
+        return self._stream.permutation(*args, **kwargs)
+
+
+def _thread_spies(monkeypatch):
+    """Record the thread and stack size of each fed._local_update call, and each stream's maker and draws."""
+    updates, made, draws = [], [], []
+    update, make = fed_module._local_update, fed_module.rng_for
+
+    def spy_update(ws, params, x, y, lr, cfg, rng, unlabeled=None):
+        updates.append((threading.get_ident(), ws.clients))
+        return update(ws, params, x, y, lr, cfg, rng, unlabeled)
+
+    def spy_rng_for(*key):
+        made.append(threading.get_ident())
+        return _DrawSpy(make(*key), draws, len(made))
+
+    monkeypatch.setattr(fed_module, "_local_update", spy_update)
+    monkeypatch.setattr(fed_module, "rng_for", spy_rng_for)
+    return updates, made, draws
+
+
+def _no_worker():
+    raise AssertionError("a worker thread was started")
+
+
+# name: (architecture kwargs, FedConfig kwargs, labeled counts per client)
+SPLIT_CASES = {
+    "two-lone-halves": ({}, {}, (6, 6)),
+    "three": ({}, {}, (6, 6, 6)),
+    "five": ({}, {}, (6, 6, 6, 6, 6)),
+    "five-beside-a-lone-client": ({}, {}, (6, 5, 6, 0, 6, 6, 6)),
+    "minibatch-dropout": ({"dropout_rate": 0.2}, {"minibatch_size": 16}, (20, 20, 20, 20, 20)),
+}
+
+
+def _split_world(case, threshold):
+    arch_kwargs, cfg_kwargs, counts = SPLIT_CASES[case]
+    pools = _counted_pools(counts)
+    ds = _dataset(sum(counts) + len(counts), classes=3, seed=len(counts))
+    arch = MlpArchitecture((2, 5, 3), **arch_kwargs)
+    init = Model(arch, init_params(arch, 4) * 2.0)
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
+                    **cfg_kwargs)
+    return ds, pools, init, cfg
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+@pytest.mark.parametrize("threshold", [1e-9, 0.3])  # the cap, then early stops
+def test_a_split_group_equals_a_per_client_loop_byte_for_byte(case, threshold, monkeypatch):
+    ds, pools, init, cfg = _split_world(case, threshold)
+    _allow_split(monkeypatch)
+    updates, made, draws = _thread_spies(monkeypatch)
+    threads = threading.active_count()
+    report = fedavg(ds, pools, init, cfg, seed=6)
+    assert threading.active_count() == threads  # the worker is joined
+    reference = _reference_train(ds, pools, init, cfg, lambda m, t: rng_for(6, "local", m, t))
+    _assert_same_run(report, reference)
+    main = threading.get_ident()
+    workers = {ident for ident, _ in updates} - {main}
+    assert len(workers) == 1  # one worker per run
+    counts = [count for count in SPLIT_CASES[case][2] if count]
+    half = max(counts.count(count) for count in counts) // 2
+    # The worker runs the split group's first M // 2 members: one member on its own 2-D pair.
+    assert {clients for ident, clients in updates if ident in workers} == {None if half == 1 else half}
+    assert set(made) == ({main} if "minibatch" in case else set())  # streams are made on the main thread
+    drawn_by = {}
+    for stream, ident in draws:
+        drawn_by.setdefault(stream, set()).add(ident)
+    assert all(len(idents) == 1 for idents in drawn_by.values())  # and drawn by one thread only
+    assert (workers in drawn_by.values()) == ("minibatch" in case)
+
+
+def test_a_split_run_is_the_same_under_a_tiny_switch_interval(monkeypatch):
+    ds, pools, init, cfg = _split_world("minibatch-dropout", 1e-9)
+    _allow_split(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = fedavg(ds, pools, init, cfg, seed=6)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_run(report, _reference_train(ds, pools, init, cfg, lambda m, t: rng_for(6, "local", m, t)))
+
+
+@pytest.mark.parametrize("case,rows,cores,splits", [
+    ("five", 12, 2, True),                # the smaller half holds 2 x 6 rows
+    ("five", 13, 2, False),
+    ("five", 1, 1, False),                # one usable core
+    ("minibatch-dropout", 32, 2, True),   # a step holds 16 rows per member
+    ("minibatch-dropout", 33, 2, False),
+    ("five", fed_module._SPLIT_ROWS, 2, False),
+])
+def test_no_thread_starts_with_one_usable_core_or_below_the_row_rule(case, rows, cores, splits,
+                                                                     monkeypatch):
+    ds, pools, init, cfg = _split_world(case, 1e-9)
+    _allow_split(monkeypatch, rows, cores)
+    updates, _, _ = _thread_spies(monkeypatch)
+    if not splits:
+        monkeypatch.setattr(fed_module, "_Worker", _no_worker)
+    report = fedavg(ds, pools, init, cfg, seed=6)
+    _assert_same_run(report, _reference_train(ds, pools, init, cfg, lambda m, t: rng_for(6, "local", m, t)))
+    assert ({ident for ident, _ in updates} != {threading.get_ident()}) == splits
+
+
+def test_two_head_runs_never_split(monkeypatch):
+    pools = _two_head_pools((20, 20, 20, 20), (30, 25, 40, 30))
+    ds = _dataset(235, classes=3, seed=4)
+    arch = MlpArchitecture((2, 5, 3), activation="tanh", head_count=2)
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), max_global_iters=3)
+    _allow_split(monkeypatch)
+    monkeypatch.setattr(fed_module, "_Worker", _no_worker)
+    fedavg(ds, pools, _init(arch), cfg, seed=6, local_fn=train_discrepancy_heads)
+
+
+def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
+    assert fed_module._usable_cores() >= 1
+    monkeypatch.delattr(fed_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(fed_module.os, "cpu_count", lambda: None)
+    assert fed_module._usable_cores() == 1
+
+
+@pytest.mark.parametrize("failing", ["worker", "main"])
+def test_a_failing_half_raises_from_fedavg_and_leaves_no_thread(failing, monkeypatch):
+    ds, pools, init, cfg = _split_world("five", 1e-9)
+    _allow_split(monkeypatch)
+    update, main = fed_module._local_update, threading.get_ident()
+
+    def failing_update(ws, params, x, y, lr, cfg, rng, unlabeled=None):
+        if (threading.get_ident() == main) == (failing == "main"):
+            raise RuntimeError(f"the {failing} half failed")
+        return update(ws, params, x, y, lr, cfg, rng, unlabeled)
+
+    monkeypatch.setattr(fed_module, "_local_update", failing_update)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^the {failing} half failed$"):
+        fedavg(ds, pools, init, cfg, seed=6)
+    assert threading.active_count() == threads
+
+
+# -- a diverging run fails loudly --------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_a_diverging_desk_run_fails_loudly_and_names_its_run():
+    cfg = parse_config_file(CONFIG_DIR / "desk_blobs.yaml", {"fl": {"lr": 5000.0, "max_global_iters": 30}})
+    with pytest.raises(InvalidStateError, match=r"^run \(8, 'train-task'\) on clients \[0, 1, 2\] diverged: "
+                                                r"the loss after iteration 30 \(rate 4582\.78\d*\) is "
+                                                r"1\.767\d*e\+222, against 2395193\.9\d* after the first$"):
+        harness.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("runner", ["fedavg", "independent_train"])
+def test_a_plain_run_that_ends_above_its_first_loss_raises(runner):
+    ds, pools, init = _dataset(20), _full_pools(20, 2), _init(MlpArchitecture((2, 6, 2)))
+
+    def run(lr):
+        cfg = FedConfig(schedule=LrSchedule(lr), stop_loss_threshold=1e-9, max_global_iters=6)
+        if runner == "fedavg":
+            return fedavg(ds, pools, init, cfg, seed=1)
+        return independent_train(ds, pools, 0, init, cfg, seed=(1, "x"))
+
+    named = r"run 1 on clients \[0, 1\]" if runner == "fedavg" else r"run \(1, 'x'\) on clients \[0\]"
+    with pytest.raises(InvalidStateError, match=rf"^{named} diverged: the loss after iteration 6 \(rate 20\.0\)"):
+        run(20.0)
+    report = run(5.0)
+    assert report.loss_trace[-1] < report.loss_trace[0]
+
+
+def _two_head_run(lr, init_scale=2.0):
+    arch_kwargs, cfg_kwargs, labeled, unlabeled, _ = TWO_HEAD_CASES["minibatch-dropout"]
+    ds = _dataset(sum(labeled) + sum(unlabeled), classes=3, seed=len(labeled))
+    arch = MlpArchitecture((2, 5, 3), activation="tanh", head_count=2, **arch_kwargs)
+    cfg = FedConfig(schedule=LrSchedule(lr, 0.95), stop_loss_threshold=1e-9, max_global_iters=8, **cfg_kwargs)
+    init = Model(arch, init_params(arch, 4) * init_scale)
+    return fedavg(ds, _two_head_pools(labeled, unlabeled), init, cfg, seed=6, local_fn=train_discrepancy_heads)
+
+
+def test_a_two_head_run_whose_cross_entropy_rises_is_not_a_divergence():
+    # Two-head training descends cross-entropy minus the heads' disagreement.
+    report = _two_head_run(2.0)
+    assert report.loss_trace[-1] > report.loss_trace[0]
+    assert all(np.isfinite(report.loss_trace))
+
+
+def test_a_two_head_run_with_a_loss_that_is_not_finite_raises():
+    with pytest.raises(InvalidStateError, match=r"^run 6 on clients \[0, 1, 2\] diverged: the loss after "
+                                                r"iteration 1 \(rate 2\.0\) is nan, against nan after the first$"):
+        _two_head_run(2.0, init_scale=np.nan)
 
 
 @pytest.mark.parametrize("runner", ["fedavg", "independent_train"])

@@ -6,7 +6,7 @@ import pytest
 from fedal import nn as nn_module
 from fedal import orchestrator
 from fedal.data import ClientPools, Dataset
-from fedal.errors import BudgetError, ConfigError, InvalidStateError, ShapeError
+from fedal.errors import BudgetError, ConfigError, InvalidStateError
 from fedal.fed import FedConfig, evaluate, fedavg, independent_train
 from fedal.nn import LrSchedule, MlpArchitecture, Model
 from fedal.orchestrator import (
@@ -209,10 +209,12 @@ def test_an_uninformative_model_falls_back_to_low_indices(world_factory):
 
 def test_a_diverged_task_model_stops_federated_annotation_before_any_label(world_factory,
                                                                           monkeypatch):
-    # NaN parameters give NaN entropies; selection must refuse them, not rank them.
+    # NaN parameters give a NaN training loss, and the task model's run refuses it before any
+    # selection (selection itself refuses NaN scores: see test_strategies).
     monkeypatch.setattr(nn_module, "init_params", lambda arch, seed: np.full(arch.param_count, np.nan))
     train, test, pools, arch = world_factory(clients=2, n=60, initial_fraction=0.2)
-    with pytest.raises(ShapeError, match=r"^score for index \d+ is not finite$"):
+    with pytest.raises(InvalidStateError, match=r"^run \(3, 'train-task'\) on clients \[0, 1\] diverged: "
+                                                r"the loss after iteration 1 \(rate 0\.4\) is nan"):
         run_strategy("f_al", train, test, pools, arch, _al(1, (4, 4)), QUICK_FL, 3)
     assert all(p.history == {} for p in pools)
 
