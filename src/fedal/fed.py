@@ -38,13 +38,13 @@ It gets the group's checked labeled pair and the members' unlabeled feature
 rows, read once per run straight from the dataset: their labels stay hidden.
 
 A plain group (no ``local_fn``) whose smaller half holds at least
-:data:`_SPLIT_ROWS` rows in one step runs as two halves when the process may
-use two cores: one worker thread runs :func:`_local_update` for the first
-half while the main thread runs the rest, each half in its own workspace.
-The main thread makes every stream, puts every result back in client order
-and does all the averaging, so the output is byte-identical with or without
-the worker.  A run that splits starts one worker and joins it before it
-returns, also when it raises.
+:data:`_SPLIT_ROWS` rows in one step is split when the process may use two
+cores: its first members form a group of their own that a worker thread
+runs while the main thread runs the other groups.  Each iteration hands the
+worker one job holding all its groups; the main thread makes every stream
+before it submits and reads the result before it averages.  Each thread puts
+its groups' results at their members' slots; the output is byte-identical
+with or without the worker, which is joined before the run returns or raises.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  The loop checks each
@@ -208,8 +208,8 @@ class _Group(NamedTuple):
     or more run stacked, with ``x`` of ``(M, n, d)`` and ``y`` of ``(M, n)``.
     ``draws`` says whether their updates draw randomness (two-head updates
     always may).  ``unlabeled`` holds the members' pools in two-head runs.
-    A split group's ``half`` is the group of its first members, which the
-    worker thread runs (see :func:`_groups`).
+    ``worker`` marks the first members of a split group, which the worker
+    thread runs (see :func:`_groups`).
     """
 
     members: list[int]
@@ -218,7 +218,7 @@ class _Group(NamedTuple):
     y: Array
     draws: bool
     unlabeled: Array | list[Array] | None
-    half: _Group | None = None
+    worker: bool = False
 
     def core(self, values: list):
         """One value per member, as the group's core takes them: a lone client's value, else the list."""
@@ -267,8 +267,9 @@ def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]],
     A two-head step takes ``minibatch_size`` rows drawn from a larger pool,
     or the whole pool.  Groups come by first member.  A plain group whose
     smaller half would hold :data:`_SPLIT_ROWS` rows in one step, on a
-    process with two cores, is split: its first ``M // 2`` members go to
-    ``half``, whose row buffers are made here, on the main thread.
+    process with two cores, is split into two groups: its first ``M // 2``
+    members form one marked for the worker, whose row buffers are made here,
+    on the main thread, and the rest form the next.
     """
     size, by_key = cfg.minibatch_size, {}
     for i, (_, y) in enumerate(batches):
@@ -280,43 +281,12 @@ def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]],
         draws = pools is not None or _update_draws(arch, cfg, count)
         step, cut = count if size is None else min(size, count), len(members) // 2
         if pools is None and cut * step >= _SPLIT_ROWS and _usable_cores() > 1:
-            half = _group(arch, members[:cut], batches, draws, None)
+            half = _group(arch, members[:cut], batches, draws, None)._replace(worker=True)
             half.ws.rows(step)  # made by the worker, they would come from its own malloc arena
-            groups.append(_group(arch, members[cut:], batches, draws, None)._replace(half=half))
+            groups += [half, _group(arch, members[cut:], batches, draws, None)]
         else:
             groups.append(_group(arch, members, batches, draws, pools))
     return groups
-
-
-class _Worker:
-    """The one thread beside the main one that runs split groups' halves, one call at a time.
-
-    The main thread reads each call's result before it submits the next;
-    leaving the ``with`` block reads a result that an exception left unread,
-    then joins the thread.
-    """
-
-    def __init__(self):
-        from concurrent.futures import ThreadPoolExecutor  # here, so that `import fedal` loads no pool
-
-        self._pool, self._job = ThreadPoolExecutor(1), None
-
-    def submit(self, fn, *args) -> None:
-        self._job = self._pool.submit(fn, *args)
-
-    def result(self):
-        job, self._job = self._job, None
-        return job.result()
-
-    def __enter__(self) -> _Worker:
-        return self
-
-    def __exit__(self, *_) -> None:
-        try:
-            if self._job is not None:
-                self.result()
-        finally:
-            self._pool.shutdown()
 
 
 def _weighted_sum(weights: list[float], values: list) -> float:
@@ -327,12 +297,21 @@ def _weighted_sum(weights: list[float], values: list) -> float:
     return total
 
 
-def _step(group: _Group, update, params: Array, lr: float, cfg: FedConfig, rng):
-    """A group's local update and the loss of ``params`` on its pairs, one of each per member."""
-    new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg, rng, group.unlabeled)
-    if start_loss is None:
-        start_loss = nn._loss(group.ws, params, group.x, group.y)
-    return new_params, start_loss
+def _run(groups: list[_Group], rngs: list, update, params: Array, lr: float, cfg: FedConfig,
+         updated: list, losses: list) -> None:
+    """Each group's update of ``params`` and loss at ``params`` (the update's, else a pass), put in place."""
+    for group, rng in zip(groups, rngs):
+        new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg, rng, group.unlabeled)
+        if start_loss is None:
+            start_loss = nn._loss(group.ws, params, group.x, group.y)
+        group.put(new_params, updated)
+        group.put(start_loss, losses)
+
+
+def _put_losses(groups: list[_Group], params: Array, losses: list) -> None:
+    """Each group's loss at ``params``, put at its members' slots."""
+    for group in groups:
+        group.put(nn._loss(group.ws, params, group.x, group.y), losses)
 
 
 def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig, stream,
@@ -340,19 +319,20 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     """FedAvg over the clients of ``pools`` that hold labels, until the stop rule ends it.
 
     Client ``m`` draws iteration ``t``'s randomness from ``stream(m, t)``,
-    called group by group, in client order within a group, and only when
-    the update can draw: always for a ``local_fn``, else as
-    :func:`_update_draws` says.  ``loss_trace[k]`` is the training loss
-    after ``k + 1`` updates, so its length is the number of updates.
-    Iteration ``t`` reports the loss of update ``t - 1``'s result, so when
-    that loss stops the run, iteration ``t``'s own update is dropped before
-    it is averaged; at the cap one more loss pass gives the last entry.
+    called on the main thread group by group (the worker's groups first),
+    in client order within a group, and only when the update can draw:
+    always for a ``local_fn``, else as :func:`_update_draws` says.
+    ``loss_trace[k]`` is the training loss after ``k + 1`` updates, so its
+    length is the number of updates.  Iteration ``t`` reports the loss of
+    update ``t - 1``'s result, so when that loss stops the run, iteration
+    ``t``'s own update is dropped before it is averaged; at the cap one more
+    loss pass gives the last entry.
 
-    A split group's half runs :func:`_local_update` on the worker thread
-    while the main thread runs the rest; the main thread makes every stream
-    and puts every result.  The run raises :class:`InvalidStateError`,
-    naming ``tag``, when a trace loss is not finite, or when a run of the
-    plain update (no ``local_fn``) ends above its first loss.
+    The groups marked ``worker`` run on the worker thread, one job per
+    iteration and one for the cap's loss pass, while the main thread runs
+    the rest.  The run raises :class:`InvalidStateError`, naming ``tag``,
+    when a trace loss is not finite, or when a run of the plain update (no
+    ``local_fn``) ends above its first loss.
     """
     arch = init_model.arch
     # Clients without labels get weight zero: they only receive the global model.
@@ -363,25 +343,24 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
             batches.append(nn.labeled_batch(arch, *gather(dataset, pool.labeled_rows)))
             unlabeled.append(None if local_fn is None else dataset.features[pool.unlabeled_rows])
     groups = _groups(arch, cfg, batches, None if local_fn is None else unlabeled)
+    mine, theirs = [g for g in groups if not g.worker], [g for g in groups if g.worker]
     update = local_fn or _local_update
     counts = [len(y) for _, y in batches]
     weights = [count / float(sum(counts)) for count in counts]
     params, trace = init_model.params.copy(), []
     updated, losses = [None] * len(ids), [None] * len(ids)
-    with _Worker() if any(group.half for group in groups) else contextlib.nullcontext() as worker:
+    if theirs:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that `import fedal` loads no pool
+    # Each thread puts only its own groups' slots, read after the job's result.
+    with ThreadPoolExecutor(1) if theirs else contextlib.nullcontext() as executor:
         for t in range(1, cfg.max_global_iters + 1):
             lr = cfg.schedule.lr(t)
-            for group in groups:
-                if group.half:  # the half holds the first members, so its streams come first
-                    worker.submit(_step, group.half, _local_update, params, lr, cfg,
-                                  group.half.streams(stream, ids, t))
-                new_params, start_loss = _step(group, update, params, lr, cfg, group.streams(stream, ids, t))
-                group.put(new_params, updated)
-                group.put(start_loss, losses)
-                if group.half:
-                    new_params, start_loss = worker.result()
-                    group.half.put(new_params, updated)
-                    group.half.put(start_loss, losses)
+            if theirs:
+                job = executor.submit(_run, theirs, [g.streams(stream, ids, t) for g in theirs], update,
+                                      params, lr, cfg, updated, losses)
+            _run(mine, [g.streams(stream, ids, t) for g in mine], update, params, lr, cfg, updated, losses)
+            if theirs:
+                job.result()
             if t > 1:
                 trace.append(_weighted_sum(weights, losses))
                 if trace[-1] < cfg.stop_loss_threshold:
@@ -389,12 +368,11 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
             # The average of one update is that update (weighted_average's clamp makes it exact).
             params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
         else:
-            for group in groups:
-                if group.half:
-                    worker.submit(nn._loss, group.half.ws, params, group.half.x, group.half.y)
-                group.put(nn._loss(group.ws, params, group.x, group.y), losses)
-                if group.half:
-                    group.half.put(worker.result(), losses)
+            if theirs:
+                job = executor.submit(_put_losses, theirs, params, losses)
+            _put_losses(mine, params, losses)
+            if theirs:
+                job.result()
             trace.append(_weighted_sum(weights, losses))
     _check_descent(trace, local_fn is None, cfg, tag, ids)
     # A run that meets the threshold with its last update at the cap ends as a threshold stop would.

@@ -313,12 +313,15 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
     idx = np.arange(n, dtype=np.int64) if indices is None else as_indices(indices)
     if idx.shape != (n,):
         raise ShapeError(f"indices must align with the {n} unlabeled rows")
-    # Rows in index order, so argmax's first maximum is the lowest-index tie.
-    order = np.argsort(idx, kind="stable")
-    ids, pool = idx[order], unlab[order]
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if repeated.size:
-        raise ShapeError(f"indices must not repeat; {repeated[0]} does")
+    # Rows in index order, so argmax's first maximum is the lowest-index tie.  A pool already in
+    # that order (strictly ascending, as the pipeline passes it) is used as it stands.
+    ids, pool = idx, unlab
+    if not (idx[1:] > idx[:-1]).all():
+        order = np.argsort(idx, kind="stable")
+        ids, pool = idx[order], unlab[order]
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ShapeError(f"indices must not repeat; {repeated[0]} does")
     # Overflow only makes the slack infinite or an estimate NaN, which sends rows to the exact path.
     with np.errstate(over="ignore", invalid="ignore"):
         pool_sq, lab_sq = (pool * pool).sum(axis=1), (lab * lab).sum(axis=1)

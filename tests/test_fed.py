@@ -1,5 +1,6 @@
 """Tests for FedAvg, per-client training, aggregation, and evaluation."""
 
+import concurrent.futures
 import re
 import sys
 import threading
@@ -753,7 +754,7 @@ def _thread_spies(monkeypatch):
     return updates, made, draws
 
 
-def _no_worker():
+def _no_worker(*_):
     raise AssertionError("a worker thread was started")
 
 
@@ -764,6 +765,7 @@ SPLIT_CASES = {
     "five": ({}, {}, (6, 6, 6, 6, 6)),
     "five-beside-a-lone-client": ({}, {}, (6, 5, 6, 0, 6, 6, 6)),
     "minibatch-dropout": ({"dropout_rate": 0.2}, {"minibatch_size": 16}, (20, 20, 20, 20, 20)),
+    "minibatch-two-split-groups": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (6, 6, 6, 6, 9, 9, 9, 9, 5)),
 }
 
 
@@ -804,6 +806,30 @@ def test_a_split_group_equals_a_per_client_loop_byte_for_byte(case, threshold, m
     assert (workers in drawn_by.values()) == ("minibatch" in case)
 
 
+@pytest.mark.parametrize("threshold", [1e-9, 0.3])
+def test_each_iteration_hands_every_worker_group_to_one_job(threshold, monkeypatch):
+    ds, pools, init, cfg = _split_world("minibatch-two-split-groups", threshold)
+    _allow_split(monkeypatch)
+    updates, _, _ = _thread_spies(monkeypatch)
+    jobs, executor = [], concurrent.futures.ThreadPoolExecutor
+
+    class SubmitSpy(executor):
+        def submit(self, fn, *args, **kwargs):
+            jobs.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SubmitSpy)
+    report = fedavg(ds, pools, init, cfg, seed=6)
+    _assert_same_run(report, _reference_train(ds, pools, init, cfg, lambda m, t: rng_for(6, "local", m, t)))
+    workers = {ident for ident, _ in updates} - {threading.get_ident()}
+    assert len(workers) == 1
+    # Iteration k + 1 reports the loss after update k, and a run that reaches the cap takes one more pass.
+    assert len(jobs) == report.global_iters_used + 1
+    # Both split groups' first halves, two clients each, run in every iteration's one job.
+    iterations = min(report.global_iters_used + 1, cfg.max_global_iters)
+    assert [clients for ident, clients in updates if ident in workers] == [2, 2] * iterations
+
+
 def test_a_split_run_is_the_same_under_a_tiny_switch_interval(monkeypatch):
     ds, pools, init, cfg = _split_world("minibatch-dropout", 1e-9)
     _allow_split(monkeypatch)
@@ -830,7 +856,7 @@ def test_no_thread_starts_with_one_usable_core_or_below_the_row_rule(case, rows,
     _allow_split(monkeypatch, rows, cores)
     updates, _, _ = _thread_spies(monkeypatch)
     if not splits:
-        monkeypatch.setattr(fed_module, "_Worker", _no_worker)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_worker)
     report = fedavg(ds, pools, init, cfg, seed=6)
     _assert_same_run(report, _reference_train(ds, pools, init, cfg, lambda m, t: rng_for(6, "local", m, t)))
     assert ({ident for ident, _ in updates} != {threading.get_ident()}) == splits
@@ -842,7 +868,7 @@ def test_two_head_runs_never_split(monkeypatch):
     arch = MlpArchitecture((2, 5, 3), activation="tanh", head_count=2)
     cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), max_global_iters=3)
     _allow_split(monkeypatch)
-    monkeypatch.setattr(fed_module, "_Worker", _no_worker)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_worker)
     fedavg(ds, pools, _init(arch), cfg, seed=6, local_fn=train_discrepancy_heads)
 
 
