@@ -21,7 +21,7 @@ def stream_key(*parts) -> tuple[int, ...]:
             out.extend(stream_key(*part))
         elif isinstance(part, str):
             out.append(zlib.crc32(part.encode("utf-8")))
-        elif isinstance(part, (int, np.integer)):
+        elif isinstance(part, (int, np.integer)) and not isinstance(part, bool):
             if part < 0:
                 raise ValueError(f"seed parts must be non-negative, got {part}")
             out.append(int(part))

@@ -332,8 +332,7 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
         # Pool rows grouped by home.  Once d(c, p) >= 2 d(x, p) for a pick c and the home p
         # of row x, d(x, c) >= d(x, p), so x's sum to c cannot fall below min_sq[x]: a group
         # is skipped while d(c, p)^2 is at least four times its squared radius, with slack.
-        by_home, counts = np.argsort(home, kind="stable"), np.bincount(home, minlength=lab.shape[0])
-        starts = np.cumsum(counts) - counts
+        homes = _split(home, lab.shape[0])
         radius_sq = np.full(lab.shape[0], -np.inf)
         np.maximum.at(radius_sq, home, min_sq)
         far = 4.0 * (radius_sq + 2.0 * slack)
@@ -345,9 +344,7 @@ def coreset_greedy(labeled_feats, unlabeled_feats, b: int, indices=None) -> list
             available[pos] = False
             min_dist[pos] = -np.inf
             near = np.flatnonzero(~(_estimates(lab, lab_sq, pool[pos], pool_sq[pos]) - slack >= far))
-            # The members of the groups kept: by_home[starts[g]:starts[g] + counts[g]] for g in near.
-            sizes = counts[near]
-            rows = by_home[np.repeat(starts[near] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+            rows = np.concatenate([homes[g] for g in near])  # never empty: near holds the pick's home
             rows = rows[available[rows]]
             nearer = np.minimum(min_sq[rows], _sq_dists(pool[rows], pool[pos]))
             min_sq[rows] = nearer

@@ -764,6 +764,7 @@ SPLIT_CASES = {
     "three": ({}, {}, (6, 6, 6)),
     "five": ({}, {}, (6, 6, 6, 6, 6)),
     "five-beside-a-lone-client": ({}, {}, (6, 5, 6, 0, 6, 6, 6)),
+    "dropout-full-batch": ({"dropout_rate": 0.2}, {}, (6, 6, 6)),
     "minibatch-dropout": ({"dropout_rate": 0.2}, {"minibatch_size": 16}, (20, 20, 20, 20, 20)),
     "minibatch-two-split-groups": ({"dropout_rate": 0.2}, {"minibatch_size": 4}, (6, 6, 6, 6, 9, 9, 9, 9, 5)),
 }
@@ -795,15 +796,17 @@ def test_a_split_group_equals_a_per_client_loop_byte_for_byte(case, threshold, m
     workers = {ident for ident, _ in updates} - {main}
     assert len(workers) == 1  # one worker per run
     counts = [count for count in SPLIT_CASES[case][2] if count]
-    half = max(counts.count(count) for count in counts) // 2
+    split = max(counts, key=counts.count)
+    half = counts.count(split) // 2
     # The worker runs the split group's first M // 2 members: one member on its own 2-D pair.
     assert {clients for ident, clients in updates if ident in workers} == {None if half == 1 else half}
-    assert set(made) == ({main} if "minibatch" in case else set())  # streams are made on the main thread
+    made_by = {main} if any(fed_module._update_draws(init.arch, cfg, count) for count in counts) else set()
+    assert set(made) == made_by  # streams are made on the main thread
     drawn_by = {}
     for stream, ident in draws:
         drawn_by.setdefault(stream, set()).add(ident)
     assert all(len(idents) == 1 for idents in drawn_by.values())  # and drawn by one thread only
-    assert (workers in drawn_by.values()) == ("minibatch" in case)
+    assert (workers in drawn_by.values()) == fed_module._update_draws(init.arch, cfg, split)
 
 
 @pytest.mark.parametrize("threshold", [1e-9, 0.3])

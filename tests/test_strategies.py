@@ -534,6 +534,27 @@ def test_coreset_sends_overflowing_estimates_to_the_exact_path_without_warnings(
         assert coreset_greedy(labeled, pool, 2) == _cdist_coreset_greedy(labeled, pool, 2) == [1, 2]
 
 
+def test_coreset_picks_sum_only_the_pool_rows_near_the_pick(monkeypatch):
+    # 20 tight clusters 100 apart, each of 3 labeled rows and 50 pool rows: a pick in one
+    # cluster lies far beyond twice the radius of every other cluster's homes.
+    rng = np.random.default_rng(3)
+    centers = 100.0 * np.arange(20)[:, None] * np.ones(4)
+    labeled = np.repeat(centers, 3, axis=0) + rng.normal(size=(60, 4))
+    pool = np.repeat(centers, 50, axis=0) + rng.normal(size=(1000, 4))
+    summed, exact = [], strategies_module._sq_dists
+
+    def spy(a, b):
+        if b.ndim == 1:  # a pick's update: one row against the rows it could move
+            summed.append(len(a))
+        return exact(a, b)
+
+    monkeypatch.setattr(strategies_module, "_sq_dists", spy)
+    picks = coreset_greedy(labeled, pool, 20)
+    assert picks == _cdist_coreset_greedy(labeled, pool, 20)
+    assert len(summed) == 20
+    assert max(summed) <= len(pool) // 20  # at most the pick's own cluster, where a full scan sums them all
+
+
 def test_coreset_decides_on_rounded_distances_exactly_as_cdist_does():
     labeled = np.zeros((1, 16))
     # Summed in order, 1 + 15 * 2**-54 rounds to 1 at every step, tying the two rows;
