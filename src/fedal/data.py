@@ -118,6 +118,9 @@ class PartitionSpec:
         if self.mode == "label_skew":
             if not is_count(self.classes_per_client):
                 raise ConfigError(f"classes_per_client: label_skew needs an int >= 1, got {self.classes_per_client}")
+        elif self.classes_per_client is not None:
+            raise ConfigError(f"classes_per_client: does not apply to mode {self.mode!r}, "
+                              f"got {self.classes_per_client!r}; only label_skew reads it")
 
 
 class ClientPools:

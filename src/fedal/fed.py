@@ -13,8 +13,9 @@ client, which draws every iteration's randomness from one stream.
 
 Each iteration reports the loss of the parameters it started from, so the
 check lags one update: the iteration after the one that stops the run has
-its update dropped, and a run that reaches the cap takes one more loss pass
-for the last model.  With full batches and no dropout that loss costs no
+its update dropped, and a run that reaches the cap ends on iteration
+``max_global_iters + 1``, which makes no update and no stream and only takes
+the last model's loss.  With full batches and no dropout that loss costs no
 extra work, since the iteration's first gradient runs the forward pass at
 those parameters.  Minibatches, dropout or two-head training take one
 deterministic loss pass per group and iteration.
@@ -40,11 +41,12 @@ rows, read once per run straight from the dataset: their labels stay hidden.
 A plain group (no ``local_fn``) whose smaller half holds at least
 :data:`_SPLIT_ROWS` rows in one step is split when the process may use two
 cores: its first members form a group of their own that a worker thread
-runs while the main thread runs the other groups.  Each iteration hands the
-worker one job holding all its groups; the main thread makes every stream
-before it submits and reads the result before it averages.  Each thread puts
-its groups' results at their members' slots; the output is byte-identical
-with or without the worker, which is joined before the run returns or raises.
+runs while the main thread runs the other groups.  Each iteration, the
+cap's loss pass included, hands the worker one job holding all its groups;
+the main thread makes every stream before it submits and reads the result
+before it averages.  Each thread puts its groups' results at their members'
+slots; the output is byte-identical with or without the worker, which is
+joined before the run returns or raises.
 
 Clients whose labeled pool is empty are skipped (weight zero); they simply
 receive the next global model like everyone else.  The loop checks each
@@ -208,8 +210,6 @@ class _Group(NamedTuple):
     or more run stacked, with ``x`` of ``(M, n, d)`` and ``y`` of ``(M, n)``.
     ``draws`` says whether their updates draw randomness (two-head updates
     always may).  ``unlabeled`` holds the members' pools in two-head runs.
-    ``worker`` marks the first members of a split group, which the worker
-    thread runs (see :func:`_groups`).
     """
 
     members: list[int]
@@ -218,23 +218,18 @@ class _Group(NamedTuple):
     y: Array
     draws: bool
     unlabeled: Array | list[Array] | None
-    worker: bool = False
-
-    def core(self, values: list):
-        """One value per member, as the group's core takes them: a lone client's value, else the list."""
-        return values if self.ws.clients else values[0]
 
     def streams(self, stream, ids: list, t: int):
-        """The members' streams for iteration ``t`` in the core's form, or None when they draw nothing."""
-        return self.core([stream(ids[i], t) for i in self.members]) if self.draws else None
+        """The members' streams for iteration ``t``, a lone client's alone, or None when they draw nothing."""
+        if not self.draws:
+            return None
+        rngs = [stream(ids[i], t) for i in self.members]
+        return rngs if self.ws.clients else rngs[0]
 
     def put(self, result, out: list) -> None:
         """Store a core result (one entry per member) at the members' positions in ``out``."""
-        if self.ws.clients:
-            for i, value in zip(self.members, result):
-                out[i] = value
-        else:
-            out[self.members[0]] = result
+        for i, value in zip(self.members, result if self.ws.clients else [result]):
+            out[i] = value
 
 
 def _group(arch, members: list[int], batches: list[tuple[Array, Array]], draws: bool,
@@ -261,32 +256,31 @@ def _usable_cores() -> int:
 
 
 def _groups(arch, cfg: FedConfig, batches: list[tuple[Array, Array]],
-            unlabeled: list[Array] | None) -> list[_Group]:
-    """The clients grouped by labeled count and, with two heads, by unlabeled batch, in client order.
+            unlabeled: list[Array] | None) -> tuple[list[_Group], list[_Group]]:
+    """The main thread's groups and the worker's: clients by labeled count and, with two heads, batch.
 
     A two-head step takes ``minibatch_size`` rows drawn from a larger pool,
-    or the whole pool.  Groups come by first member.  A plain group whose
-    smaller half would hold :data:`_SPLIT_ROWS` rows in one step, on a
-    process with two cores, is split into two groups: its first ``M // 2``
-    members form one marked for the worker, whose row buffers are made here,
-    on the main thread, and the rest form the next.
+    or the whole pool.  Groups come by first member, in client order.  A
+    plain group whose smaller half would hold :data:`_SPLIT_ROWS` rows in one
+    step, on a process with two cores, is split into two groups: its first
+    ``M // 2`` members go to the worker's list, with row buffers made here,
+    on the main thread, and the rest stay in the main list.
     """
     size, by_key = cfg.minibatch_size, {}
     for i, (_, y) in enumerate(batches):
         pool = 0 if unlabeled is None else len(unlabeled[i])
         by_key.setdefault((len(y), None if size is not None and size < pool else pool), []).append(i)
-    groups = []
+    main, worker = [], []
     for (count, _), members in by_key.items():
         pools = None if unlabeled is None else [unlabeled[i] for i in members]
         draws = pools is not None or _update_draws(arch, cfg, count)
         step, cut = count if size is None else min(size, count), len(members) // 2
         if pools is None and cut * step >= _SPLIT_ROWS and _usable_cores() > 1:
-            half = _group(arch, members[:cut], batches, draws, None)._replace(worker=True)
-            half.ws.rows(step)  # made by the worker, they would come from its own malloc arena
-            groups += [half, _group(arch, members[cut:], batches, draws, None)]
-        else:
-            groups.append(_group(arch, members, batches, draws, pools))
-    return groups
+            worker.append(_group(arch, members[:cut], batches, draws, None))
+            worker[-1].ws.rows(step)  # made by the worker, they would come from its own malloc arena
+            members = members[cut:]
+        main.append(_group(arch, members, batches, draws, pools))
+    return main, worker
 
 
 def _weighted_sum(weights: list[float], values: list) -> float:
@@ -299,19 +293,19 @@ def _weighted_sum(weights: list[float], values: list) -> float:
 
 def _run(groups: list[_Group], rngs: list, update, params: Array, lr: float, cfg: FedConfig,
          updated: list, losses: list) -> None:
-    """Each group's update of ``params`` and loss at ``params`` (the update's, else a pass), put in place."""
+    """Each group's update of ``params`` and loss at ``params``, put at its members' slots.
+
+    The loss is the update's start loss, else a loss pass.  With ``update``
+    None (the cap's last iteration) a group takes only the loss pass.
+    """
     for group, rng in zip(groups, rngs):
-        new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg, rng, group.unlabeled)
+        start_loss = None
+        if update is not None:
+            new_params, start_loss = update(group.ws, params, group.x, group.y, lr, cfg, rng, group.unlabeled)
+            group.put(new_params, updated)
         if start_loss is None:
             start_loss = nn._loss(group.ws, params, group.x, group.y)
-        group.put(new_params, updated)
         group.put(start_loss, losses)
-
-
-def _put_losses(groups: list[_Group], params: Array, losses: list) -> None:
-    """Each group's loss at ``params``, put at its members' slots."""
-    for group in groups:
-        group.put(nn._loss(group.ws, params, group.x, group.y), losses)
 
 
 def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: FedConfig, stream,
@@ -325,11 +319,12 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
     ``loss_trace[k]`` is the training loss after ``k + 1`` updates, so its
     length is the number of updates.  Iteration ``t`` reports the loss of
     update ``t - 1``'s result, so when that loss stops the run, iteration
-    ``t``'s own update is dropped before it is averaged; at the cap one more
-    loss pass gives the last entry.
+    ``t``'s own update is dropped before it is averaged.  Iteration
+    ``max_global_iters + 1`` makes no update and no stream: its loss pass
+    gives a capped run's last entry.
 
-    The groups marked ``worker`` run on the worker thread, one job per
-    iteration and one for the cap's loss pass, while the main thread runs
+    The worker's groups (see :func:`_groups`) run on the worker thread, one
+    job per iteration, that last one included, while the main thread runs
     the rest.  The run raises :class:`InvalidStateError`, naming ``tag``,
     when a trace loss is not finite, or when a run of the plain update (no
     ``local_fn``) ends above its first loss.
@@ -342,38 +337,31 @@ def _train(dataset: Dataset, pools: list[ClientPools], init_model: Model, cfg: F
             ids.append(pool.client_id)
             batches.append(nn.labeled_batch(arch, *gather(dataset, pool.labeled_rows)))
             unlabeled.append(None if local_fn is None else dataset.features[pool.unlabeled_rows])
-    groups = _groups(arch, cfg, batches, None if local_fn is None else unlabeled)
-    mine, theirs = [g for g in groups if not g.worker], [g for g in groups if g.worker]
+    main, worker = _groups(arch, cfg, batches, None if local_fn is None else unlabeled)
     update = local_fn or _local_update
     counts = [len(y) for _, y in batches]
     weights = [count / float(sum(counts)) for count in counts]
     params, trace = init_model.params.copy(), []
     updated, losses = [None] * len(ids), [None] * len(ids)
-    if theirs:
+    if worker:
         from concurrent.futures import ThreadPoolExecutor  # here, so that `import fedal` loads no pool
     # Each thread puts only its own groups' slots, read after the job's result.
-    with ThreadPoolExecutor(1) if theirs else contextlib.nullcontext() as executor:
-        for t in range(1, cfg.max_global_iters + 1):
-            lr = cfg.schedule.lr(t)
-            if theirs:
-                job = executor.submit(_run, theirs, [g.streams(stream, ids, t) for g in theirs], update,
-                                      params, lr, cfg, updated, losses)
-            _run(mine, [g.streams(stream, ids, t) for g in mine], update, params, lr, cfg, updated, losses)
-            if theirs:
+    with ThreadPoolExecutor(1) if worker else contextlib.nullcontext() as executor:
+        for t in range(1, cfg.max_global_iters + 2):
+            step = update if t <= cfg.max_global_iters else None  # past the cap: no stream, a loss pass
+            args = (step, params, cfg.schedule.lr(t), cfg, updated, losses)
+            if worker:
+                rngs = [g.streams(stream, ids, t) if step else None for g in worker]
+                job = executor.submit(_run, worker, rngs, *args)
+            _run(main, [g.streams(stream, ids, t) if step else None for g in main], *args)
+            if worker:
                 job.result()
             if t > 1:
                 trace.append(_weighted_sum(weights, losses))
-                if trace[-1] < cfg.stop_loss_threshold:
+                if step is None or trace[-1] < cfg.stop_loss_threshold:
                     break
             # The average of one update is that update (weighted_average's clamp makes it exact).
             params = updated[0] if len(updated) == 1 else weighted_average(updated, counts)
-        else:
-            if theirs:
-                job = executor.submit(_put_losses, theirs, params, losses)
-            _put_losses(mine, params, losses)
-            if theirs:
-                job.result()
-            trace.append(_weighted_sum(weights, losses))
     _check_descent(trace, local_fn is None, cfg, tag, ids)
     # A run that meets the threshold with its last update at the cap ends as a threshold stop would.
     stopped_by = "threshold" if trace[-1] < cfg.stop_loss_threshold else "cap"

@@ -144,6 +144,8 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("independent:\n  minibatch_size: 0\n", r"^independent\.minibatch_size: "),
         ("partition:\n  clients: 0\n", r"^partition\.clients: must be an int >= 1"),
         ("partition:\n  clients: 2\n  mode: label_skew\n", r"^partition\.classes_per_client: "),
+        ("partition:\n  clients: 3\n  mode: iid_disjoint\n  classes_per_client: 2\n",
+         r"^partition\.classes_per_client: does not apply to mode 'iid_disjoint'"),
         ("partition:\n  clients: 2\n  mode: bogus\n", r"^partition\.mode: unknown partition mode 'bogus'"),
         ("dataset:\n  kind: parquet\n", r"^dataset\.kind: unknown dataset kind 'parquet'; expected one of"),
         ("dataset:\n  kind: blobs\n  classes: 1\n", r"^dataset\.classes: "),

@@ -379,6 +379,8 @@ def test_partition_spec_validation():
         PartitionSpec(client_count=2, mode="dirichlet")
     with pytest.raises(ConfigError):
         PartitionSpec(client_count=2, mode="label_skew")  # classes_per_client required
+    with pytest.raises(ConfigError, match="^classes_per_client: does not apply to mode 'iid_disjoint'"):
+        PartitionSpec(client_count=2, classes_per_client=2)  # an iid run would ignore it
 
 
 def test_partition_spec_counts_reject_a_bool_and_name_the_field():

@@ -638,14 +638,15 @@ def _assert_same_run(report, reference):
 
 @pytest.mark.parametrize("case", sorted(STACKED_CASES))
 @pytest.mark.parametrize("threshold", [1e-9, 0.3])  # the cap, then mostly early stops
-def test_fedavg_and_independent_training_equal_a_per_client_loop_byte_for_byte(case, threshold,
+@pytest.mark.parametrize("iters", [1, 8])  # at a cap of one the cap's loss pass follows the first update
+def test_fedavg_and_independent_training_equal_a_per_client_loop_byte_for_byte(case, threshold, iters,
                                                                                monkeypatch):
     arch_kwargs, cfg_kwargs, counts = STACKED_CASES[case]
     pools = _counted_pools(counts)
     ds = _dataset(sum(counts) + len(counts), classes=3, seed=len(counts))
     arch = MlpArchitecture((2, 5, 3), **arch_kwargs)
     init = Model(arch, init_params(arch, 4) * 2.0)
-    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=iters,
                     **cfg_kwargs)
     built = _counting(monkeypatch, nn_module, "Workspace")
     report = fedavg(ds, pools, init, cfg, seed=6)
@@ -770,13 +771,13 @@ SPLIT_CASES = {
 }
 
 
-def _split_world(case, threshold):
+def _split_world(case, threshold, iters=8):
     arch_kwargs, cfg_kwargs, counts = SPLIT_CASES[case]
     pools = _counted_pools(counts)
     ds = _dataset(sum(counts) + len(counts), classes=3, seed=len(counts))
     arch = MlpArchitecture((2, 5, 3), **arch_kwargs)
     init = Model(arch, init_params(arch, 4) * 2.0)
-    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=8,
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=iters,
                     **cfg_kwargs)
     return ds, pools, init, cfg
 
@@ -810,8 +811,9 @@ def test_a_split_group_equals_a_per_client_loop_byte_for_byte(case, threshold, m
 
 
 @pytest.mark.parametrize("threshold", [1e-9, 0.3])
-def test_each_iteration_hands_every_worker_group_to_one_job(threshold, monkeypatch):
-    ds, pools, init, cfg = _split_world("minibatch-two-split-groups", threshold)
+@pytest.mark.parametrize("iters", [1, 8])  # a cap of one takes 2 jobs: the update, then the loss pass
+def test_each_iteration_hands_every_worker_group_to_one_job(threshold, iters, monkeypatch):
+    ds, pools, init, cfg = _split_world("minibatch-two-split-groups", threshold, iters)
     _allow_split(monkeypatch)
     updates, _, _ = _thread_spies(monkeypatch)
     jobs, executor = [], concurrent.futures.ThreadPoolExecutor
