@@ -343,6 +343,10 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         check_scorer(cfg.strategy, cfg.scorer)
         check_label_fraction(cfg.initial_label_fraction)
     except ConfigError as exc:
+        field, _, message = str(exc).partition(": ")
+        if field.startswith("budgets[") and budget_total is not None:  # a rule on al.budget's even split
+            raise ConfigError(f"al.budget: total {budget_total} gives each of {clients} clients "
+                              f"{budgets[0]}: {message}") from None
         raise _owner_error("al", exc) from None
     return cfg
 

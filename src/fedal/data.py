@@ -190,6 +190,9 @@ def check_blob_params(n: int, classes: int, dim: int, spread: float, layout: str
         raise ConfigError(f"layout: {layout!r} is not one of {list(BLOB_LAYOUTS)}")
     if not (math.isfinite(elongation) and elongation > 0):
         raise ConfigError(f"elongation: must be finite and > 0, got {elongation}")
+    if layout == "line" and not math.isfinite(spread * elongation):
+        raise ConfigError(f"elongation: the line layout's noise scale spread * elongation overflows, "
+                          f"got {spread} * {elongation}")
 
 
 def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, *,
@@ -210,6 +213,8 @@ def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, *,
       annotation choices matter even for a small model.
 
     ``spread=0`` collapses every class onto its center under either layout.
+    A drawn point that overflows float64 raises :class:`ConfigError` naming
+    ``spread``, or ``elongation`` when the line layout stretches its axis.
     """
     check_blob_params(n, classes, dim, spread, layout, elongation)
     rng = np.random.default_rng(seed)
@@ -224,7 +229,12 @@ def synth_blobs(n: int, classes: int, dim: int, spread: float, seed, *,
         centers[:, 0] = np.arange(classes) - (classes - 1) / 2.0
         scale[1] = spread * elongation
     labels = np.arange(n, dtype=np.int64) % classes
-    points = centers[labels] + scale * rng.standard_normal((n, dim))
+    try:
+        with np.errstate(over="raise"):
+            points = centers[labels] + scale * rng.standard_normal((n, dim))
+    except FloatingPointError:
+        key = "elongation" if layout == "line" and elongation > 1.0 else "spread"
+        raise ConfigError(f"{key}: the noise scale {scale.max()} overflows on a drawn point") from None
     order = rng.permutation(n)
     return Dataset(points[order], labels[order], class_count=classes)
 

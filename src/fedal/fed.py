@@ -15,10 +15,10 @@ Each iteration reports the loss of the parameters it started from, so the
 check lags one update: the iteration after the one that stops the run has
 its update dropped, and a run that reaches the cap ends on iteration
 ``max_global_iters + 1``, which makes no update and no stream and only takes
-the last model's loss.  With full batches and no dropout that loss costs no
-extra work, since the iteration's first gradient runs the forward pass at
-those parameters.  Minibatches, dropout or two-head training take one
-deterministic loss pass per group and iteration.
+the last model's loss.  A local update whose labeled steps draw nothing (full
+batches, no dropout), two-head or not, reads that loss from its first
+gradient's forward pass; minibatches or dropout take one deterministic loss
+pass per group and iteration.
 
 Clients that hold the same number of labels run their local updates as one
 pass over stacked arrays (see :mod:`fedal.nn`): the loop groups the clients
@@ -151,9 +151,9 @@ def weighted_average(param_vectors, sample_counts) -> Array:
 
 
 def _update_draws(arch, cfg: FedConfig, n: int) -> bool:
-    """Whether a plain local update on ``n`` rows draws randomness.
+    """Whether a local update's labeled steps on ``n`` rows draw randomness.
 
-    It does with dropout, or with minibatches smaller than ``n`` (see
+    They do with dropout, or with minibatches smaller than ``n`` (see
     :func:`nn.minibatches`).  Otherwise every epoch is one full batch in
     stored order, and the first gradient's forward pass gives the loss.
     """
@@ -173,10 +173,10 @@ def _local_update(ws: nn.Workspace, params: Array, x: Array, y: Array, lr: float
     (:func:`nn._discrepancy_grad`) to each step's gradient before the rate
     scales it: on the whole pool, or, with smaller minibatches, on the next
     ``size`` rows of a per-epoch permutation (wrapping), each pool drawn by
-    its own stream.  It then returns no loss.
+    its own stream.  The loss is None when the labeled steps draw.
     """
     size = cfg.minibatch_size
-    start_loss, first = None, unlabeled is None and not _update_draws(ws.arch, cfg, y.shape[-1])
+    start_loss, first = None, not _update_draws(ws.arch, cfg, y.shape[-1])
     for _ in range(cfg.local_epochs):
         batches = nn.minibatches(x, y, size, rng)
         drawn = None if unlabeled is None else _unlabeled_batches(unlabeled, size, len(batches), rng)

@@ -60,12 +60,15 @@ def build_world(cfg: ExperimentConfig, run_seed: int):
     """(train, test, pools, arch) for one repeat; depends only on (cfg data keys, seed)."""
     ds = cfg.dataset
     if ds.kind == "blobs":
-        train = synth_blobs(ds.train_size, ds.classes, ds.dim, ds.spread,
-                            rng_for(run_seed, "data-train"),
-                            layout=ds.layout, elongation=ds.elongation)
-        test = synth_blobs(ds.test_size, ds.classes, ds.dim, ds.spread,
-                           rng_for(run_seed, "data-test"),
-                           layout=ds.layout, elongation=ds.elongation)
+        try:  # the arguments passed DatasetSpec's checks, but a drawn point may still overflow
+            train = synth_blobs(ds.train_size, ds.classes, ds.dim, ds.spread,
+                                rng_for(run_seed, "data-train"),
+                                layout=ds.layout, elongation=ds.elongation)
+            test = synth_blobs(ds.test_size, ds.classes, ds.dim, ds.spread,
+                               rng_for(run_seed, "data-test"),
+                               layout=ds.layout, elongation=ds.elongation)
+        except ConfigError as exc:
+            raise ConfigError(f"dataset.{exc}") from None
     else:
         train = load_external(ds.path, ds.kind, labels_path=ds.labels_path)
         test = load_external(ds.test_path, ds.kind, labels_path=ds.test_labels_path)

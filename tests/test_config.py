@@ -1,9 +1,13 @@
 """Tests for config parsing, defaults, presets, and the CLI wrapper."""
 
+import copy
 import importlib
+import math
+import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 from fedal.cli import main as cli_main
 from fedal.config import parse_config, parse_config_file
@@ -108,7 +112,12 @@ def test_independent_section_defaults_to_a_slower_rate():
     [
         ("al:\n  strategy: random\n  budget: 40\n  rounds: 0\n", r"^al\.rounds: "),
         ("al:\n  strategy: random\n  budget: 15\n", "does not split evenly"),
-        ("al:\n  strategy: random\n  budget: 30\n  rounds: 4\n", r"^al\.budgets\[0\]: .*not divisible"),
+        ("al:\n  strategy: random\n  budget: 30\n  rounds: 4\n",
+         r"^al\.budget: total 30 gives each of 2 clients 15: .*not divisible by rounds=4"),
+        ("partition:\n  clients: 3\nal:\n  strategy: random\n  budget: -30\n",
+         r"^al\.budget: total -30 gives each of 3 clients -10: must be >= 0"),
+        ("partition:\n  clients: 3\nal:\n  strategy: random\n  budget: 30\n  rounds: 4\n",
+         r"^al\.budget: total 30 gives each of 3 clients 10: .*not divisible by rounds=4"),
         ("al:\n  strategy: random\n  budget: 40\n  budgets: [20, 20]\n", "mutually exclusive"),
         ("al:\n  strategy: random\n  budgets: [10, 10, 10]\n", "expected 2 entries"),
         ("al:\n  strategy: random\n  budgets: [10, -10]\n", r"^al\.budgets\[1\]: must be >= 0"),
@@ -154,15 +163,53 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("dataset:\n  kind: blobs\n  train_size: 5\n", r"^dataset\.train_size: "),
         ("dataset:\n  kind: blobs\n  spread: -1.0\n", r"^dataset\.spread: "),
         ("dataset:\n  kind: blobs\n  elongation: 0.0\n", r"^dataset\.elongation: "),
+        ("dataset:\n  kind: blobs\n  spread: 2.0\n  layout: line\n  elongation: 1.0e+308\n",
+         r"^dataset\.elongation: .*spread \* elongation overflows"),
     ],
 )
 def test_bad_values_are_rejected_with_dotted_paths(extra, fragment):
     base = {"dataset": "dataset:\n  kind: blobs\n", "partition": "partition:\n  clients: 2\n",
             "al": "al:\n  strategy: random\n  budget: 40\n"}
-    # A case restates in full the base section it changes; a repeated section is an error.
-    base.pop(extra.split(":")[0], None)
+    # A case restates in full each base section it changes; a repeated section is an error.
+    for line in extra.splitlines():
+        if line and not line[0].isspace():
+            base.pop(line.split(":")[0], None)
     with pytest.raises(ConfigError, match=fragment):
         _parse("".join(base.values()) + extra)
+
+
+_FED_KEYS = {"lr": 0.3, "lr_decay": 0.99, "stop_loss_threshold": 0.05, "local_epochs": 1,
+             "minibatch_size": 8, "max_global_iters": 10}
+TINY_SKEW = {
+    "dataset": {"kind": "blobs", "train_size": 60, "test_size": 30, "classes": 3, "dim": 2, "spread": 0.6,
+                "elongation": 1.0},
+    "partition": {"clients": 2, "mode": "label_skew", "classes_per_client": 2},
+    "model": {"hidden": [4], "dropout": 0.1},
+    "al": {"strategy": "random", "budget": 8, "rounds": 2, "mc_passes": 3, "initial_label_fraction": 0.1},
+    "fl": dict(_FED_KEYS),
+    "independent": dict(_FED_KEYS),
+    "run": {"repeats": 1, "seed": 3},
+}
+_INT_KEYS = ["dataset.train_size", "dataset.test_size", "dataset.classes", "dataset.dim", "partition.clients",
+             "partition.classes_per_client", "al.budget", "al.rounds", "al.mc_passes"]
+_INT_KEYS += [f"{section}.{key}" for section in ("fl", "independent")
+              for key in ("local_epochs", "minibatch_size", "max_global_iters")] + ["run.repeats", "run.seed"]
+_REAL_KEYS = ["dataset.spread", "dataset.elongation", "model.dropout", "al.initial_label_fraction"]
+_REAL_KEYS += [f"{section}.{key}" for section in ("fl", "independent")
+               for key in ("lr", "lr_decay", "stop_loss_threshold")]
+
+
+@pytest.mark.parametrize("key,value",
+                         [(key, value) for key in _INT_KEYS for value in (-30, -1, 0, True, 1.5, "3", math.nan)]
+                         + [(key, value) for key in _REAL_KEYS for value in (-1.0, True, "3", math.nan, math.inf)])
+def test_a_bad_numeric_value_is_reported_under_its_key(key, value):
+    section, name = key.split(".")
+    raw = copy.deepcopy(TINY_SKEW)
+    raw[section][name] = value
+    try:
+        _parse(yaml.safe_dump(raw))
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{key}: "), str(exc)
 
 
 def test_a_repeated_key_is_named_and_never_silently_dropped(tmp_path, capsys):
@@ -394,6 +441,21 @@ def test_cli_rejects_bad_configs_with_exit_code_two(tmp_path, capsys):
     oversized = _write_cfg(tmp_path, TINY_RUN.replace("budget: 8", "budget: 60"), "big.yaml")
     assert cli_main(["run", str(oversized), "--out", str(tmp_path / "r.csv")]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("config error:")
+
+
+@pytest.mark.parametrize("dataset,key", [
+    ("spread: 1.0e+308", "spread"),
+    ("spread: 1.0\n  layout: line\n  elongation: 1.0e+308", "elongation"),
+])
+def test_cli_refuses_blobs_whose_points_overflow_with_exit_code_two(dataset, key, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    cfg = _write_cfg(tmp_path, TINY_RUN.replace("spread: 0.6", dataset))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would surface as an exit-1 failure
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: dataset.{key}: ")
+    assert "repeat 1:" not in captured.out and not out.exists()
 
 
 def test_cli_reports_runtime_failures_with_exit_code_one(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,21 @@ def test_blobs_validation(kwargs):
     full.update(kwargs)
     with pytest.raises(ConfigError, match="^(n|classes|dim|spread|layout|elongation): "):
         synth_blobs(**full)
+
+
+@pytest.mark.parametrize(
+    "kwargs,key",
+    [
+        ({"spread": 1.0e308}, "spread"),  # a draw past ~1.8 overflows
+        ({"spread": 2.0, "layout": "line", "elongation": 1.0e308}, "elongation"),  # the scale itself is inf
+        ({"spread": 1.0, "layout": "line", "elongation": 1.0e308}, "elongation"),
+    ],
+)
+def test_blobs_whose_points_overflow_name_the_key_that_scales_them(kwargs, key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            synth_blobs(240, 3, 2, seed=0, **kwargs)
 
 
 def test_blobs_take_numpy_numbers():

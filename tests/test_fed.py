@@ -159,27 +159,22 @@ def test_local_update_one_full_batch_epoch_is_one_sgd_step():
     assert start_loss == loss(model, feats, labels)
 
 
-@pytest.mark.parametrize("minibatch,dropout", [(4, 0.0), (None, 0.2), (12, 0.0)])
-def test_local_update_reads_the_loss_only_from_a_deterministic_full_batch(minibatch, dropout):
-    ds = _dataset()
-    arch = MlpArchitecture((2, 4, 2), dropout_rate=dropout)
+@pytest.mark.parametrize("heads", [1, 2])  # two heads: with unlabeled rows, a pool of 6 that minibatches draw from
+@pytest.mark.parametrize("minibatch,dropout", [(4, 0.0), (None, 0.2), (12, 0.0), (None, 0.0)])
+def test_local_update_reads_the_loss_only_from_a_deterministic_full_batch(minibatch, dropout, heads):
+    ds = _dataset(18)
+    arch = MlpArchitecture((2, 4, 2), dropout_rate=dropout, head_count=heads)
     model = _init(arch)
-    feats, labels = gather(ds, list(range(ds.size)))
+    feats, labels = gather(ds, list(range(12)))
+    x, y = nn_module.labeled_batch(arch, feats, labels)
+    unlabeled = ds.features[12:] if heads == 2 else None
     cfg = FedConfig(schedule=LrSchedule(0.3), minibatch_size=minibatch)
-    _, start_loss = _plain_update(model, feats, labels, 0.3, cfg, np.random.default_rng(0))
-    if minibatch is not None and minibatch >= ds.size:  # one batch of every row
-        assert start_loss == loss(model, feats, labels)
+    _, start_loss = fed_module._local_update(nn_module.Workspace(arch), model.params, x, y, 0.3, cfg,
+                                             np.random.default_rng(0), unlabeled)
+    if dropout == 0.0 and (minibatch is None or minibatch >= len(labels)):  # one batch of every row
+        assert np.float64(start_loss).tobytes() == np.float64(loss(model, feats, labels)).tobytes()
     else:
         assert start_loss is None
-
-
-def test_local_update_with_unlabeled_rows_returns_no_loss():
-    # Two-head training discards the loss, so even a deterministic full batch does not compute it.
-    ds = _dataset()
-    arch = MlpArchitecture((2, 4, 2), head_count=2)
-    x, y = nn_module.labeled_batch(arch, *gather(ds, list(range(ds.size))))
-    cfg = FedConfig(schedule=LrSchedule(0.3))
-    assert fed_module._local_update(nn_module.Workspace(arch), _init(arch).params, x, y, 0.3, cfg, None, x)[1] is None
 
 
 def test_local_update_epochs_chain():
@@ -712,6 +707,26 @@ def test_two_head_runs_equal_a_per_client_loop_byte_for_byte(case, threshold, mo
         _assert_same_run(report, reference)
         stops.append(report.stopped_by)
     assert ("threshold" in stops) == (threshold > 1e-3)
+
+
+@pytest.mark.parametrize("threshold,stopped_by", [(1e-9, "cap"), (10.0, "threshold")])
+def test_deterministic_two_head_runs_take_a_loss_pass_only_at_the_cap(threshold, stopped_by, monkeypatch):
+    # Full batches and no dropout: each update's first gradient gives its start loss, two heads or one.
+    _, _, labeled, unlabeled, group_count = TWO_HEAD_CASES["full-batch-pools-differ"]
+    pools = _two_head_pools(labeled, unlabeled)
+    ds = _dataset(sum(labeled) + sum(unlabeled), classes=3, seed=len(labeled))
+    arch = MlpArchitecture((2, 5, 3), activation="tanh", head_count=2)
+    init = Model(arch, init_params(arch, 4) * 2.0)
+    cfg = FedConfig(schedule=LrSchedule(0.5, 0.95), stop_loss_threshold=threshold, max_global_iters=8)
+    passes = _counting(monkeypatch, nn_module, "_loss")
+    report = fedavg(ds, pools, init, cfg, seed=6, local_fn=train_discrepancy_heads)
+    assert report.stopped_by == stopped_by
+    assert len(passes) == (group_count if stopped_by == "cap" else 0)  # one per group at the cap
+    for client in (m for m, count in enumerate(labeled) if count):
+        passes.clear()
+        report = independent_train(ds, pools, client, init, cfg, seed=6, local_fn=train_discrepancy_heads)
+        assert report.stopped_by == stopped_by
+        assert len(passes) == (1 if stopped_by == "cap" else 0)
 
 
 # -- a large group as two halves on two threads --------------------------------------------
