@@ -27,11 +27,12 @@ from .presets import PRESETS
 from .strategies import ScorerSpec
 
 DATASET_KINDS = ("blobs",) + EXTERNAL_FORMATS
-# The dataset keys that each kind does not read.  ``csv_labeled`` files hold their own labels.
+# The dataset keys that a kind or a blob layout does not read.  ``csv_labeled`` files hold their own labels.
 _BLOB_KEYS = ("train_size", "test_size", "classes", "dim", "spread", "layout", "elongation")
-_UNREAD_DATASET_KEYS = {"blobs": ("path", "test_path", "labels_path", "test_labels_path"),
-                        "csv_labeled": _BLOB_KEYS + ("labels_path", "test_labels_path"),
-                        "idx_images": _BLOB_KEYS}
+_UNREAD_DATASET_KEYS = {("kind", "blobs"): ("path", "test_path", "labels_path", "test_labels_path"),
+                        ("kind", "csv_labeled"): _BLOB_KEYS + ("labels_path", "test_labels_path"),
+                        ("kind", "idx_images"): _BLOB_KEYS,
+                        ("layout", "circle"): ("elongation",)}
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,10 @@ class _Section:
             return default
         value = self.mapping[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{self._label(key)}: expected float, got an int too large for one") from None
         if kind is int and isinstance(value, bool):
             raise ConfigError(f"{self._label(key)}: expected int, got bool")
         if not isinstance(value, kind):
@@ -141,17 +145,14 @@ class _Section:
         if unknown:
             raise ConfigError(f"{self._label(unknown[0])}: unknown key")
 
-
-# Owner fields whose config key has another name.  Owners start each error
-# with the field it concerns ("initial_lr: must be positive, ...").
-_KEY_OF_FIELD = {"initial_lr": "lr", "decay": "lr_decay", "client_count": "clients",
-                 "layer_sizes": "hidden", "dropout_rate": "dropout", "kind": "scorer"}
-
-
-def _owner_error(path: str, exc: ConfigError) -> ConfigError:
-    """An owner's error, reworded to name the dotted config key under ``path``."""
-    field, _, message = str(exc).partition(": ")
-    return ConfigError(f"{path}.{_KEY_OF_FIELD.get(field, field)}: {message}")
+    def build(self, owner, *args, keys: dict | None = None, **fields):
+        """``owner(*args, **fields)``, its ``field: message`` errors renamed to this section's
+        ``key: message``; ``keys`` maps the fields whose config key has another name."""
+        try:
+            return owner(*args, **fields)
+        except ConfigError as exc:
+            field, _, message = str(exc).partition(": ")
+            raise ConfigError(f"{self._label((keys or {}).get(field, field))}: {message}") from None
 
 
 def _reject_duplicate_keys(node, path: str = "") -> None:
@@ -194,11 +195,9 @@ def _parse_fed_section(sec: _Section, base: FedConfig) -> FedConfig:
     threshold = sec.get("stop_loss_threshold", float, default=base.stop_loss_threshold)
     max_iters = sec.get("max_global_iters", int, default=base.max_global_iters)
     sec.reject_unknown()
-    try:
-        return FedConfig(LrSchedule(lr, decay), local_epochs=local_epochs, minibatch_size=minibatch,
-                         stop_loss_threshold=threshold, max_global_iters=max_iters)
-    except ConfigError as exc:
-        raise _owner_error(sec.path, exc) from None
+    schedule = sec.build(LrSchedule, lr, decay, keys={"initial_lr": "lr", "decay": "lr_decay"})
+    return sec.build(FedConfig, schedule, local_epochs=local_epochs, minibatch_size=minibatch,
+                     stop_loss_threshold=threshold, max_global_iters=max_iters)
 
 
 def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
@@ -218,18 +217,14 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(loaded, dict):
         raise ConfigError(f"config root must be a mapping, got {type(loaded).__name__}")
 
-    preset_name = loaded.get("preset")
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {preset_name!r}; available: {sorted(PRESETS)}")
-        merged = _deep_merge(PRESETS[preset_name], {k: v for k, v in loaded.items() if k != "preset"})
-    else:
-        merged = loaded
+    preset_name = _Section(loaded, "").get("preset", str, default=None)
+    if preset_name is not None and preset_name not in PRESETS:
+        raise ConfigError(f"preset: unknown preset {preset_name!r}; available: {sorted(PRESETS)}")
+    merged = _deep_merge(PRESETS.get(preset_name, {}), {k: v for k, v in loaded.items() if k != "preset"})
     if overrides:
         merged = _deep_merge(merged, overrides)
 
     root = _Section(merged, "")
-    root.get("preset", str, default=None)
 
     ds = root.section("dataset")
     dataset_fields = dict(
@@ -247,24 +242,20 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         test_labels_path=ds.get("test_labels_path", str, default=None),
     )
     ds.reject_unknown()
-    try:
-        dataset = DatasetSpec(**dataset_fields)
-    except ConfigError as exc:  # not _owner_error, whose "kind" is the scorer's
-        raise ConfigError(f"dataset.{exc}") from None
-    unused = [key for key in _UNREAD_DATASET_KEYS[dataset.kind] if ds.mapping.get(key) is not None]
-    if unused:
-        raise ConfigError(f"dataset.{unused[0]}: does not apply to dataset kind {dataset.kind!r}")
+    dataset = ds.build(DatasetSpec, **dataset_fields)
+    for (field, value), unread in _UNREAD_DATASET_KEYS.items():
+        unused = [key for key in unread if ds.mapping.get(key) is not None]
+        if unused and getattr(dataset, field) == value:
+            subject = "dataset kind" if field == "kind" else field
+            raise ConfigError(f"dataset.{unused[0]}: does not apply to {subject} {value!r}")
 
     part = root.section("partition")
     client_count = part.get("clients", int)
     mode = part.get("mode", str, default="iid_disjoint")
     classes_per_client = part.get("classes_per_client", int, default=None)
     part.reject_unknown()
-    try:
-        partition_spec = PartitionSpec(client_count=client_count, mode=mode,
-                                       classes_per_client=classes_per_client)
-    except ConfigError as exc:
-        raise _owner_error("partition", exc) from None
+    partition_spec = part.build(PartitionSpec, client_count=client_count, mode=mode,
+                                classes_per_client=classes_per_client, keys={"client_count": "clients"})
 
     mdl = root.section("model")
     hidden_raw = mdl.get("hidden", list, default=[32])
@@ -274,10 +265,9 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
         dropout=mdl.get("dropout", float, default=0.0),
     )
     mdl.reject_unknown()
-    try:  # the data sets the input and class counts; 1 stands in for both
-        MlpArchitecture((1, *model_spec.hidden, 1), model_spec.activation, model_spec.dropout)
-    except ConfigError as exc:
-        raise _owner_error("model", exc) from None
+    # the data sets the input and class counts; 1 stands in for both
+    mdl.build(MlpArchitecture, (1, *model_spec.hidden, 1), model_spec.activation, model_spec.dropout,
+              keys={"layer_sizes": "hidden", "dropout_rate": "dropout"})
 
     al = root.section("al")
     strategy = al.get("strategy", str)
@@ -322,32 +312,32 @@ def parse_config(raw, overrides: dict | None = None) -> ExperimentConfig:
     run.reject_unknown()
     root.reject_unknown()
 
+    cfg = ExperimentConfig(
+        dataset=dataset,
+        partition=partition_spec,
+        model=model_spec,
+        strategy=strategy,
+        scorer=al.build(ScorerSpec, scorer_kind, mc_passes=mc_passes, keys={"kind": "scorer"}),
+        rounds=rounds,
+        budgets=budgets,
+        initial_label_fraction=initial_fraction,
+        fl=fl_cfg,
+        independent=il_cfg,
+        repeats=repeats,
+        base_seed=base_seed,
+        out_path=out_path,
+        preset=preset_name,
+    )
     try:
-        cfg = ExperimentConfig(
-            dataset=dataset,
-            partition=partition_spec,
-            model=model_spec,
-            strategy=strategy,
-            scorer=ScorerSpec(scorer_kind, mc_passes=mc_passes),
-            rounds=rounds,
-            budgets=budgets,
-            initial_label_fraction=initial_fraction,
-            fl=fl_cfg,
-            independent=il_cfg,
-            repeats=repeats,
-            base_seed=base_seed,
-            out_path=out_path,
-            preset=preset_name,
-        )
-        al_config(cfg)
-        check_scorer(cfg.strategy, cfg.scorer)
-        check_label_fraction(cfg.initial_label_fraction)
+        al.build(al_config, cfg)
     except ConfigError as exc:
-        field, _, message = str(exc).partition(": ")
-        if field.startswith("budgets[") and budget_total is not None:  # a rule on al.budget's even split
+        key, _, message = str(exc).partition(": ")
+        if key.startswith("al.budgets[") and budget_total is not None:  # a rule on al.budget's even split
             raise ConfigError(f"al.budget: total {budget_total} gives each of {clients} clients "
                               f"{budgets[0]}: {message}") from None
-        raise _owner_error("al", exc) from None
+        raise
+    al.build(check_scorer, cfg.strategy, cfg.scorer)
+    al.build(check_label_fraction, cfg.initial_label_fraction)
     return cfg
 
 

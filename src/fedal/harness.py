@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, al_config
-from .data import Dataset, load_external, partition, seed_initial_labels, synth_blobs
+from .data import load_external, partition, seed_initial_labels, synth_blobs
 from .errors import ConfigError
 from .nn import MlpArchitecture
-from .orchestrator import RoundLog, run_strategy
+from .orchestrator import run_strategy
 from .seeding import rng_for
 
 CSV_HEADER = "strategy,scorer,round,repeat,labeled_fraction,test_accuracy"
@@ -86,13 +86,6 @@ def build_world(cfg: ExperimentConfig, run_seed: int):
     return train, test, pools, arch
 
 
-def run_once(cfg: ExperimentConfig, run_seed: int) -> tuple[list[RoundLog], Dataset]:
-    """One full strategy run at one seed; returns the round logs and train set."""
-    train, test, pools, arch = build_world(cfg, run_seed)
-    logs = run_strategy(cfg.strategy, train, test, pools, arch, al_config(cfg), cfg.fl, run_seed)
-    return logs, train
-
-
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
     """Run all repeats and assemble the result table (per-run rows + summaries)."""
     strategy = cfg.strategy
@@ -100,7 +93,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
     rows: list[ResultRow] = []
     for repeat in range(1, cfg.repeats + 1):
         run_seed = cfg.base_seed + repeat
-        logs, train = run_once(cfg, run_seed)
+        train, test, pools, arch = build_world(cfg, run_seed)
+        logs = run_strategy(strategy, train, test, pools, arch, al_config(cfg), cfg.fl, run_seed)
         for log in logs:
             rows.append(ResultRow(
                 strategy=strategy,

@@ -165,6 +165,7 @@ def test_independent_section_defaults_to_a_slower_rate():
         ("dataset:\n  kind: blobs\n  elongation: 0.0\n", r"^dataset\.elongation: "),
         ("dataset:\n  kind: blobs\n  spread: 2.0\n  layout: line\n  elongation: 1.0e+308\n",
          r"^dataset\.elongation: .*spread \* elongation overflows"),
+        ("dataset:\n  kind: blobs\n  elongation: 5.0\n", r"^dataset\.elongation: does not apply to layout 'circle'$"),
     ],
 )
 def test_bad_values_are_rejected_with_dotted_paths(extra, fragment):
@@ -182,7 +183,7 @@ _FED_KEYS = {"lr": 0.3, "lr_decay": 0.99, "stop_loss_threshold": 0.05, "local_ep
              "minibatch_size": 8, "max_global_iters": 10}
 TINY_SKEW = {
     "dataset": {"kind": "blobs", "train_size": 60, "test_size": 30, "classes": 3, "dim": 2, "spread": 0.6,
-                "elongation": 1.0},
+                "layout": "line", "elongation": 1.0},
     "partition": {"clients": 2, "mode": "label_skew", "classes_per_client": 2},
     "model": {"hidden": [4], "dropout": 0.1},
     "al": {"strategy": "random", "budget": 8, "rounds": 2, "mc_passes": 3, "initial_label_fraction": 0.1},
@@ -201,7 +202,7 @@ _REAL_KEYS += [f"{section}.{key}" for section in ("fl", "independent")
 
 @pytest.mark.parametrize("key,value",
                          [(key, value) for key in _INT_KEYS for value in (-30, -1, 0, True, 1.5, "3", math.nan)]
-                         + [(key, value) for key in _REAL_KEYS for value in (-1.0, True, "3", math.nan, math.inf)])
+                         + [(key, value) for key in _REAL_KEYS for value in (-1.0, True, "3", math.nan, math.inf, 10**400)])
 def test_a_bad_numeric_value_is_reported_under_its_key(key, value):
     section, name = key.split(".")
     raw = copy.deepcopy(TINY_SKEW)
@@ -441,6 +442,19 @@ def test_cli_rejects_bad_configs_with_exit_code_two(tmp_path, capsys):
     oversized = _write_cfg(tmp_path, TINY_RUN.replace("budget: 8", "budget: 60"), "big.yaml")
     assert cli_main(["run", str(oversized), "--out", str(tmp_path / "r.csv")]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("config error:")
+
+
+@pytest.mark.parametrize("old,new,error", [
+    ("lr: 0.3", f"lr: {10**400}", "fl.lr: expected float, got an int too large for one"),
+    ("dataset:", "preset: [1]\ndataset:", "preset: expected str, got list"),
+    ("dataset:", "preset: {a: 1}\ndataset:", "preset: expected str, got dict"),
+    ("spread: 0.6", "spread: 0.6\n  elongation: 5.0", "dataset.elongation: does not apply to layout 'circle'"),
+])
+def test_cli_names_the_key_of_a_value_the_parser_cannot_take(old, new, error, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", str(_write_cfg(tmp_path, TINY_RUN.replace(old, new))), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {error}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dataset,key", [

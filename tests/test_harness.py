@@ -14,7 +14,6 @@ from fedal.harness import (
     build_world,
     emit_csv,
     run_experiment,
-    run_once,
     scorer_label,
 )
 
@@ -84,7 +83,7 @@ def test_build_world_arch_follows_data_and_model_spec():
     assert arch.activation == "tanh"
 
 
-def test_run_once_fails_fast_on_oversized_budgets(monkeypatch):
+def test_run_experiment_fails_fast_on_oversized_budgets(monkeypatch):
     worlds = []
 
     def recording_build_world(cfg, run_seed):
@@ -94,16 +93,21 @@ def test_run_once_fails_fast_on_oversized_budgets(monkeypatch):
     monkeypatch.setattr(harness, "build_world", recording_build_world)
     cfg = _cfg(extra="al:\n  strategy: random\n  budget: 200\n  rounds: 2\n")
     with pytest.raises(ConfigError, match="exceeds"):
-        run_once(cfg, 0)
+        run_experiment(cfg)
     (_, _, pools, _), = worlds
     assert all(p.history == {} for p in pools)  # raised before any pool was annotated
 
 
-def test_run_once_produces_one_log_per_round():
-    logs, train = run_once(_cfg(), 4)
-    assert len(logs) == 2
-    assert train.size == 80
-    logs_fb, _ = run_once(_cfg(strategy="full_budget"), 4)
+def test_run_experiment_produces_one_log_per_round():
+    runs = []
+    table = run_experiment(_cfg(), progress=lambda repeat, logs: runs.append(logs))
+    (logs,) = runs
+    assert len(logs) == len(table.rows) == 2
+    for log, row in zip(logs, table.rows):  # the fraction's denominator is the 80-point train set
+        assert row.labeled_fraction == sum(log.labeled_counts) / 80
+    runs.clear()
+    run_experiment(_cfg(strategy="full_budget"), progress=lambda repeat, logs: runs.append(logs))
+    (logs_fb,) = runs
     assert len(logs_fb) == 1
 
 
